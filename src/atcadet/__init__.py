@@ -16,7 +16,7 @@ from .model import (
     AtcaConfig,
     AtcaParams,
     count_params,
-    forward,
+    forward_batch,
     load_checkpoint,
     save_checkpoint,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "compute_eer",
     "count_params",
     "fit_stacked",
-    "forward",
+    "forward_batch",
     "load_checkpoint",
     "load_wav",
     "predict_stacked",

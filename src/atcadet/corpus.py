@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dsp import Waveform, _hann_periodic, write_wav
 from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind
@@ -130,6 +129,8 @@ def _quantize_pcm16(x: np.ndarray) -> np.ndarray:
 
 def _pink_bed(rng, n: int, sample_rate: int) -> np.ndarray:
     """1/f-shaped bed: one-pole lowpass cascade, taps summed."""
+    from scipy.signal import lfilter  # scipy is imported by synthesis alone
+
     x = rng.standard_normal(n)
     bed = np.zeros(n)
     for f in (10240.0, 2560.0, 640.0, 160.0, 40.0):
@@ -218,6 +219,8 @@ def _lowpass4(x: np.ndarray, sample_rate: int, cutoff_hz: float) -> np.ndarray:
     # at or above Nyquist the filter is an exact pass-through
     if cutoff_hz >= sample_rate / 2.0:
         return x
+    from scipy.signal import lfilter  # scipy is imported by synthesis alone
+
     c = math.tan(math.pi * cutoff_hz / sample_rate)
     b = [c / (1.0 + c), c / (1.0 + c)]
     a = [1.0, (c - 1.0) / (1.0 + c)]

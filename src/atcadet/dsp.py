@@ -1,8 +1,8 @@
 """WAV input/output and acoustic feature extraction.
 
 Audio enters as RIFF/WAVE PCM16 mono files and leaves as feature
-matrices: log-mel spectrogram frames, strided raw-waveform patches, or
-externally precomputed features read from a small binary container.
+matrices: log-mel spectrogram frames, or externally precomputed features
+read from a small binary container.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class StftConfig:
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     values: np.ndarray
-    origin: str = "external"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -244,20 +243,7 @@ def stft_logmel(wave: Waveform, cfg: StftConfig = StftConfig()) -> FeatureMatrix
     fmax = min(cfg.fmax, wave.sample_rate / 2.0)
     filters = mel_filterbank(wave.sample_rate, cfg.n_fft, cfg.n_mels, cfg.fmin, fmax)
     mel = power @ filters.T
-    return FeatureMatrix(np.log(mel + cfg.log_floor), origin="logmel")
-
-
-def rawpatch(wave: Waveform, patch: int, stride: int) -> FeatureMatrix:
-    """Strided raw-waveform patches: row t = samples[t*stride : t*stride+patch]."""
-    if patch <= 0 or stride <= 0:
-        raise ShapeMismatch("patch and stride must be positive")
-    n = len(wave.samples)
-    if n < patch:
-        raise TooShort(f"need at least {patch} samples, got {n}")
-    t_frames = frame_count(n, patch, stride)
-    starts = np.arange(t_frames) * stride
-    rows = wave.samples[starts[:, None] + np.arange(patch)]
-    return FeatureMatrix(rows, origin="rawpatch")
+    return FeatureMatrix(np.log(mel + cfg.log_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -294,4 +280,4 @@ def load_external_features(path) -> FeatureMatrix:
     values = np.frombuffer(payload, dtype="<f4").reshape(t_frames, n_dims)
     if not np.all(np.isfinite(values)):
         raise NonFinite(f"{path}: payload contains non-finite values")
-    return FeatureMatrix(values.astype(np.float64), origin="external")
+    return FeatureMatrix(values.astype(np.float64))

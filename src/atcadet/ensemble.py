@@ -477,10 +477,6 @@ def predict_stacked(model: StackedModel, x) -> np.ndarray:
     )
 
 
-def predict_stacked_one(model: StackedModel, x) -> float:
-    return float(predict_stacked(model, np.asarray(x).reshape(1, -1))[0])
-
-
 # ---------------------------------------------------------------------------
 # Ensemble model file
 

@@ -78,10 +78,6 @@ class EmptyCaption(DataError):
     code = "EMPTY_CAPTION"
 
 
-class MissingIndexEntry(DataError):
-    code = "MISSING_INDEX_ENTRY"
-
-
 # autodiff_core
 class NotScalarLoss(AtcadetError):
     code = "NOT_SCALAR_LOSS"

@@ -22,6 +22,7 @@ from .dsp import FEATURE_MAGIC, FeatureMatrix
 from .errors import (
     BadConfig,
     BadHeader,
+    BadJson,
     NonFinite,
     ShapeMismatch,
     TruncatedFile,
@@ -43,8 +44,6 @@ class AtcaConfig:
     gru_layers: int = 2
     gru_hidden: int = 16
     d_text: int = 768
-    use_raw_branch: bool = False
-    d_raw: int = 0
     class_weights: tuple = (1.0, 1.0)
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class AtcaConfig:
                 raise BadConfig(f"{name} must be positive")
         if self.d_k * self.n_heads != self.d_model:
             raise BadConfig(f"d_k*n_heads must equal d_model, got {self.d_k}*{self.n_heads} != {self.d_model}")
-        if self.use_raw_branch and self.d_raw < 1:
-            raise BadConfig("d_raw must be positive when use_raw_branch is set")
         if len(self.class_weights) != 2 or any(w <= 0 or not math.isfinite(w) for w in self.class_weights):
             raise BadConfig(f"class_weights must be a pair of positive reals, got {self.class_weights}")
 
@@ -66,14 +63,15 @@ class AtcaConfig:
 
     @classmethod
     def from_json(cls, blob: str) -> "AtcaConfig":
+        """Parse a checkpoint's config; any fault in it is a data error."""
         try:
             d = json.loads(blob)
         except json.JSONDecodeError as exc:
-            raise BadConfig(f"unparseable model config: {exc}") from exc
+            raise BadJson(f"unparseable model config: {exc}") from exc
         try:
             return cls(**d)
-        except TypeError as exc:
-            raise BadConfig(f"bad model config fields: {exc}") from exc
+        except (TypeError, ValueError, BadConfig) as exc:
+            raise BadJson(f"bad model config: {exc}") from exc
 
 
 def _tensor_specs(cfg: AtcaConfig) -> list:
@@ -81,13 +79,6 @@ def _tensor_specs(cfg: AtcaConfig) -> list:
     specs = [
         ("enc_spec_w", (cfg.d_spec, cfg.d_model), "weight"),
         ("enc_spec_b", (1, cfg.d_model), "bias"),
-    ]
-    if cfg.use_raw_branch:
-        specs += [
-            ("enc_raw_w", (cfg.d_raw, cfg.d_model), "weight"),
-            ("enc_raw_b", (1, cfg.d_model), "bias"),
-        ]
-    specs += [
         ("Wq", (cfg.d_model, cfg.d_model), "weight"),
         ("Wk", (cfg.d_text, cfg.d_model), "weight"),
         ("Wv", (cfg.d_text, cfg.d_model), "weight"),
@@ -110,10 +101,7 @@ def _tensor_specs(cfg: AtcaConfig) -> list:
 
 
 def _buffer_specs(cfg: AtcaConfig) -> list:
-    specs = [("norm_mu", (1, cfg.d_spec)), ("norm_sigma", (1, cfg.d_spec))]
-    if cfg.use_raw_branch:
-        specs += [("raw_mu", (1, cfg.d_raw)), ("raw_sigma", (1, cfg.d_raw))]
-    return specs
+    return [("norm_mu", (1, cfg.d_spec)), ("norm_sigma", (1, cfg.d_spec))]
 
 
 class AtcaParams:
@@ -190,31 +178,16 @@ def _as_matrix(x, what: str) -> np.ndarray:
 
 
 def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
-    """Project each branch to d_model, tanh, concatenate along time
-    (spectrogram frames first). Branch inputs are standardized by the
-    stored normalizer buffers before projection."""
+    """Standardize spectrogram frames by the stored normalizer buffers,
+    project them to d_model and apply tanh. ``raw`` must be None."""
     cfg = params.config
-    if isinstance(spec, FeatureMatrix) and spec.origin not in ("logmel", "external"):
-        raise ShapeMismatch(f"spectrogram branch got origin {spec.origin!r}")
+    if raw is not None:
+        raise ShapeMismatch("raw-waveform features are not supported")
     values = _as_matrix(spec, "spec features")
     if values.shape[1] != cfg.d_spec:
         raise ShapeMismatch(f"spec features have {values.shape[1]} dims, config wants {cfg.d_spec}")
     x = (values - params.buffers["norm_mu"]) / params.buffers["norm_sigma"]
-    out = ad.tanh(ad.add(ad.matmul(Tensor(x), params["enc_spec_w"]), params["enc_spec_b"]))
-    if cfg.use_raw_branch:
-        if raw is None:
-            raise ShapeMismatch("config uses the raw branch but no raw features were given")
-        if isinstance(raw, FeatureMatrix) and raw.origin != "rawpatch":
-            raise ShapeMismatch(f"raw branch got origin {raw.origin!r}")
-        rvalues = _as_matrix(raw, "raw features")
-        if rvalues.shape[1] != cfg.d_raw:
-            raise ShapeMismatch(f"raw features have {rvalues.shape[1]} dims, config wants {cfg.d_raw}")
-        rx = (rvalues - params.buffers["raw_mu"]) / params.buffers["raw_sigma"]
-        rout = ad.tanh(ad.add(ad.matmul(Tensor(rx), params["enc_raw_w"]), params["enc_raw_b"]))
-        out = ad.concat_rows([out, rout])
-    elif raw is not None:
-        raise ShapeMismatch("raw features given but config does not use the raw branch")
-    return out
+    return ad.tanh(ad.add(ad.matmul(Tensor(x), params["enc_spec_w"]), params["enc_spec_b"]))
 
 
 def _as_text_tensor(text) -> Tensor:
@@ -313,14 +286,6 @@ def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = Fals
     return out
 
 
-def forward(spec, raw, text, params: AtcaParams, h0=None) -> Tensor:
-    """Full single-utterance pass; returns (1, 2) logits (real, fake)."""
-    enc = encode_acoustic(spec, raw, params)
-    att = cross_attention(enc, text, params)
-    h_t = gru_stack(att, params, h0=h0)
-    return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
-
-
 def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Batched pass over same-length utterances; returns (B, 2) logits.
 
@@ -339,45 +304,20 @@ def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     for s in seqs:
         if s.values.shape[0] != t_frames:
             raise ShapeMismatch("forward_batch requires equal-length sequences")
-    if batch == 1:
-        h_t = _run_gru([ad.slice_rows(seqs[0], t, t + 1) for t in range(t_frames)], params, 1)
-    else:
-        stacked = ad.concat_rows(seqs)
-        order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
-        time_major = ad.gather_rows(stacked, order)
-        steps = [ad.slice_rows(time_major, t * batch, (t + 1) * batch) for t in range(t_frames)]
-        h_t = _run_gru(steps, params, batch)
+    stacked = ad.concat_rows(seqs)
+    order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
+    time_major = ad.gather_rows(stacked, order)
+    steps = [ad.slice_rows(time_major, t * batch, (t + 1) * batch) for t in range(t_frames)]
+    h_t = _run_gru(steps, params, batch)
     return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
 
 
 # ---------------------------------------------------------------------------
-# Loss and scoring
-
-
-def weighted_ce(logits, labels, weights) -> float:
-    """Weighted cross-entropy, reduced as sum(w_label * nll) / sum(w_label)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w <= 0):
-        raise BadConfig("class weights must be positive")
-    shift = logits - logits.max(axis=1, keepdims=True)
-    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    picked = logp[np.arange(len(labels)), labels]
-    wl = w[labels]
-    return float(np.sum(-wl * picked) / np.sum(wl))
-
-
-def score(logits) -> float:
-    """Detection score: logit(real) - logit(fake); higher = more genuine."""
-    values = logits.values if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    flat = values.reshape(-1)
-    if flat.shape[0] != 2:
-        raise ShapeMismatch(f"logits must hold exactly 2 values, got shape {values.shape}")
-    return float(flat[0] - flat[1])
+# Scoring
 
 
 def scores_from_logits(logits_matrix: np.ndarray) -> np.ndarray:
+    """Detection scores logit(real) - logit(fake), one per row; higher = more genuine."""
     values = np.atleast_2d(np.asarray(logits_matrix, dtype=np.float64))
     return values[:, 0] - values[:, 1]
 
@@ -418,14 +358,18 @@ def load_checkpoint(path) -> AtcaParams:
         version, blob_len = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise BadHeader(f"{path}: unsupported checkpoint version {version}")
-        config = AtcaConfig.from_json(_read_exact(fh, blob_len, path, "config").decode("utf-8"))
+        try:
+            blob = _read_exact(fh, blob_len, path, "config").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadJson(f"{path}: model config is not UTF-8: {exc}") from exc
+        config = AtcaConfig.from_json(blob)
         expected = [(n, s) for n, s, _ in _tensor_specs(config)] + list(_buffer_specs(config))
         arrays = {}
-        for want_name, want_shape in expected:
+        for name, want_shape in expected:
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "tensor name length"))
-            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
-            if name != want_name:
-                raise BadHeader(f"{path}: expected tensor {want_name!r}, found {name!r}")
+            found = _read_exact(fh, name_len, path, "tensor name")
+            if found != name.encode("utf-8"):
+                raise BadHeader(f"{path}: expected tensor {name!r}, found {found!r}")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "tensor rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "tensor dims"))
             if dims != want_shape:

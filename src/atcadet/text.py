@@ -9,6 +9,7 @@ pseudo-random unit vector.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .errors import (
     BadJson,
     DuplicateUtt,
     EmptyCaption,
-    MissingIndexEntry,
     NonFinite,
     ShapeMismatch,
     UnknownStyle,
@@ -242,34 +242,62 @@ def write_embeddings(path, embeddings) -> None:
             fh.write("\n")
 
 
+def _is_index_entry(obj) -> bool:
+    """True when obj has a string utt_id, non-negative integer offset, L
+    and Dt, and spans as a list of [style, start, end] triples."""
+    return (
+        isinstance(obj, dict)
+        and isinstance(obj.get("utt_id"), str)
+        and all(type(obj.get(k)) is int and obj[k] >= 0 for k in ("offset", "L", "Dt"))
+        and isinstance(obj.get("spans"), list)
+        and all(
+            isinstance(sp, list) and len(sp) == 3 and isinstance(sp[0], str)
+            and type(sp[1]) is int and type(sp[2]) is int
+            for sp in obj["spans"]
+        )
+    )
+
+
 def _read_index(path) -> list:
+    """Index entries in file order, each line checked against the schema
+    write_embeddings produces and its offset against the payload size."""
+    where = index_path_for(path)
+    try:
+        with open(where, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise BadJson(f"{where}: not UTF-8: {exc}") from exc
+    payload_size = os.path.getsize(path)
     entries = []
     seen = set()
-    with open(index_path_for(path), "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BadJson(f"{path}.index.jsonl:{lineno}: {exc}") from exc
-            utt = str(obj["utt_id"])
-            if utt in seen:
-                raise DuplicateUtt(f"{path}.index.jsonl:{lineno}: duplicate utt_id {utt!r}")
-            seen.add(utt)
-            entries.append(obj)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadJson(f"{where}:{lineno}: {exc}") from exc
+        if not _is_index_entry(obj):
+            raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L, Dt and spans fields")
+        if obj["offset"] >= payload_size:
+            raise BadHeader(f"{where}:{lineno}: offset {obj['offset']} lies past the payload end")
+        utt = obj["utt_id"]
+        if utt in seen:
+            raise DuplicateUtt(f"{where}:{lineno}: duplicate utt_id {utt!r}")
+        seen.add(utt)
+        entries.append(obj)
     return entries
 
 
 def _read_block(fh, path, entry) -> TextEmbedding:
-    fh.seek(int(entry["offset"]))
+    fh.seek(entry["offset"])
     head = fh.read(16)
     if len(head) < 16 or head[:4] != FEATURE_MAGIC:
         raise BadHeader(f"{path}: no feature block at offset {entry['offset']}")
     version, rows, dims = struct.unpack("<III", head[4:16])
     if version != FEATURE_VERSION:
         raise BadHeader(f"{path}: unsupported feature block version {version}")
-    if rows != int(entry["L"]) or dims != int(entry["Dt"]):
+    if rows != entry["L"] or dims != entry["Dt"]:
         raise ShapeMismatch(
             f"{path}: index declares {entry['L']}x{entry['Dt']} for {entry['utt_id']!r}, block is {rows}x{dims}"
         )
@@ -278,7 +306,7 @@ def _read_block(fh, path, entry) -> TextEmbedding:
         raise ShapeMismatch(f"{path}: truncated block for {entry['utt_id']!r}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dims)
     spans = tuple((s, a, b) for s, a, b in entry["spans"])
-    return TextEmbedding(str(entry["utt_id"]), values, spans)
+    return TextEmbedding(entry["utt_id"], values, spans)
 
 
 def load_embeddings(path) -> list:
@@ -288,11 +316,3 @@ def load_embeddings(path) -> list:
         for entry in entries:
             out.append(_read_block(fh, path, entry))
     return out
-
-
-def load_embedding_for(path, utt_id: str) -> TextEmbedding:
-    for entry in _read_index(path):
-        if str(entry["utt_id"]) == utt_id:
-            with open(path, "rb") as fh:
-                return _read_block(fh, path, entry)
-    raise MissingIndexEntry(f"{path}: no index entry for {utt_id!r}")

@@ -141,15 +141,6 @@ def _spec_matrix(feat) -> np.ndarray:
     return feat.values if hasattr(feat, "values") else np.asarray(feat, dtype=np.float64)
 
 
-_ZERO_TEXT_CACHE = {}
-
-
-def _zero_text(d_text: int) -> np.ndarray:
-    if d_text not in _ZERO_TEXT_CACHE:
-        _ZERO_TEXT_CACHE[d_text] = np.zeros((1, d_text))
-    return _ZERO_TEXT_CACHE[d_text]
-
-
 def _text_matrix(emb) -> np.ndarray:
     return emb.matrix if hasattr(emb, "matrix") else np.asarray(emb, dtype=np.float64)
 
@@ -216,8 +207,6 @@ def _fit_normalizers(params: md.AtcaParams, spec_mats) -> None:
 def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaConfig):
     """Fit ATCA on the train split, select on dev EER; returns (params, report)."""
     t_start = time.perf_counter()
-    if model_cfg.use_raw_branch:
-        raise BadConfig("the training loop drives the spectrogram branch only")
     train_e = filter_split(entries, "train")
     dev_e = filter_split(entries, "dev")
     if not train_e:
@@ -304,7 +293,7 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
         return []
     if ablate_text_branch:
         _check_coverage_features_only(entries, features)
-        texts = [_zero_text(params.config.d_text)] * len(entries)
+        texts = [np.zeros((1, params.config.d_text))] * len(entries)
     else:
         _check_coverage(entries, features, embeddings)
         texts = [_text_matrix(embeddings[e.utt_id]) for e in entries]
@@ -323,7 +312,7 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
     return [Trial(e.utt_id, float(s), e.label) for e, s in zip(entries, scores)]
 
 
-def ablate_text(params, entries, features, embeddings=None):
+def ablate_text(params, entries, features):
     """Score with captions replaced by one zero token (audio-only path)."""
     return score_protocol(params, entries, features, {}, ablate_text_branch=True)
 

@@ -343,8 +343,6 @@ def test_c08_component_oracles():
 def _hand_count(cfg: AtcaConfig) -> int:
     """Closed-form learnable scalar count, written out independently."""
     total = cfg.d_spec * cfg.d_model + cfg.d_model
-    if cfg.use_raw_branch:
-        total += cfg.d_raw * cfg.d_model + cfg.d_model
     total += cfg.d_model * cfg.d_model          # Wq
     total += 2 * cfg.d_text * cfg.d_model       # Wk, Wv
     total += cfg.d_model * cfg.d_model          # Wo
@@ -372,8 +370,6 @@ def test_c09_param_count(fd_sweep):
         AtcaConfig(),
         AtcaConfig(d_spec=5, d_model=6, d_k=3, n_heads=2,
                    gru_layers=3, gru_hidden=4, d_text=7),
-        AtcaConfig(d_spec=4, d_model=4, d_k=2, n_heads=2, gru_layers=1,
-                   gru_hidden=3, d_text=5, use_raw_branch=True, d_raw=6),
     ]
     for cfg in tested:
         assert md.count_params_for(cfg) == _hand_count(cfg), cfg
@@ -409,8 +405,6 @@ def test_c10_format_round_trips(tmp_path):
     checkpoint_cfgs = [
         AtcaConfig(d_spec=3, d_model=4, d_k=2, n_heads=2,
                    gru_layers=2, gru_hidden=3, d_text=5),
-        AtcaConfig(d_spec=2, d_model=2, d_k=2, n_heads=1, gru_layers=1,
-                   gru_hidden=2, d_text=2, use_raw_branch=True, d_raw=3),
         AtcaConfig(d_spec=4, d_model=4, d_k=4, n_heads=1, gru_layers=1,
                    gru_hidden=4, d_text=4, class_weights=(0.5, 1.5)),
     ]

@@ -2,7 +2,11 @@
 
 import filecmp
 import json
+import os
 import re
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +276,38 @@ class TestErrorMapping:
         assert run(["params", "--ckpt", str(stub)]) == 2
         assert capsys.readouterr().err.startswith("ERROR ")
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda blob: blob.replace(b'"d_k"', b'"d_\xffk"'),
+        lambda blob: blob[:-1],
+        lambda blob: json.dumps({**json.loads(blob), "bogus": 1}).encode(),
+        # the config of a checkpoint written before the raw-waveform branch was removed
+        lambda blob: json.dumps({**json.loads(blob), "d_raw": 0, "use_raw_branch": False},
+                                sort_keys=True, separators=(",", ":")).encode(),
+    ], ids=["not_utf8", "malformed_json", "unknown_field", "raw_branch_keys"])
+    def test_bad_checkpoint_config_exit_two(self, tmp_path, capsys, rewrite):
+        path = tmp_path / "tiny.atck"
+        md.save_checkpoint(str(path), AtcaParams.init(AtcaConfig(d_spec=2, d_model=2, d_k=2,
+                                                                 gru_hidden=2, d_text=2)))
+        data = path.read_bytes()
+        blob_len = int.from_bytes(data[8:12], "little")
+        blob = rewrite(data[12 : 12 + blob_len])
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+        assert run(["params", "--ckpt", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
+
+    def test_bad_embedding_index_exit_two(self, pipeline, tmp_path, capsys):
+        emb = tmp_path / "emb.bin"
+        emb.write_bytes(pipeline["emb"].read_bytes())
+        lines = (pipeline["root"] / "emb.bin.index.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        lines[0] = json.dumps({**first, "offset": -1})
+        (tmp_path / "emb.bin.index.jsonl").write_text("\n".join(lines) + "\n")
+        assert run(["score", "--ckpt", str(pipeline["ckpt"]),
+                    "--protocol", pipeline["protocol"],
+                    "--features", str(pipeline["feats"]), "--embeddings", str(emb),
+                    "--split", "eval", "--out", str(tmp_path / "s.tsv")]) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
+
     def test_unexpected_exception_exit_three(self, pipeline, capsys, monkeypatch):
         def boom(path):
             raise RuntimeError("wires crossed")
@@ -287,6 +323,15 @@ class TestErrorMapping:
                     "--fraction", "1.5", "--epochs", "1",
                     "--out-ckpt", str(pipeline["root"] / "y.atck")]) == 1
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, atcadet.cli; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestVersionAndHelp:

@@ -140,7 +140,6 @@ class TestStft:
 
     def test_silence(self):
         m = dsp.stft_logmel(Waveform(np.zeros(4096), 44100))
-        assert m.origin == "logmel"
         assert m.n_dims == 64
         np.testing.assert_array_equal(m.values, math.log(1e-10))
 
@@ -197,39 +196,12 @@ class TestStft:
         assert np.all(np.isfinite(out.values))
 
 
-class TestRawpatch:
-    def test_exact_slicing(self):
-        w = Waveform(np.array([1.0, 2.0, 3.0, 4.0]), 44100)
-        np.testing.assert_array_equal(dsp.rawpatch(w, 2, 2).values, [[1, 2], [3, 4]])
-
-    def test_identity(self):
-        w = Waveform(np.array([5.0, 6.0, 7.0]), 44100)
-        out = dsp.rawpatch(w, 3, 1)
-        assert out.origin == "rawpatch"
-        np.testing.assert_array_equal(out.values, [[5, 6, 7]])
-
-    def test_overlap(self):
-        w = Waveform(np.array([1.0, 2.0, 3.0]), 44100)
-        np.testing.assert_array_equal(dsp.rawpatch(w, 2, 1).values, [[1, 2], [2, 3]])
-
-    def test_flatten_round_trip(self):
-        rng = np.random.default_rng(4)
-        samples = rng.normal(size=12)
-        w = Waveform(samples, 44100)
-        np.testing.assert_array_equal(dsp.rawpatch(w, 4, 4).values.ravel(), samples)
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            dsp.rawpatch(Waveform(np.ones(3), 44100), 4, 1)
-
-
 class TestFeatureFile:
     def test_decode(self, tmp_path):
         p = tmp_path / "f.atfx"
         payload = struct.pack("<6f", 1, 2, 3, 4, 5, 6)
         p.write_bytes(b"ATFX" + struct.pack("<III", 1, 2, 3) + payload)
         m = dsp.load_external_features(p)
-        assert m.origin == "external"
         np.testing.assert_array_equal(m.values, [[1, 2, 3], [4, 5, 6]])
 
     def test_length_check(self, tmp_path):

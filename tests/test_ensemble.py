@@ -452,7 +452,7 @@ class TestStacking:
         x = np.stack([es.feature_vector(e) for e in examples])
         batch = es.predict_stacked(model, x)
         for i in range(len(x)):
-            assert es.predict_stacked_one(model, x[i]) == batch[i]
+            assert es.predict_stacked(model, x[i : i + 1])[0] == batch[i]
 
 
 class TestEnsembleFile:

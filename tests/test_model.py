@@ -33,12 +33,8 @@ class TestConfig:
         with pytest.raises(BadConfig):
             AtcaConfig(d_model=8, d_k=3, n_heads=2)
 
-    def test_raw_branch_needs_dim(self):
-        with pytest.raises(BadConfig):
-            _tiny_cfg(use_raw_branch=True, d_raw=0)
-
     def test_json_round_trip(self):
-        cfg = _tiny_cfg(class_weights=(0.5, 1.5), use_raw_branch=True, d_raw=7)
+        cfg = _tiny_cfg(class_weights=(0.5, 1.5))
         assert AtcaConfig.from_json(cfg.to_json()) == cfg
 
     def test_bad_weights(self):
@@ -52,7 +48,7 @@ class TestEncode:
         p = AtcaParams.init(cfg, seed=0)
         p["enc_spec_w"].values[:] = np.eye(4)
         p["enc_spec_b"].values[:] = 0.0
-        spec = FeatureMatrix(np.array([[0.1, -0.2, 0.3, 0.0], [1.0, 2.0, -1.0, 0.5]]), origin="logmel")
+        spec = FeatureMatrix(np.array([[0.1, -0.2, 0.3, 0.0], [1.0, 2.0, -1.0, 0.5]]))
         out = md.encode_acoustic(spec, None, p)
         np.testing.assert_allclose(out.values, np.tanh(spec.values), atol=1e-15)
 
@@ -63,30 +59,10 @@ class TestEncode:
         out = md.encode_acoustic(np.zeros((2, 3)), None, p)
         np.testing.assert_array_equal(out.values, np.zeros((2, 4)))
 
-    def test_concatenation_order(self):
-        cfg = _tiny_cfg(use_raw_branch=True, d_raw=2)
-        p = AtcaParams.init(cfg, seed=2)
-        rng = np.random.default_rng(0)
-        spec = rng.normal(size=(3, 3))
-        raw = rng.normal(size=(2, 2))
-        out = md.encode_acoustic(spec, raw, p)
-        assert out.values.shape == (5, 4)
-        spec_only = md.encode_acoustic(spec, np.zeros((1, 2)), p)
-        np.testing.assert_array_equal(out.values[:3], spec_only.values[:3])
-
     def test_raw_mismatch_rejected(self):
         p = AtcaParams.init(_tiny_cfg(), seed=0)
         with pytest.raises(ShapeMismatch):
             md.encode_acoustic(np.zeros((2, 3)), np.zeros((2, 2)), p)
-        p2 = AtcaParams.init(_tiny_cfg(use_raw_branch=True, d_raw=2), seed=0)
-        with pytest.raises(ShapeMismatch):
-            md.encode_acoustic(np.zeros((2, 3)), None, p2)
-
-    def test_rawpatch_origin_rejected_on_spec_branch(self):
-        p = AtcaParams.init(_tiny_cfg(), seed=0)
-        fm = FeatureMatrix(np.zeros((2, 3)), origin="rawpatch")
-        with pytest.raises(ShapeMismatch):
-            md.encode_acoustic(fm, None, p)
 
     def test_normalizer_buffers_applied(self):
         cfg = AtcaConfig(d_spec=2, d_model=2, d_k=2, n_heads=1, gru_hidden=2, d_text=2)
@@ -243,8 +219,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         spec = rng.normal(size=(4, 3))
         text = rng.normal(size=(3, 5))
-        a = md.forward(spec, None, text, p)
-        b = md.forward(spec, None, text, p)
+        a = md.forward_batch([spec], [None], [text], p)
+        b = md.forward_batch([spec], [None], [text], p)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_zero_head(self):
@@ -252,7 +228,7 @@ class TestForward:
         p["head_w"].values[:] = 0.0
         p["head_b"].values[:] = 0.0
         rng = np.random.default_rng(8)
-        out = md.forward(rng.normal(size=(2, 3)), None, rng.normal(size=(2, 5)), p)
+        out = md.forward_batch([rng.normal(size=(2, 3))], [None], [rng.normal(size=(2, 5))], p)
         np.testing.assert_array_equal(out.values, [[0.0, 0.0]])
 
     def test_composes_stages(self):
@@ -260,7 +236,7 @@ class TestForward:
         rng = np.random.default_rng(9)
         spec = rng.normal(size=(3, 3))
         text = rng.normal(size=(4, 5))
-        logits = md.forward(spec, None, text, p)
+        logits = md.forward_batch([spec], [None], [text], p)
         enc = md.encode_acoustic(spec, None, p)
         att = md.cross_attention(enc, text, p)
         h_t = md.gru_stack(att, p)
@@ -274,7 +250,7 @@ class TestForward:
         texts = [rng.normal(size=(rng.integers(1, 5), 5)) for _ in range(3)]
         batched = md.forward_batch(specs, [None] * 3, texts, p)
         for i in range(3):
-            single = md.forward(specs[i], None, texts[i], p)
+            single = md.forward_batch([specs[i]], [None], [texts[i]], p)
             np.testing.assert_allclose(batched.values[i], single.values[0], atol=1e-12)
 
     def test_batch_gradients_match_single(self):
@@ -292,7 +268,7 @@ class TestForward:
         grads = ad.backward(tape, loss)
 
         with ad.Tape() as tape2:
-            parts = [md.forward(specs[i], None, texts[i], p) for i in range(2)]
+            parts = [md.forward_batch([specs[i]], [None], [texts[i]], p) for i in range(2)]
             loss2 = ad.weighted_ce_logits(ad.concat_rows(parts), labels, weights)
         grads2 = ad.backward(tape2, loss2)
 
@@ -301,19 +277,23 @@ class TestForward:
             np.testing.assert_allclose(grads[t], grads2[t], atol=1e-11, err_msg=name)
 
 
+def _weighted_ce(logits, labels, weights) -> float:
+    return ad.weighted_ce_logits(Tensor(np.atleast_2d(logits)), np.atleast_1d(labels), weights).item()
+
+
 class TestLossAndScore:
     def test_confident_correct_tiny_loss(self):
-        assert md.weighted_ce([30.0, -30.0], 0, (1.0, 9.0)) < 1e-12
+        assert _weighted_ce([30.0, -30.0], 0, (1.0, 9.0)) < 1e-12
 
     def test_hand_weighted_mean(self):
-        loss = md.weighted_ce([0.0, 0.0], 1, (1.0, 9.0))
+        loss = _weighted_ce([0.0, 0.0], 1, (1.0, 9.0))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_unit_weights_reduce_to_plain_ce(self):
         rng = np.random.default_rng(12)
         logits = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6)
-        got = md.weighted_ce(logits, labels, (1.0, 1.0))
+        got = _weighted_ce(logits, labels, (1.0, 1.0))
         shift = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(shift) / np.exp(shift).sum(axis=1, keepdims=True)
         want = float(np.mean(-np.log(p[np.arange(6), labels])))
@@ -324,11 +304,15 @@ class TestLossAndScore:
         logits = rng.normal(size=(5, 2))
         labels = rng.integers(0, 2, size=5)
         t = ad.weighted_ce_logits(Tensor(logits), labels, (1.0, 3.0))
-        assert float(t.values) == pytest.approx(md.weighted_ce(logits, labels, (1.0, 3.0)), abs=1e-13)
+        shift = logits - logits.max(axis=1, keepdims=True)
+        logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+        w = np.array([1.0, 3.0])[labels]
+        want = float(np.sum(-w * logp[np.arange(5), labels]) / np.sum(w))
+        assert float(t.values) == pytest.approx(want, abs=1e-13)
 
     def test_score_trivial_cases(self):
-        assert md.score(np.array([0.0, 0.0])) == 0.0
-        assert md.score(np.array([[2.0, -1.0]])) == 3.0
+        np.testing.assert_array_equal(md.scores_from_logits(np.array([0.0, 0.0])), [0.0])
+        np.testing.assert_array_equal(md.scores_from_logits(np.array([[2.0, -1.0]])), [3.0])
 
     def test_score_monotone_in_p_real(self):
         rng = np.random.default_rng(14)
@@ -363,7 +347,7 @@ class TestCountParams:
 
 class TestCheckpoint:
     def _params(self):
-        cfg = _tiny_cfg(gru_layers=2, use_raw_branch=True, d_raw=2, class_weights=(0.8, 1.2))
+        cfg = _tiny_cfg(gru_layers=2, class_weights=(0.8, 1.2))
         p = AtcaParams.init(cfg, seed=17)
         p.buffers["norm_mu"][:] = np.random.default_rng(15).normal(size=(1, 3))
         return p
@@ -388,11 +372,10 @@ class TestCheckpoint:
         q = md.load_checkpoint(f)
         rng = np.random.default_rng(16)
         spec = rng.normal(size=(3, 3))
-        raw = rng.normal(size=(2, 2))
         text = rng.normal(size=(2, 5))
         with no_grad():
-            s1 = md.score(md.forward(spec, raw, text, p))
-            s2 = md.score(md.forward(spec, raw, text, q))
+            s1 = md.scores_from_logits(md.forward_batch([spec], [None], [text], p).values)
+            s2 = md.scores_from_logits(md.forward_batch([spec], [None], [text], q).values)
         assert s1 == s2
 
     def test_wrong_kind(self, tmp_path):

@@ -9,8 +9,8 @@ from atcadet import text as tx
 from atcadet.errors import (
     BadJson,
     DuplicateUtt,
+    BadHeader,
     EmptyCaption,
-    MissingIndexEntry,
     ShapeMismatch,
     UnknownStyle,
 )
@@ -212,15 +212,22 @@ class TestEmbeddingFiles:
         tx.write_embeddings(p, [])
         assert tx.load_embeddings(p) == []
 
-    def test_lookup_single(self, tmp_path):
-        rng = np.random.default_rng(10)
-        embs = self._random_embeddings(rng)
+    @pytest.mark.parametrize("fault, error", [
+        (lambda e: b"[1, 2]", BadJson),
+        (lambda e: json.dumps({k: v for k, v in e.items() if k != "utt_id"}).encode(), BadJson),
+        (lambda e: json.dumps({**e, "offset": -1}).encode(), BadJson),
+        (lambda e: json.dumps({**e, "offset": 2**70}).encode(), BadHeader),
+        (lambda e: json.dumps({**e, "spans": "audioset"}).encode(), BadJson),
+        (lambda e: json.dumps(e).encode().replace(b'"u0"', b'"u\xff"'), BadJson),
+    ], ids=["not_object", "no_utt_id", "negative_offset", "offset_past_end",
+            "spans_not_list", "not_utf8"])
+    def test_malformed_index_line_is_typed(self, tmp_path, fault, error):
         p = tmp_path / "emb.bin"
-        tx.write_embeddings(p, embs)
-        got = tx.load_embedding_for(p, "u1")
-        np.testing.assert_array_equal(got.matrix, embs[1].matrix)
-        with pytest.raises(MissingIndexEntry):
-            tx.load_embedding_for(p, "nope")
+        tx.write_embeddings(p, self._random_embeddings(np.random.default_rng(10), n=1))
+        idx = tmp_path / "emb.bin.index.jsonl"
+        idx.write_bytes(fault(json.loads(idx.read_text())) + b"\n")
+        with pytest.raises(error):
+            tx.load_embeddings(p)
 
 
 class TestSpanValidation:

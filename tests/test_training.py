@@ -171,15 +171,6 @@ class TestTrain:
         with pytest.raises(EmptySplit):
             tr.train(dev_only, features, embeddings, cfg, TOY_CFG)
 
-    def test_raw_branch_rejected(self):
-        entries, features, embeddings = _toy_data()
-        raw_cfg = md.AtcaConfig(
-            d_spec=4, d_model=4, d_k=4, n_heads=1, gru_layers=1, gru_hidden=4,
-            d_text=8, use_raw_branch=True, d_raw=4,
-        )
-        with pytest.raises(BadConfig):
-            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=1), raw_cfg)
-
     def test_wall_seconds_positive_and_report_round_trip(self, tmp_path):
         entries, features, embeddings = _toy_data()
         cfg = tr.TrainConfig(epochs=2, seed=0, patience=2)
