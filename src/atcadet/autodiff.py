@@ -230,13 +230,15 @@ def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return _result(out_v, (x,), bwd)
 
 
+def sigmoid_values(v: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, overflow-free on both tails:
+    ``1/(1+e^-v)`` for v >= 0 and ``e^v/(1+e^v)`` below."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    out_v = np.empty_like(v)
-    pos = v >= 0
-    out_v[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out_v[~pos] = ev / (1.0 + ev)
+    out_v = sigmoid_values(x.values)
 
     def bwd(g, get_buf):
         gx = get_buf(x)

@@ -26,6 +26,7 @@ from .errors import (
     DataError,
     DimMismatch,
     MissingFeature,
+    NotWav,
     OutputExists,
     UsageError,
 )
@@ -137,14 +138,18 @@ def featurize(corpus_dir, out_dir, n_fft, hop, n_mels, force):
     """Extract log-mel features for every clip in a corpus."""
     manifest = cp.load_manifest(os.path.join(corpus_dir, "manifest.json"))
     stft_cfg = dsp.StftConfig(n_fft=n_fft, hop=hop, n_mels=n_mels)
-    targets = [(c.utt_id, os.path.join(out_dir, f"{c.utt_id}.atfx")) for c in manifest.clips]
-    if not force:
-        for _, path in targets:
-            _guard_output(path, force)
+    targets = [
+        (os.path.join(corpus_dir, "wav", f"{c.utt_id}.wav"), os.path.join(out_dir, f"{c.utt_id}.atfx"))
+        for c in manifest.clips
+    ]
+    # every wav is checked before the first feature file is written
+    for wav, path in targets:
+        if not os.path.isfile(wav):
+            raise NotWav(f"{wav}: listed in the manifest but not found")
+        _guard_output(path, force)
     os.makedirs(out_dir, exist_ok=True)
-    for utt_id, path in targets:
-        wave = dsp.load_wav(os.path.join(corpus_dir, "wav", f"{utt_id}.wav"))
-        dsp.write_features(path, dsp.stft_logmel(wave, stft_cfg))
+    for wav, path in targets:
+        dsp.write_features(path, dsp.stft_logmel(dsp.load_wav(wav), stft_cfg))
     click.echo(f"wrote {len(targets)} feature files to {out_dir}")
 
 

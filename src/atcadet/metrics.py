@@ -97,25 +97,29 @@ def write_scores(path, trials) -> None:
 
 
 def read_scores(path) -> list:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise BadProtocol(f"{path}: not UTF-8: {exc}") from exc
     trials = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise BadProtocol(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-            utt_id, raw = cols
-            if utt_id in seen:
-                raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
-            seen.add(utt_id)
-            try:
-                score = float(raw)
-            except ValueError as exc:
-                raise BadProtocol(f"{path}:{lineno}: bad score {raw!r}") from exc
-            trials.append(Trial(utt_id, score))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise BadProtocol(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
+        utt_id, raw = cols
+        if utt_id in seen:
+            raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
+        seen.add(utt_id)
+        try:
+            score = float(raw)
+        except ValueError as exc:
+            raise BadProtocol(f"{path}:{lineno}: bad score {raw!r}") from exc
+        trials.append(Trial(utt_id, score))
     return trials
 
 

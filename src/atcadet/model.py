@@ -5,6 +5,11 @@ Acoustic frames act as attention Queries against token embeddings as
 Keys/Values; the attended features are added back onto the acoustic
 input (residual refinement), summarized by a stacked GRU, and the last
 hidden state feeds a linear head producing (real, fake) logits.
+
+Each GRU layer is one tape op over all timesteps of the batch: the
+input projection for every frame is a single matmul, only the
+hidden-to-hidden products stay in the time loop, and the backward pass
+is hand-written backpropagation through time.
 """
 
 from __future__ import annotations
@@ -235,39 +240,80 @@ def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals
     return out
 
 
-def _gru_step(params: AtcaParams, layer: int, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    p = params
-    z = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p[f"gru{layer}_Wz"]), ad.matmul(h_prev, p[f"gru{layer}_Uz"])), p[f"gru{layer}_bz"])
-    )
-    r = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p[f"gru{layer}_Wr"]), ad.matmul(h_prev, p[f"gru{layer}_Ur"])), p[f"gru{layer}_br"])
-    )
-    h_tilde = ad.tanh(
-        ad.add(
-            ad.add(ad.matmul(x_t, p[f"gru{layer}_Wh"]), ad.matmul(ad.hadamard(r, h_prev), p[f"gru{layer}_Uh"])),
-            p[f"gru{layer}_bh"],
-        )
-    )
-    return ad.add(ad.hadamard(z, h_prev), ad.hadamard(ad.affine(z, -1.0, 1.0), h_tilde))
+def _gru_layer(params: AtcaParams, layer: int, x: Tensor, batch: int, h0) -> Tensor:
+    """One GRU layer over time-major rows ``x`` (T*batch, d_in) as a single
+    tape op; returns every hidden state, time-major, as (T*batch, H).
+
+    The input projection ``x @ [Wz|Wr|Wh] + [bz|br|bh]`` runs once for all
+    timesteps; only ``h @ [Uz|Ur]`` and ``(r*h) @ Uh`` stay in the
+    recurrence. The gates, candidates and states are kept for a
+    hand-written backward pass through time.
+    """
+    tensors = [params[f"gru{layer}_{kind}{gate}"] for gate in "zrh" for kind in "WUb"]
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (t.values for t in tensors)
+    hid = uz.shape[0]
+    if x.values.ndim != 2 or x.values.shape[1] != wz.shape[0]:
+        raise ShapeMismatch(f"GRU layer {layer} input has shape {x.values.shape}, wants {wz.shape[0]} columns")
+    steps = x.values.shape[0] // batch
+    w = np.concatenate([wz, wr, wh], axis=1)
+    u = np.concatenate([uz, ur], axis=1)
+    proj = (x.values @ w + np.concatenate([bz, br, bh], axis=1)).reshape(steps, batch, 3 * hid)
+    states = np.empty((steps + 1, batch, hid))
+    states[0] = 0.0 if h0 is None else h0
+    gates = np.empty((steps, batch, 2 * hid))  # [z | r]
+    cand = np.empty((steps, batch, hid))
+    for t in range(steps):
+        h = states[t]
+        gates[t] = ad.sigmoid_values(proj[t, :, : 2 * hid] + h @ u)
+        z, r = gates[t, :, :hid], gates[t, :, hid:]
+        cand[t] = np.tanh(proj[t, :, 2 * hid :] + (r * h) @ uh)
+        states[t + 1] = z * h + (1.0 - z) * cand[t]
+
+    def bwd(g, get_buf):
+        g = g.reshape(steps, batch, hid)
+        h_prev = states[:-1]
+        z, r = gates[..., :hid], gates[..., hid:]
+        # the factors of the chain rule that do not depend on dh, all steps at once
+        dn_dh = (1.0 - z) * (1.0 - cand * cand)
+        dz_dh = (h_prev - cand) * z * (1.0 - z)
+        dr_drh = h_prev * r * (1.0 - r)
+        d_proj = np.empty((steps, batch, 3 * hid))
+        dh = np.zeros((batch, hid))
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g[t]
+            dn = np.multiply(dh, dn_dh[t], out=d_proj[t, :, 2 * hid :])
+            drh = dn @ uh.T
+            dzr = d_proj[t, :, : 2 * hid]
+            np.multiply(dh, dz_dh[t], out=dzr[:, :hid])
+            np.multiply(drh, dr_drh[t], out=dzr[:, hid:])
+            dh = dh * z[t] + drh * r[t] + dzr @ u.T
+        flat = d_proj.reshape(steps * batch, 3 * hid)
+        gx = get_buf(x)
+        if gx is not None:
+            gx += flat @ w.T
+        dwz, dwr, dwh = np.split(x.values.T @ flat, 3, axis=1)
+        duz, dur = np.split(h_prev.reshape(steps * batch, hid).T @ flat[:, : 2 * hid], 2, axis=1)
+        duh = (r * h_prev).reshape(steps * batch, hid).T @ flat[:, 2 * hid :]
+        dbz, dbr, dbh = np.split(flat.sum(axis=0, keepdims=True), 3, axis=1)
+        grads = (dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh)
+        for tensor, grad in zip(tensors, grads):
+            buf = get_buf(tensor)
+            if buf is not None:
+                buf += grad
+
+    return ad._result(states[1:].reshape(steps * batch, hid), (x, *tensors), bwd)
 
 
-def _run_gru(steps: list, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
-    cfg = params.config
-    h = None
-    for layer in range(cfg.gru_layers):
-        if h0 is None:
-            h = Tensor(np.zeros((batch, cfg.gru_hidden)))
-        else:
-            h = Tensor(np.tile(np.asarray(h0, dtype=np.float64), (batch, 1)))
-        outs = []
-        for x_t in steps:
-            h = _gru_step(params, layer, x_t, h)
-            outs.append(h)
-        steps = outs
+def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
+    """Chain the layer ops over time-major rows; returns the last layer's
+    final hidden states as (batch, gru_hidden). ``collect``, when given,
+    receives each layer's (T*batch, H) states."""
+    for layer in range(params.config.gru_layers):
+        x = _gru_layer(params, layer, x, batch, h0)
         if collect is not None:
-            collect.append(np.vstack([o.values for o in outs]))
-    return h
+            collect.append(x.values)
+    rows = x.values.shape[0]
+    return ad.slice_rows(x, rows - batch, rows)
 
 
 def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = False):
@@ -277,10 +323,8 @@ def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = Fals
     h0, when given, seeds the initial hidden state of every layer (a
     test hook; training always starts from zero).
     """
-    t_frames = x.values.shape[0]
-    steps = [ad.slice_rows(x, t, t + 1) for t in range(t_frames)]
     states = [] if return_states else None
-    out = _run_gru(steps, params, 1, h0=h0, collect=states)
+    out = _run_gru(x, params, 1, h0=h0, collect=states)
     if return_states:
         return out, states
     return out
@@ -290,8 +334,8 @@ def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Batched pass over same-length utterances; returns (B, 2) logits.
 
     Encoding and attention run per sample (token counts vary), then the
-    sequences are rearranged time-major so each GRU step processes the
-    whole batch as one matrix.
+    sequences are rearranged time-major and each GRU layer runs over the
+    whole batch as one fused tape op (see ``_gru_layer``).
     """
     batch = len(specs)
     if batch == 0:
@@ -306,9 +350,7 @@ def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
             raise ShapeMismatch("forward_batch requires equal-length sequences")
     stacked = ad.concat_rows(seqs)
     order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
-    time_major = ad.gather_rows(stacked, order)
-    steps = [ad.slice_rows(time_major, t * batch, (t + 1) * batch) for t in range(t_frames)]
-    h_t = _run_gru(steps, params, batch)
+    h_t = _run_gru(ad.gather_rows(stacked, order), params, batch)
     return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
 
 

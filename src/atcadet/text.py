@@ -23,6 +23,7 @@ from .errors import (
     BadJson,
     DuplicateUtt,
     EmptyCaption,
+    MissingEmbedding,
     NonFinite,
     ShapeMismatch,
     UnknownStyle,
@@ -265,6 +266,8 @@ def _read_index(path) -> list:
     try:
         with open(where, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
+    except FileNotFoundError as exc:
+        raise MissingEmbedding(f"{where}: index sidecar not found") from exc
     except UnicodeDecodeError as exc:
         raise BadJson(f"{where}: not UTF-8: {exc}") from exc
     payload_size = os.path.getsize(path)

@@ -308,6 +308,50 @@ class TestErrorMapping:
                     "--split", "eval", "--out", str(tmp_path / "s.tsv")]) == 2
         assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
 
+    def test_missing_embedding_index_exit_two(self, pipeline, tmp_path, capsys):
+        emb = tmp_path / "emb.bin"
+        emb.write_bytes(pipeline["emb"].read_bytes())
+        assert run(["score", "--ckpt", str(pipeline["ckpt"]),
+                    "--protocol", pipeline["protocol"],
+                    "--features", str(pipeline["feats"]), "--embeddings", str(emb),
+                    "--split", "eval", "--out", str(tmp_path / "s.tsv")]) == 2
+        assert capsys.readouterr().err.startswith("ERROR MISSING_EMBEDDING:")
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_missing_wav_exit_two(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        (corpus / "wav").mkdir(parents=True)
+        (corpus / "manifest.json").write_bytes((pipeline["corpus"] / "manifest.json").read_bytes())
+        wavs = sorted((pipeline["corpus"] / "wav").glob("*.wav"))
+        for wav in wavs[:-1]:
+            (corpus / "wav" / wav.name).write_bytes(wav.read_bytes())
+        out = tmp_path / "feats"
+        assert run(["featurize", "--corpus", str(corpus), "--out", str(out),
+                    "--n-fft", "512", "--hop", "512", "--n-mels", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR NOT_WAV:")
+        assert wavs[-1].name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["eer", "ensemble_fit", "ensemble_score"])
+    def test_non_utf8_scores_exit_two(self, pipeline, tmp_path, capsys, stage):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(pipeline["eval"].read_bytes().replace(b"\t", b"\xff\t", 1))
+        if stage == "eer":
+            argv = ["eer", "--scores", str(bad), "--protocol", pipeline["protocol"]]
+        elif stage == "ensemble_fit":
+            argv = ["ensemble", "fit", "--scores", f"{bad},{pipeline['eval_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--split", "eval", "--folds", "3", "--seed", "0",
+                    "--out", str(tmp_path / "stack.aten")]
+        else:
+            argv = ["ensemble", "score", "--model", str(pipeline["stack"]),
+                    "--scores", f"{bad},{pipeline['eval_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--split", "eval", "--out", str(tmp_path / "ens.tsv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_PROTOCOL:")
+
     def test_unexpected_exception_exit_three(self, pipeline, capsys, monkeypatch):
         def boom(path):
             raise RuntimeError("wires crossed")

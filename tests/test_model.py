@@ -277,6 +277,119 @@ class TestForward:
             np.testing.assert_allclose(grads[t], grads2[t], atol=1e-11, err_msg=name)
 
 
+def _gru_step(params: AtcaParams, layer: int, x_t: Tensor, h_prev: Tensor) -> Tensor:
+    """One GRU timestep composed from autodiff ops: the graph the model
+    recorded per step before each layer became one fused op."""
+    p = params
+    z = ad.sigmoid(
+        ad.add(ad.add(ad.matmul(x_t, p[f"gru{layer}_Wz"]), ad.matmul(h_prev, p[f"gru{layer}_Uz"])), p[f"gru{layer}_bz"])
+    )
+    r = ad.sigmoid(
+        ad.add(ad.add(ad.matmul(x_t, p[f"gru{layer}_Wr"]), ad.matmul(h_prev, p[f"gru{layer}_Ur"])), p[f"gru{layer}_br"])
+    )
+    h_tilde = ad.tanh(
+        ad.add(
+            ad.add(ad.matmul(x_t, p[f"gru{layer}_Wh"]), ad.matmul(ad.hadamard(r, h_prev), p[f"gru{layer}_Uh"])),
+            p[f"gru{layer}_bh"],
+        )
+    )
+    return ad.add(ad.hadamard(z, h_prev), ad.hadamard(ad.affine(z, -1.0, 1.0), h_tilde))
+
+
+def _per_step_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
+    """Reference stacked GRU over time-major rows, unrolled one step at a time."""
+    cfg = params.config
+    steps = [ad.slice_rows(x, t * batch, (t + 1) * batch) for t in range(x.shape[0] // batch)]
+    h = None
+    for layer in range(cfg.gru_layers):
+        start = np.zeros((batch, cfg.gru_hidden)) if h0 is None else np.tile(h0, (batch, 1))
+        h = Tensor(start)
+        outs = []
+        for x_t in steps:
+            h = _gru_step(params, layer, x_t, h)
+            outs.append(h)
+        steps = outs
+        if collect is not None:
+            collect.append(np.vstack([o.values for o in outs]))
+    return h
+
+
+def _per_step_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
+    seqs = [md.cross_attention(md.encode_acoustic(s, None, params), t, params) for s, t in zip(specs, texts)]
+    batch, t_frames = len(seqs), seqs[0].shape[0]
+    order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
+    h_t = _per_step_gru(ad.gather_rows(ad.concat_rows(seqs), order), params, batch)
+    return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
+
+
+def _fused_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
+    return md.forward_batch(specs, [None] * len(specs), texts, params)
+
+
+class TestFusedGru:
+    """The fused per-layer GRU op against the per-step graph it replaced."""
+
+    @pytest.fixture
+    def params(self):
+        cfg = AtcaConfig(d_spec=6, d_model=8, d_k=8, n_heads=1, gru_layers=2, gru_hidden=5, d_text=7)
+        p = AtcaParams.init(cfg, seed=21)
+        rng = np.random.default_rng(22)
+        for t in p.tensors.values():  # non-zero biases, larger recurrent weights
+            t.values += rng.normal(scale=0.3, size=t.values.shape)
+        return p
+
+    def test_forward_batch_matches_per_step_graph(self, params):
+        rng = np.random.default_rng(23)
+        specs = [rng.normal(size=(7, 6)) for _ in range(4)]
+        texts = [rng.normal(size=(int(rng.integers(1, 5)), 7)) for _ in range(4)]
+        results = []
+        for forward in (_fused_forward_batch, _per_step_forward_batch):
+            with ad.Tape() as tape:
+                logits = forward(specs, texts, params)
+                loss = ad.weighted_ce_logits(logits, np.array([0, 1, 1, 0]), (1.0, 1.5))
+            grads = ad.backward(tape, loss)
+            results.append((logits.values, {n: grads[t].copy() for n, t in params.tensors.items()}))
+        (fused, fused_grads), (ref, ref_grads) = results
+        np.testing.assert_allclose(fused, ref, rtol=1e-9, atol=1e-12)
+        for name in ref_grads:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_gru_stack_with_h0_matches_per_step_graph(self, params):
+        rng = np.random.default_rng(24)
+        x_rows = rng.normal(size=(7, 8))
+        h0 = rng.uniform(-1.0, 1.0, size=(1, 5))
+        x = Tensor(x_rows, requires_grad=True)
+        with ad.Tape() as tape:
+            out, states = md.gru_stack(x, params, h0=h0, return_states=True)
+            loss = ad.sum_all(out)
+        grads = ad.backward(tape, loss)
+        ref_x = Tensor(x_rows, requires_grad=True)
+        ref_states = []
+        with ad.Tape() as ref_tape:
+            ref_out = _per_step_gru(ref_x, params, 1, h0=h0, collect=ref_states)
+            ref_loss = ad.sum_all(ref_out)
+        ref_grads = ad.backward(ref_tape, ref_loss)
+        np.testing.assert_allclose(out.values, ref_out.values, rtol=1e-9, atol=1e-12)
+        for layer in range(2):
+            np.testing.assert_allclose(states[layer], ref_states[layer], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(grads[x], ref_grads[ref_x], rtol=1e-9, atol=1e-12)
+        for name, t in params.tensors.items():
+            np.testing.assert_allclose(grads[t], ref_grads[t], rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_tape_length_independent_of_frame_count(self):
+        p = AtcaParams.init(_tiny_cfg(gru_layers=2), seed=25)
+        rng = np.random.default_rng(26)
+        lengths = []
+        for t_frames in (5, 50):
+            specs = [rng.normal(size=(t_frames, 3)) for _ in range(3)]
+            texts = [rng.normal(size=(2, 5)) for _ in range(3)]
+            with ad.Tape() as tape:
+                logits = _fused_forward_batch(specs, texts, p)
+                ad.weighted_ce_logits(logits, np.array([0, 1, 0]), (1.0, 1.0))
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+
 def _weighted_ce(logits, labels, weights) -> float:
     return ad.weighted_ce_logits(Tensor(np.atleast_2d(logits)), np.atleast_1d(labels), weights).item()
 
