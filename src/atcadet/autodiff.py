@@ -33,7 +33,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False, _validate: bool = True):
         arr = np.asarray(values, dtype=np.float64)
-        if _validate and not np.all(np.isfinite(arr)):
+        if _validate and not np.isfinite(arr).all():
             raise NonFinite("tensor values must be finite")
         self.values = arr
         self.requires_grad = bool(requires_grad)

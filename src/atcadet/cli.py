@@ -29,6 +29,7 @@ from .errors import (
     NotWav,
     OutputExists,
     UsageError,
+    read_text,
 )
 from .metrics import Trial, compute_eer, merge_with_protocol, read_scores, write_scores
 from .protocol import SPLITS, filter_split, read_protocol
@@ -48,8 +49,7 @@ def load_run_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(read_text(path, BadJson))
     except json.JSONDecodeError as exc:
         raise BadJson(f"{path}: unparseable run config: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .dsp import Waveform, _hann_periodic, write_wav
-from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind
+from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind, read_text
 from .protocol import ProtocolEntry, write_protocol
 from .text import CaptionSet, write_captions
 
@@ -468,11 +468,10 @@ def write_manifest(path, manifest: CorpusManifest) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadJson(f"{path}: {exc}") from exc
+    try:
+        d = json.loads(read_text(path, BadJson))
+    except json.JSONDecodeError as exc:
+        raise BadJson(f"{path}: {exc}") from exc
     return CorpusManifest.from_dict(d)
 
 

@@ -161,40 +161,51 @@ def _node_sse(y_node: np.ndarray) -> float:
     return float(np.sum((y_node - y_node.mean()) ** 2))
 
 
-def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int, rng=None, n_feats: Optional[int] = None) -> TreeNode:
+def _grow(x, y, idx, depth, rng, n_feats) -> TreeNode:
+    """Grow the subtree over rows ``idx``, left child before right (the
+    order the forest's feature draws follow). Module-level, not a closure
+    inside fit_tree: a closure that calls itself is a reference cycle,
+    which kept each tree's inputs alive until the cyclic collector ran."""
+    y_node = y[idx]
+    leaf = TreeNode(value=float(y_node.mean()))
+    if depth == 0 or len(idx) < 2 or np.all(y_node == y_node[0]):
+        return leaf
     d = x.shape[1]
+    if rng is not None and n_feats is not None and n_feats < d:
+        feat_idx = np.sort(rng.choice(d, size=n_feats, replace=False))
+    else:
+        feat_idx = np.arange(d)
+    found = _best_split(x[idx], y_node, feat_idx)
+    if found is None:
+        return leaf
+    feature, threshold, split_sse = found
+    if split_sse >= _node_sse(y_node) - 1e-12:
+        return leaf
+    mask = x[idx, feature] <= threshold
+    node = TreeNode(value=leaf.value, feature=feature, threshold=threshold)
+    node.left = _grow(x, y, idx[mask], depth - 1, rng, n_feats)
+    node.right = _grow(x, y, idx[~mask], depth - 1, rng, n_feats)
+    return node
 
-    def grow(idx, depth):
-        y_node = y[idx]
-        leaf = TreeNode(value=float(y_node.mean()))
-        if depth == 0 or len(idx) < 2 or np.all(y_node == y_node[0]):
-            return leaf
-        if rng is not None and n_feats is not None and n_feats < d:
-            feat_idx = np.sort(rng.choice(d, size=n_feats, replace=False))
-        else:
-            feat_idx = np.arange(d)
-        found = _best_split(x[idx], y_node, feat_idx)
-        if found is None:
-            return leaf
-        feature, threshold, split_sse = found
-        if split_sse >= _node_sse(y_node) - 1e-12:
-            return leaf
-        mask = x[idx, feature] <= threshold
-        node = TreeNode(value=leaf.value, feature=feature, threshold=threshold)
-        node.left = grow(idx[mask], depth - 1)
-        node.right = grow(idx[~mask], depth - 1)
-        return node
 
-    return grow(np.arange(len(y)), max_depth)
+def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int, rng=None, n_feats: Optional[int] = None) -> TreeNode:
+    return _grow(x, y, np.arange(len(y)), max_depth, rng, n_feats)
 
 
 def predict_tree(tree: TreeNode, x_rows: np.ndarray) -> np.ndarray:
+    """Route all rows down together: one boolean split per node; a row
+    goes left when its feature is <= the threshold (NaN goes right)."""
+    x_rows = np.asarray(x_rows, dtype=np.float64)
     out = np.empty(len(x_rows))
-    for i, row in enumerate(x_rows):
-        node = tree
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.value
+    # an explicit stack, not a recursive closure (see _grow)
+    pending = [(tree, np.arange(len(x_rows)))]
+    while pending:
+        node, idx = pending.pop()
+        if node.is_leaf:
+            out[idx] = node.value
+        elif idx.size:
+            mask = x_rows[idx, node.feature] <= node.threshold
+            pending += [(node.left, idx[mask]), (node.right, idx[~mask])]
     return out
 
 

@@ -8,6 +8,16 @@ violation (exit code 3).
 """
 
 
+def read_text(path, error) -> str:
+    """The whole of a UTF-8 text file, newlines normalized as text-mode
+    reads do; a byte that does not decode raises ``error``, a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from exc
+
+
 class AtcadetError(Exception):
     code = "ERROR"
 

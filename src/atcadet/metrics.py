@@ -21,6 +21,7 @@ from .errors import (
     NonFinite,
     OneClassOnly,
     UnknownUtt,
+    read_text,
 )
 from .protocol import LABELS
 
@@ -97,15 +98,9 @@ def write_scores(path, trials) -> None:
 
 
 def read_scores(path) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise BadProtocol(f"{path}: not UTF-8: {exc}") from exc
     trials = []
     seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_text(path, BadProtocol).split("\n"), start=1):
         if not line:
             continue
         cols = line.split("\t")

@@ -6,10 +6,15 @@ Keys/Values; the attended features are added back onto the acoustic
 input (residual refinement), summarized by a stacked GRU, and the last
 hidden state feeds a linear head producing (real, fake) logits.
 
-Each GRU layer is one tape op over all timesteps of the batch: the
-input projection for every frame is a single matmul, only the
-hidden-to-hidden products stay in the time loop, and the backward pass
-is hand-written backpropagation through time.
+A training step records a handful of tape nodes at any batch size and
+frame count. The encoder and cross-attention of the whole batch are one
+tape op: it loops over the samples in plain numpy, scores every head at
+once as a (heads, rows, d_k) view of column blocks, and writes its rows
+time-major, ready for the GRU. ``cross_attention`` is the one-sample
+case of the same kernel. Each GRU layer is one more tape op over all
+timesteps: the input projection for every frame is a single matmul,
+only the hidden-to-hidden products stay in the time loop. Both ops
+carry hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -182,62 +187,158 @@ def _as_matrix(x, what: str) -> np.ndarray:
     return values
 
 
-def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
-    """Standardize spectrogram frames by the stored normalizer buffers,
-    project them to d_model and apply tanh. ``raw`` must be None."""
+def _spec_input(spec, raw, params: AtcaParams) -> Tensor:
+    """Spectrogram frames standardized by the stored normalizer buffers."""
     cfg = params.config
     if raw is not None:
         raise ShapeMismatch("raw-waveform features are not supported")
     values = _as_matrix(spec, "spec features")
     if values.shape[1] != cfg.d_spec:
         raise ShapeMismatch(f"spec features have {values.shape[1]} dims, config wants {cfg.d_spec}")
-    x = (values - params.buffers["norm_mu"]) / params.buffers["norm_sigma"]
-    return ad.tanh(ad.add(ad.matmul(Tensor(x), params["enc_spec_w"]), params["enc_spec_b"]))
+    x = values - params.buffers["norm_mu"]
+    x /= params.buffers["norm_sigma"]
+    return Tensor(x)
 
 
-def _as_text_tensor(text) -> Tensor:
+def _text_input(text, cfg: AtcaConfig) -> Tensor:
     if isinstance(text, Tensor):
-        return text
-    if isinstance(text, TextEmbedding):
-        return Tensor(text.matrix)
-    return Tensor(_as_matrix(text, "text embedding"))
+        text_t = text
+    elif isinstance(text, TextEmbedding):
+        text_t = Tensor(text.matrix)
+    else:
+        text_t = Tensor(_as_matrix(text, "text embedding"))
+    if text_t.values.ndim != 2 or text_t.values.shape[1] != cfg.d_text:
+        raise ShapeMismatch(f"text embedding has shape {text_t.values.shape}, config wants {cfg.d_text} columns")
+    return text_t
+
+
+def _accumulate(get_buf, tensors, grads) -> None:
+    for tensor, grad in zip(tensors, grads):
+        buf = get_buf(tensor)
+        if buf is not None:
+            buf += grad
+
+
+def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
+    """Standardize spectrogram frames by the stored normalizer buffers,
+    project them to d_model and apply tanh. ``raw`` must be None."""
+    x = _spec_input(spec, raw, params)
+    return ad.tanh(ad.add(ad.matmul(x, params["enc_spec_w"]), params["enc_spec_b"]))
+
+
+def _attend(enc, text, wq, wkv, wo, n_heads: int):
+    """Multi-head attention of one sample on plain arrays: ``enc`` rows
+    (T, d_model) are Queries over ``text`` rows (L, d_text) as Keys and
+    Values, with ``wkv = [Wk|Wv]``. Returns ``enc + merged @ wo`` and the
+    arrays :func:`_attend_grad` needs.
+
+    Head h owns columns ``h*d_k:(h+1)*d_k`` of q, k and v; the heads are
+    the leading axis of a (H, rows, d_k) view, so one batched matmul
+    scores them all and the merge is a reshape.
+    """
+    rows, d_model = enc.shape
+    d_k = d_model // n_heads
+
+    def heads(m):
+        return m.reshape(m.shape[0], n_heads, d_k).transpose(1, 0, 2)
+
+    kv = text @ wkv
+    qh, kh, vh = heads(enc @ wq), heads(kv[:, :d_model]), heads(kv[:, d_model:])
+    s = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_k))
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    att = e / e.sum(axis=2, keepdims=True)
+    merged = (att @ vh).transpose(1, 0, 2).reshape(rows, d_model)
+    return enc + merged @ wo, (qh, kh, vh, att, merged)
+
+
+def _attend_grad(g, enc, saved, wq, wo):
+    """Backward of :func:`_attend` for the output gradient ``g``: returns
+    the gradients of ``enc`` and ``wq``, of the projected rows ``[k|v]``
+    (L, 2*d_model), and of ``wo``. The caller turns the third into the
+    gradients of ``[Wk|Wv]`` (``text.T @ dkv``) and of the text."""
+    qh, kh, vh, att, merged = saved
+    n_heads, rows, d_k = qh.shape
+
+    def merge(m):
+        return m.transpose(1, 0, 2).reshape(m.shape[1], n_heads * d_k)
+
+    dm = (g @ wo.T).reshape(rows, n_heads, d_k).transpose(1, 0, 2)
+    da = dm @ vh.transpose(0, 2, 1)
+    ds = att * (da - (da * att).sum(axis=2, keepdims=True)) * (1.0 / math.sqrt(d_k))
+    dq = merge(ds @ kh)
+    dkv = np.concatenate([merge(ds.transpose(0, 2, 1) @ qh), merge(att.transpose(0, 2, 1) @ dm)], axis=1)
+    return g + dq @ wq.T, enc.T @ dq, dkv, merged.T @ g
 
 
 def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals: bool = False):
-    """Scaled dot-product attention, acoustic rows as Queries and text
-    rows as Keys/Values; heads concatenated, projected, residual-added."""
+    """Scaled dot-product attention of one sample as one tape op: acoustic
+    rows as Queries, text rows as Keys/Values; heads concatenated,
+    projected by Wo and residual-added. Differentiable in ``acoustic``,
+    in ``text`` when it is a Tensor, and in Wq, Wk, Wv and Wo."""
     cfg = params.config
-    text_t = _as_text_tensor(text)
-    if acoustic.values.shape[1] != cfg.d_model:
-        raise ShapeMismatch(f"acoustic input has {acoustic.values.shape[1]} dims, config wants {cfg.d_model}")
-    if text_t.values.shape[1] != cfg.d_text:
-        raise ShapeMismatch(f"text embedding has {text_t.values.shape[1]} dims, config wants {cfg.d_text}")
-    q = ad.matmul(acoustic, params["Wq"])
-    k = ad.matmul(text_t, params["Wk"])
-    v = ad.matmul(text_t, params["Wv"])
-    scale = 1.0 / math.sqrt(cfg.d_k)
-    weights = []
-    if cfg.n_heads == 1:
-        att = ad.softmax_rows(ad.affine(ad.matmul(q, k, transpose_b=True), scale))
-        merged = ad.matmul(att, v)
-        weights.append(att.values)
-    else:
-        merged = None
-        for h in range(cfg.n_heads):
-            sel = np.zeros((cfg.d_model, cfg.d_k))
-            sel[h * cfg.d_k : (h + 1) * cfg.d_k] = np.eye(cfg.d_k)
-            sel_t = Tensor(sel)
-            qh = ad.matmul(q, sel_t)
-            kh = ad.matmul(k, sel_t)
-            vh = ad.matmul(v, sel_t)
-            att = ad.softmax_rows(ad.affine(ad.matmul(qh, kh, transpose_b=True), scale))
-            placed = ad.matmul(ad.matmul(att, vh), sel_t, transpose_b=True)
-            merged = placed if merged is None else ad.add(merged, placed)
-            weights.append(att.values)
-    out = ad.add(acoustic, ad.matmul(merged, params["Wo"]))
+    text_t = _text_input(text, cfg)
+    if acoustic.values.ndim != 2 or acoustic.values.shape[1] != cfg.d_model:
+        raise ShapeMismatch(f"acoustic input has shape {acoustic.values.shape}, config wants {cfg.d_model} columns")
+    tensors = [params[n] for n in ("Wq", "Wk", "Wv", "Wo")]
+    wq, wk, wv, wo = (t.values for t in tensors)
+    wkv = np.concatenate([wk, wv], axis=1)
+    out_v, saved = _attend(acoustic.values, text_t.values, wq, wkv, wo, cfg.n_heads)
+
+    def bwd(g, get_buf):
+        denc, dwq, dkv, dwo = _attend_grad(g, acoustic.values, saved, wq, wo)
+        dwk, dwv = np.split(text_t.values.T @ dkv, 2, axis=1)
+        _accumulate(get_buf, (acoustic, *tensors), (denc, dwq, dwk, dwv, dwo))
+        gt = get_buf(text_t)
+        if gt is not None:
+            gt += dkv @ wkv.T
+
+    out = ad._result(out_v, (acoustic, text_t, *tensors), bwd)
     if return_internals:
-        return out, {"attention_weights": weights}
+        return out, {"attention_weights": list(saved[3])}
     return out
+
+
+def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
+    """Encoder and cross-attention of a batch of same-length utterances as
+    one tape op. Returns the attended rows time-major, (T*B, d_model):
+    row ``t*B + b`` is frame t of sample b, the layout ``_gru_layer`` reads.
+
+    Samples run one at a time, which keeps their arrays small; the
+    backward sums the six weight gradients over them. Texts are data: no
+    gradient flows into them.
+    """
+    cfg = params.config
+    if not len(specs) == len(raws) == len(texts):
+        raise ShapeMismatch(f"batch has {len(specs)} specs, {len(raws)} raws and {len(texts)} texts")
+    xs = [_spec_input(spec, raw, params).values for spec, raw in zip(specs, raws)]
+    ts = [_text_input(text, cfg).values for text in texts]
+    steps = xs[0].shape[0]
+    if any(x.shape[0] != steps for x in xs):
+        raise ShapeMismatch("forward_batch requires equal-length sequences")
+    tensors = [params[n] for n in ("enc_spec_w", "enc_spec_b", "Wq", "Wk", "Wv", "Wo")]
+    we, be, wq, wk, wv, wo = (t.values for t in tensors)
+    wkv = np.concatenate([wk, wv], axis=1)
+    out = np.empty((steps, len(xs), cfg.d_model))
+    kept = []
+    for b, (x, text) in enumerate(zip(xs, ts)):
+        enc = np.tanh(x @ we + be)
+        out[:, b], saved = _attend(enc, text, wq, wkv, wo, cfg.n_heads)
+        kept.append((enc, saved))
+
+    def bwd(g, get_buf):
+        g = g.reshape(out.shape)
+        dwe, dbe, dwq, dwkv, dwo = (np.zeros_like(w) for w in (we, be, wq, wkv, wo))
+        for b, (x, text, (enc, saved)) in enumerate(zip(xs, ts, kept)):
+            denc, dwq_b, dkv, dwo_b = _attend_grad(g[:, b], enc, saved, wq, wo)
+            dpre = denc * (1.0 - enc * enc)
+            dwe += x.T @ dpre
+            dbe += dpre.sum(axis=0)
+            dwq += dwq_b
+            dwkv += text.T @ dkv
+            dwo += dwo_b
+        _accumulate(get_buf, tensors, (dwe, dbe, dwq, *np.split(dwkv, 2, axis=1), dwo))
+
+    return ad._result(out.reshape(steps * len(xs), cfg.d_model), tensors, bwd)
 
 
 def _gru_layer(params: AtcaParams, layer: int, x: Tensor, batch: int, h0) -> Tensor:
@@ -295,11 +396,7 @@ def _gru_layer(params: AtcaParams, layer: int, x: Tensor, batch: int, h0) -> Ten
         duz, dur = np.split(h_prev.reshape(steps * batch, hid).T @ flat[:, : 2 * hid], 2, axis=1)
         duh = (r * h_prev).reshape(steps * batch, hid).T @ flat[:, 2 * hid :]
         dbz, dbr, dbh = np.split(flat.sum(axis=0, keepdims=True), 3, axis=1)
-        grads = (dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh)
-        for tensor, grad in zip(tensors, grads):
-            buf = get_buf(tensor)
-            if buf is not None:
-                buf += grad
+        _accumulate(get_buf, tensors, (dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh))
 
     return ad._result(states[1:].reshape(steps * batch, hid), (x, *tensors), bwd)
 
@@ -333,24 +430,14 @@ def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = Fals
 def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Batched pass over same-length utterances; returns (B, 2) logits.
 
-    Encoding and attention run per sample (token counts vary), then the
-    sequences are rearranged time-major and each GRU layer runs over the
-    whole batch as one fused tape op (see ``_gru_layer``).
+    The encoder and cross-attention of the whole batch are one tape op
+    (``_front``) that writes its rows time-major; each GRU layer is one
+    more (``_gru_layer``), and the head reads the last layer's final
+    states. A step records the same few tape nodes at any B and T.
     """
-    batch = len(specs)
-    if batch == 0:
+    if len(specs) == 0:
         raise ShapeMismatch("empty batch")
-    seqs = []
-    for spec, raw, text in zip(specs, raws, texts):
-        enc = encode_acoustic(spec, raw, params)
-        seqs.append(cross_attention(enc, text, params))
-    t_frames = seqs[0].values.shape[0]
-    for s in seqs:
-        if s.values.shape[0] != t_frames:
-            raise ShapeMismatch("forward_batch requires equal-length sequences")
-    stacked = ad.concat_rows(seqs)
-    order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
-    h_t = _run_gru(ad.gather_rows(stacked, order), params, batch)
+    h_t = _run_gru(_front(specs, raws, texts, params), params, len(specs))
     return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadProtocol, DuplicateUtt
+from .errors import BadProtocol, DuplicateUtt, read_text
 
 LABELS = ("bonafide", "spoof")
 SPLITS = ("train", "dev", "eval")
@@ -34,19 +34,17 @@ class ProtocolEntry:
 def read_protocol(path) -> list:
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 5:
-                raise BadProtocol(f"{path}:{lineno}: expected 5 tab-separated columns, got {len(cols)}")
-            entry = ProtocolEntry(*cols)
-            if entry.utt_id in seen:
-                raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
-            seen.add(entry.utt_id)
-            entries.append(entry)
+    for lineno, line in enumerate(read_text(path, BadProtocol).split("\n"), start=1):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 5:
+            raise BadProtocol(f"{path}:{lineno}: expected 5 tab-separated columns, got {len(cols)}")
+        entry = ProtocolEntry(*cols)
+        if entry.utt_id in seen:
+            raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
+        seen.add(entry.utt_id)
+        entries.append(entry)
     return entries
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
     UnknownStyle,
+    read_text,
 )
 
 STYLES = ("audioset", "audiocaps", "clotho")
@@ -110,23 +111,22 @@ class ToyEmbedderConfig:
 def load_captions(path) -> list:
     sets = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BadJson(f"{path}:{lineno}: {exc}") from exc
-            if not isinstance(obj, dict) or "utt_id" not in obj or "captions" not in obj:
-                raise BadJson(f"{path}:{lineno}: expected utt_id and captions keys")
-            if not isinstance(obj["captions"], dict):
-                raise BadJson(f"{path}:{lineno}: captions must be an object")
-            cs = CaptionSet(str(obj["utt_id"]), dict(obj["captions"]))
-            if cs.utt_id in seen:
-                raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {cs.utt_id!r}")
-            seen.add(cs.utt_id)
-            sets.append(cs)
+    for lineno, line in enumerate(read_text(path, BadJson).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadJson(f"{path}:{lineno}: {exc}") from exc
+        if not isinstance(obj, dict) or "utt_id" not in obj or "captions" not in obj:
+            raise BadJson(f"{path}:{lineno}: expected utt_id and captions keys")
+        if not isinstance(obj["captions"], dict):
+            raise BadJson(f"{path}:{lineno}: captions must be an object")
+        cs = CaptionSet(str(obj["utt_id"]), dict(obj["captions"]))
+        if cs.utt_id in seen:
+            raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {cs.utt_id!r}")
+        seen.add(cs.utt_id)
+        sets.append(cs)
     return sets
 
 
@@ -264,12 +264,9 @@ def _read_index(path) -> list:
     write_embeddings produces and its offset against the payload size."""
     where = index_path_for(path)
     try:
-        with open(where, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = read_text(where, BadJson).split("\n")
     except FileNotFoundError as exc:
         raise MissingEmbedding(f"{where}: index sidecar not found") from exc
-    except UnicodeDecodeError as exc:
-        raise BadJson(f"{where}: not UTF-8: {exc}") from exc
     payload_size = os.path.getsize(path)
     entries = []
     seen = set()

@@ -352,6 +352,39 @@ class TestErrorMapping:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("ERROR BAD_PROTOCOL:")
 
+    @pytest.mark.parametrize("reader,code", [
+        ("protocol", "BAD_PROTOCOL"),
+        ("run_config", "BAD_JSON"),
+        ("manifest", "BAD_JSON"),
+        ("captions", "BAD_JSON"),
+    ])
+    def test_non_utf8_input_exit_two(self, pipeline, tmp_path, capsys, reader, code):
+        def corrupt(src, dst):
+            data = src.read_bytes()
+            dst.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = tmp_path / "out"
+        if reader == "protocol":
+            bad = corpus / "protocol_track1.tsv"
+            corrupt(pipeline["corpus"] / "protocol_track1.tsv", bad)
+            argv = ["eer", "--scores", str(pipeline["eval"]), "--protocol", str(bad)]
+        elif reader == "run_config":
+            bad = tmp_path / "run.json"
+            corrupt(pipeline["config"], bad)
+            argv = ["corpus", "synth", "--config", str(bad), "--out", str(out)]
+        elif reader == "manifest":
+            corrupt(pipeline["corpus"] / "manifest.json", corpus / "manifest.json")
+            argv = ["featurize", "--corpus", str(corpus), "--out", str(out),
+                    "--n-fft", "512", "--hop", "512", "--n-mels", "16"]
+        else:
+            corrupt(pipeline["corpus"] / "captions.jsonl", corpus / "captions.jsonl")
+            argv = ["embed", "--corpus", str(corpus), "--out", str(out), "--dim", "32"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+        assert not out.exists()
+
     def test_unexpected_exception_exit_three(self, pipeline, capsys, monkeypatch):
         def boom(path):
             raise RuntimeError("wires crossed")

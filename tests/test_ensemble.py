@@ -1,3 +1,4 @@
+import gc
 import json
 import struct
 
@@ -168,6 +169,43 @@ class TestTrees:
         clone = es.TreeNode.from_dict(tree.to_dict())
         probe = np.random.default_rng(3).normal(size=(50, 2))
         assert es.predict_tree(clone, probe).tolist() == es.predict_tree(tree, probe).tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_routing_matches_row_walk(self, seed):
+        def row_walk(tree, x_rows):  # the per-row walk the batched routing replaced
+            out = np.empty(len(x_rows))
+            for i, row in enumerate(x_rows):
+                node = tree
+                while not node.is_leaf:
+                    node = node.left if row[node.feature] <= node.threshold else node.right
+                out[i] = node.value
+            return out
+
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(60, 4)), 1)  # coarse grid: probes hit thresholds
+        y = rng.normal(size=60)
+        trees = [es.fit_tree(x, y, max_depth=d) for d in (1, 3, 6)]
+        trees += es.fit_forest(x, y, n_trees=4, max_depth=5, seed=seed).trees
+        probe = np.vstack([x, np.round(rng.normal(size=(40, 4)), 1)])
+        probe = np.vstack([probe, [(n.threshold,) * 4 for n in trees if not n.is_leaf]])
+        probe[-1, 0] = np.nan
+        for tree in trees:
+            got = es.predict_tree(tree, probe)
+            assert got.tobytes() == row_walk(tree, probe).tobytes()
+        assert es.predict_tree(trees[1], probe[:0]).shape == (0,)
+
+    def test_fit_and_predict_leave_no_reference_cycles(self):
+        # a cycle keeps a tree's inputs alive until the cyclic collector runs
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+        gc.collect()
+        gc.disable()
+        try:
+            es.predict_forest(es.fit_forest(x, y, n_trees=2, max_depth=3), x)
+            es.predict_gbm(es.fit_gbm(x, y, rounds=2, depth=2), x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_malformed_node_dict(self):
         with pytest.raises(BadJson):

@@ -314,8 +314,31 @@ def _per_step_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=No
     return h
 
 
+def _graph_cross_attention(acoustic: Tensor, text, params: AtcaParams) -> Tensor:
+    """Cross-attention composed from autodiff ops with one selector matrix
+    per head: the graph the model recorded per sample before the encoder
+    and attention became one fused op."""
+    cfg = params.config
+    text_t = text if isinstance(text, Tensor) else Tensor(text)
+    q = ad.matmul(acoustic, params["Wq"])
+    k = ad.matmul(text_t, params["Wk"])
+    v = ad.matmul(text_t, params["Wv"])
+    merged = None
+    for h in range(cfg.n_heads):
+        sel = np.zeros((cfg.d_model, cfg.d_k))
+        sel[h * cfg.d_k : (h + 1) * cfg.d_k] = np.eye(cfg.d_k)
+        sel_t = Tensor(sel)
+        qh, kh, vh = ad.matmul(q, sel_t), ad.matmul(k, sel_t), ad.matmul(v, sel_t)
+        att = ad.softmax_rows(ad.affine(ad.matmul(qh, kh, transpose_b=True), 1.0 / math.sqrt(cfg.d_k)))
+        placed = ad.matmul(ad.matmul(att, vh), sel_t, transpose_b=True)
+        merged = placed if merged is None else ad.add(merged, placed)
+    return ad.add(acoustic, ad.matmul(merged, params["Wo"]))
+
+
 def _per_step_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
-    seqs = [md.cross_attention(md.encode_acoustic(s, None, params), t, params) for s, t in zip(specs, texts)]
+    """Reference forward pass: per-sample encoder and attention graphs,
+    gathered time-major, then the per-step GRU graph."""
+    seqs = [_graph_cross_attention(md.encode_acoustic(s, None, params), t, params) for s, t in zip(specs, texts)]
     batch, t_frames = len(seqs), seqs[0].shape[0]
     order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
     h_t = _per_step_gru(ad.gather_rows(ad.concat_rows(seqs), order), params, batch)
@@ -324,6 +347,25 @@ def _per_step_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
 
 def _fused_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
     return md.forward_batch(specs, [None] * len(specs), texts, params)
+
+
+def _logits_and_grads(forward, specs, texts, params, labels):
+    with ad.Tape() as tape:
+        logits = forward(specs, texts, params)
+        loss = ad.weighted_ce_logits(logits, labels, (1.0, 1.5))
+    grads = ad.backward(tape, loss)
+    return logits.values, {n: grads[t].copy() for n, t in params.tensors.items()}
+
+
+def _perturbed_params(cfg: AtcaConfig, seed: int) -> AtcaParams:
+    """Non-zero biases, larger weights and non-trivial normalizer buffers."""
+    p = AtcaParams.init(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for t in p.tensors.values():
+        t.values += rng.normal(scale=0.3, size=t.values.shape)
+    p.buffers["norm_mu"][:] = rng.normal(scale=0.5, size=(1, cfg.d_spec))
+    p.buffers["norm_sigma"][:] = rng.uniform(0.5, 2.0, size=(1, cfg.d_spec))
+    return p
 
 
 class TestFusedGru:
@@ -342,14 +384,9 @@ class TestFusedGru:
         rng = np.random.default_rng(23)
         specs = [rng.normal(size=(7, 6)) for _ in range(4)]
         texts = [rng.normal(size=(int(rng.integers(1, 5)), 7)) for _ in range(4)]
-        results = []
-        for forward in (_fused_forward_batch, _per_step_forward_batch):
-            with ad.Tape() as tape:
-                logits = forward(specs, texts, params)
-                loss = ad.weighted_ce_logits(logits, np.array([0, 1, 1, 0]), (1.0, 1.5))
-            grads = ad.backward(tape, loss)
-            results.append((logits.values, {n: grads[t].copy() for n, t in params.tensors.items()}))
-        (fused, fused_grads), (ref, ref_grads) = results
+        labels = np.array([0, 1, 1, 0])
+        fused, fused_grads = _logits_and_grads(_fused_forward_batch, specs, texts, params, labels)
+        ref, ref_grads = _logits_and_grads(_per_step_forward_batch, specs, texts, params, labels)
         np.testing.assert_allclose(fused, ref, rtol=1e-9, atol=1e-12)
         for name in ref_grads:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -388,6 +425,99 @@ class TestFusedGru:
                 ad.weighted_ce_logits(logits, np.array([0, 1, 0]), (1.0, 1.0))
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
+
+
+class TestFusedFront:
+    """The fused encoder-and-attention op against the per-sample graphs it
+    replaced, and cross_attention against the selector-matrix graph."""
+
+    @staticmethod
+    def _cfg(n_heads):
+        return AtcaConfig(d_spec=6, d_model=8, d_k=8 // n_heads, n_heads=n_heads,
+                          gru_layers=2, gru_hidden=5, d_text=7)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("t_frames,caption_lengths", [
+        (7, [1, 3, 5, 2]),  # caption lengths differ within the batch
+        (7, [4]),  # B=1
+        (1, [2, 6, 3]),  # T=1
+    ], ids=["ragged_captions", "one_sample", "one_frame"])
+    def test_matches_per_sample_graph(self, n_heads, t_frames, caption_lengths):
+        params = _perturbed_params(self._cfg(n_heads), seed=31 + n_heads)
+        rng = np.random.default_rng(32)
+        specs = [rng.normal(size=(t_frames, 6)) for _ in caption_lengths]
+        texts = [rng.normal(size=(n, 7)) for n in caption_lengths]
+        labels = np.arange(len(specs)) % 2
+        fused, fused_grads = _logits_and_grads(_fused_forward_batch, specs, texts, params, labels)
+        ref, ref_grads = _logits_and_grads(_per_step_forward_batch, specs, texts, params, labels)
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        for name in ref_grads:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_no_grad_logits_match(self):
+        params = _perturbed_params(self._cfg(2), seed=33)
+        rng = np.random.default_rng(34)
+        specs = [rng.normal(size=(5, 6)) for _ in range(3)]
+        texts = [rng.normal(size=(n, 7)) for n in (2, 4, 1)]
+        with no_grad():
+            fused = _fused_forward_batch(specs, texts, params)
+        with ad.Tape() as tape:
+            taped = _fused_forward_batch(specs, texts, params)
+        assert len(tape) > 0
+        np.testing.assert_array_equal(fused.values, taped.values)
+        np.testing.assert_allclose(fused.values, _per_step_forward_batch(specs, texts, params).values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_cross_attention_matches_selector_graph(self, n_heads):
+        params = _perturbed_params(self._cfg(n_heads), seed=35)
+        rng = np.random.default_rng(36)
+        acoustic_rows = rng.normal(size=(5, 8))
+        text_rows = rng.normal(size=(3, 7))
+        mix = Tensor(rng.normal(size=(5, 8)))  # makes the output gradient non-uniform
+        results = []
+        for attend in (md.cross_attention, _graph_cross_attention):
+            acoustic = Tensor(acoustic_rows, requires_grad=True)
+            text = Tensor(text_rows, requires_grad=True)
+            with ad.Tape() as tape:
+                out = attend(acoustic, text, params)
+                loss = ad.sum_all(ad.hadamard(out, mix))
+            grads = ad.backward(tape, loss)
+            watched = [acoustic, text] + [params[n] for n in ("Wq", "Wk", "Wv", "Wo")]
+            results.append((out.values, [grads[t].copy() for t in watched]))
+        (out, grads), (ref, ref_grads) = results
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for name, g, want in zip(("acoustic", "text", "Wq", "Wk", "Wv", "Wo"), grads, ref_grads):
+            np.testing.assert_allclose(g, want, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_tape_length_independent_of_batch_size(self):
+        p = AtcaParams.init(_tiny_cfg(gru_layers=2), seed=37)
+        rng = np.random.default_rng(38)
+        lengths = []
+        for batch in (2, 32):
+            specs = [rng.normal(size=(5, 3)) for _ in range(batch)]
+            texts = [rng.normal(size=(int(rng.integers(1, 6)), 5)) for _ in range(batch)]
+            with ad.Tape() as tape:
+                logits = _fused_forward_batch(specs, texts, p)
+                ad.weighted_ce_logits(logits, np.arange(batch) % 2, (1.0, 1.0))
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1] <= 10
+
+    @pytest.mark.parametrize("case", ["d_spec", "d_text", "frames", "counts"])
+    def test_shape_mismatch(self, case):
+        p = AtcaParams.init(_tiny_cfg(), seed=39)
+        rng = np.random.default_rng(40)
+        specs = [rng.normal(size=(4, 3)) for _ in range(3)]
+        texts = [rng.normal(size=(2, 5)) for _ in range(3)]
+        if case == "d_spec":
+            specs[1] = rng.normal(size=(4, 4))
+        elif case == "d_text":
+            texts[2] = rng.normal(size=(2, 6))
+        elif case == "frames":
+            specs[2] = rng.normal(size=(5, 3))
+        else:
+            texts = texts[:2]
+        with pytest.raises(ShapeMismatch):
+            _fused_forward_batch(specs, texts, p)
 
 
 def _weighted_ce(logits, labels, weights) -> float:
