@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -130,42 +132,134 @@ class TreeNode:
         )
 
 
-def _best_split(x_node: np.ndarray, y_node: np.ndarray, feat_idx: np.ndarray):
+def _rank_columns(x: np.ndarray):
+    """Per-column integer ranks of ``x``, and each column's NaN rank.
+
+    Ranks are equal for equal values (-0.0 ties 0.0) and ordered like the
+    values, with NaN above every number, as numpy's float sort places it.
+    They are stored in the smallest unsigned dtype that holds ``n - 1``,
+    so a node's stable argsort over its ranks is numpy's radix sort and
+    gives the same permutation as a stable argsort over the floats. The
+    NaN ranks are -1 for a column without NaN, and None for an ``x``
+    without any.
+    """
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    nan = np.isnan(xs)
+    steps = np.zeros(x.shape, dtype=np.min_scalar_type(max(len(x) - 1, 0)))
+    steps[1:] = (xs[:-1] < xs[1:]) | (nan[1:] & ~nan[:-1])
+    np.cumsum(steps, axis=0, dtype=steps.dtype, out=steps)
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=0)
+    # int64: -1 in the rank dtype would wrap to its maximum, a real rank at n = 256
+    nan_rank = np.where(nan[-1], steps[-1].astype(np.int64), -1) if nan.any() else None
+    return ranks, nan_rank
+
+
+class _Columns:
+    """The per-column ranks of a tree's ``x``, and for boosting a cache of
+    each node's sorted row order.
+
+    Boosting searches every column at every node, and its rounds grow
+    trees over the same few row sets, so a node's order and its tied
+    boundaries are kept by row set alone. Only the current and the
+    previous round's nodes are kept: at most ``2 * (2**depth - 1)``
+    entries, whatever the number of rounds.
+    """
+
+    def __init__(self, x: np.ndarray, cache: bool = False):
+        self.ranks, self.nan_rank = _rank_columns(x)
+        self.current = {} if cache else None
+        self.previous = {}
+
+    def sorted_rows(self, idx: np.ndarray, feat_idx: np.ndarray):
+        """Stable order of rows ``idx`` in each column of ``feat_idx``,
+        and the flat indices of the sorted neighbour pairs that are no
+        split boundary: a tie, or a step up into NaN."""
+        if self.current is None:
+            return self._sort(idx, feat_idx)
+        key = idx.tobytes()
+        found = self.current.get(key)
+        if found is None:
+            found = self.previous.pop(key, None)
+            if found is None:
+                found = self._sort(idx, feat_idx)
+            self.current[key] = found
+        return found
+
+    def next_round(self) -> None:
+        self.previous, self.current = self.current, {}
+
+    def _sort(self, idx, feat_idx):
+        r = self.ranks[idx][:, feat_idx]
+        order = np.argsort(r, axis=0, kind="stable")
+        # a flat take: several times faster than take_along_axis here
+        rs = r.ravel().take(order * len(feat_idx) + np.arange(len(feat_idx))).reshape(r.shape)
+        tied = rs[:-1] == rs[1:]
+        if self.nan_rank is not None:
+            tied |= rs[1:] == self.nan_rank[feat_idx]
+        return order, np.flatnonzero(tied)
+
+
+def _best_split(x: np.ndarray, y_node: np.ndarray, feat_idx: np.ndarray, idx=None, cols=None):
     """Exact enumeration: per candidate feature, scan every boundary
-    between distinct sorted values and minimize summed child SSE."""
+    between distinct sorted values of rows ``idx`` of ``x`` (all rows by
+    default) and minimize summed child SSE; ties go to the first feature,
+    then the first boundary.
+
+    Rows are sorted on the integer ranks of ``cols`` (built from ``x``
+    when not given), which orders ties exactly as a stable float sort
+    would; a boosting ``cols`` caches that order per row set, bounded by
+    the tree shape. The SSE is computed op for op as
+    ``(left_sq - left_sum**2/left_n) + (right_sq - right_sum**2/right_n)``
+    in place, and the threshold is read from ``x`` at the two rows around
+    the best boundary, so the split and its bytes match a float-sorted
+    search.
+    """
+    if idx is None:
+        idx = np.arange(len(y_node))
+    if cols is None:
+        cols = _Columns(x)
+    order, tied = cols.sorted_rows(idx, feat_idx)
     n = len(y_node)
-    xf = x_node[:, feat_idx]
-    order = np.argsort(xf, axis=0, kind="stable")
-    xs = np.take_along_axis(xf, order, axis=0)
     ys = y_node[order]
     csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
+    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=0, out=ys)
     left_n = np.arange(1, n, dtype=np.float64)[:, None]
     right_n = n - left_n
+    # the first n-1 rows of csum and csq become the right sums once the
+    # left term is done
     left_sum, left_sq = csum[:-1], csq[:-1]
-    right_sum = csum[-1] - left_sum
-    right_sq = csq[-1] - left_sq
-    sse = (left_sq - left_sum**2 / left_n) + (right_sq - right_sum**2 / right_n)
-    sse = np.where(xs[:-1] < xs[1:], sse, np.inf)
-    pos = np.argmin(sse, axis=0)
-    per_feat = sse[pos, np.arange(len(feat_idx))]
+    sse = np.square(left_sum)
+    sse /= left_n
+    np.subtract(left_sq, sse, out=sse)
+    right_sum = np.subtract(csum[-1], left_sum, out=left_sum)
+    right_sq = np.subtract(csq[-1], left_sq, out=left_sq)
+    np.square(right_sum, out=right_sum)
+    right_sum /= right_n
+    sse += np.subtract(right_sq, right_sum, out=right_sq)
+    sse.put(tied, np.inf)
+    per_feat = sse.min(axis=0)
     best = int(np.argmin(per_feat))
     if not np.isfinite(per_feat[best]):
         return None
-    row = pos[best]
-    threshold = (xs[row, best] + xs[row + 1, best]) / 2.0
-    return int(feat_idx[best]), float(threshold), float(per_feat[best])
+    row = int(np.argmin(sse[:, best]))
+    feature = int(feat_idx[best])
+    lo, hi = idx[order[row, best]], idx[order[row + 1, best]]
+    threshold = (x[lo, feature] + x[hi, feature]) / 2.0
+    return feature, float(threshold), float(per_feat[best])
 
 
 def _node_sse(y_node: np.ndarray) -> float:
     return float(np.sum((y_node - y_node.mean()) ** 2))
 
 
-def _grow(x, y, idx, depth, rng, n_feats) -> TreeNode:
-    """Grow the subtree over rows ``idx``, left child before right (the
-    order the forest's feature draws follow). Module-level, not a closure
-    inside fit_tree: a closure that calls itself is a reference cycle,
-    which kept each tree's inputs alive until the cyclic collector ran."""
+def _grow(x, y, idx, depth, rng, n_feats, cols) -> TreeNode:
+    """Grow the subtree over rows ``idx`` of ``x`` (repeats allowed),
+    left child before right (the order the forest's feature draws
+    follow). Module-level, not a closure inside fit_tree: a closure that
+    calls itself is a reference cycle, which kept each tree's inputs
+    alive until the cyclic collector ran."""
     y_node = y[idx]
     leaf = TreeNode(value=float(y_node.mean()))
     if depth == 0 or len(idx) < 2 or np.all(y_node == y_node[0]):
@@ -175,7 +269,7 @@ def _grow(x, y, idx, depth, rng, n_feats) -> TreeNode:
         feat_idx = np.sort(rng.choice(d, size=n_feats, replace=False))
     else:
         feat_idx = np.arange(d)
-    found = _best_split(x[idx], y_node, feat_idx)
+    found = _best_split(x, y_node, feat_idx, idx, cols)
     if found is None:
         return leaf
     feature, threshold, split_sse = found
@@ -183,13 +277,13 @@ def _grow(x, y, idx, depth, rng, n_feats) -> TreeNode:
         return leaf
     mask = x[idx, feature] <= threshold
     node = TreeNode(value=leaf.value, feature=feature, threshold=threshold)
-    node.left = _grow(x, y, idx[mask], depth - 1, rng, n_feats)
-    node.right = _grow(x, y, idx[~mask], depth - 1, rng, n_feats)
+    node.left = _grow(x, y, idx[mask], depth - 1, rng, n_feats, cols)
+    node.right = _grow(x, y, idx[~mask], depth - 1, rng, n_feats, cols)
     return node
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int, rng=None, n_feats: Optional[int] = None) -> TreeNode:
-    return _grow(x, y, np.arange(len(y)), max_depth, rng, n_feats)
+    return _grow(x, y, np.arange(len(y)), max_depth, rng, n_feats, _Columns(x))
 
 
 def predict_tree(tree: TreeNode, x_rows: np.ndarray) -> np.ndarray:
@@ -259,9 +353,12 @@ def fit_gbm(x, y, rounds: int = 100, depth: int = 3, shrinkage: float = 0.1) -> 
         raise BadConfig("rounds must be >= 0")
     init = float(y.mean())
     pred = np.full(len(y), init)
+    cols = _Columns(x, cache=True)
+    rows = np.arange(len(y))
     trees = []
     for _ in range(rounds):
-        tree = fit_tree(x, y - pred, depth)
+        tree = _grow(x, y - pred, rows, depth, None, None, cols)
+        cols.next_round()
         trees.append(tree)
         pred += shrinkage * predict_tree(tree, x)
     return GbmModel(init, trees, float(shrinkage))
@@ -297,13 +394,15 @@ def fit_forest(
         raise BadConfig("n_trees must be >= 1")
     d = x.shape[1]
     n_feats = max(1, min(d, math.ceil(feature_frac * d)))
+    cols = _Columns(x)
     trees = []
     seeds = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         seeds.append(t)
+        # a bootstrap sample is the root's row set, repeats and all
         idx = rng.integers(0, len(y), size=len(y)) if bootstrap else np.arange(len(y))
-        trees.append(fit_tree(x[idx], y[idx], max_depth, rng=rng, n_feats=n_feats))
+        trees.append(_grow(x, y, idx, max_depth, rng, n_feats, cols))
     return ForestModel(trees, seeds, float(feature_frac))
 
 
@@ -331,6 +430,24 @@ class StackConfig:
     bootstrap: bool = True
     seed: int = 0
     grid_step: float = 0.05
+
+    def __post_init__(self):
+        for name, low in (("gbm_rounds", 0), ("gbm_depth", 0), ("forest_trees", 1),
+                          ("forest_depth", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise BadConfig(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("ridge_lambda", "gbm_shrinkage", "feature_frac", "grid_step"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise BadConfig(f"{name} must be a finite number, got {value!r}")
+        if self.ridge_lambda < 0:
+            raise BadConfig("ridge lambda must be >= 0")
+        # simplex_grid divides by round(1 / grid_step)
+        if self.grid_step <= 0 or round(1.0 / self.grid_step) < 1:
+            raise BadConfig(f"grid_step must give at least one grid division, got {self.grid_step}")
+        if not isinstance(self.bootstrap, bool):
+            raise BadConfig(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass
@@ -382,8 +499,17 @@ class StackedModel:
                 float(d["ridge"]["lambda"]),
             )
             n_features = int(d["n_features"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise BadJson(f"malformed ensemble model: {exc}") from exc
+        if len(ridge.weights) != n_features:
+            raise BadJson(f"ridge has {len(ridge.weights)} weights for {n_features} features")
+        pending = gbm.trees + forest.trees
+        while pending:
+            node = pending.pop()
+            if not node.is_leaf:
+                if not 0 <= node.feature < n_features:
+                    raise BadJson(f"tree feature {node.feature} outside [0, {n_features})")
+                pending += [node.left, node.right]
         if len(weights) != 3 or any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             raise BadConfig(f"combine_weights must lie on the 3-simplex, got {weights}")
         if ridge.lam < 0:
@@ -493,11 +619,20 @@ def predict_stacked(model: StackedModel, x) -> np.ndarray:
 
 
 def save_ensemble(path, model: StackedModel) -> None:
+    """Write through a temp file in the same directory, renamed over
+    ``path`` once complete, so an interrupted save leaves no partial model."""
     blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<II", ENSEMBLE_VERSION, len(blob)))
-        fh.write(blob)
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(ENSEMBLE_MAGIC)
+            fh.write(struct.pack("<II", ENSEMBLE_VERSION, len(blob)))
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_ensemble(path) -> StackedModel:
@@ -520,6 +655,6 @@ def load_ensemble(path) -> StackedModel:
             raise BadHeader(f"{path}: trailing data after model body")
     try:
         d = json.loads(blob.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadJson(f"{path}: {exc}") from exc
     return StackedModel.from_dict(d)

@@ -213,6 +213,22 @@ class TestEmbedImport:
         assert capsys.readouterr().err.startswith("ERROR MISSING_FEATURE:")
 
 
+def _first_split(ensemble):
+    """The first internal node of an ensemble model's trees, breadth first."""
+    pending = ensemble["gbm"]["trees"] + ensemble["forest"]["trees"]
+    while pending:
+        node = pending.pop(0)
+        if "feature" in node:
+            return node
+        pending += [v for v in node.values() if isinstance(v, dict)]
+    raise AssertionError("the ensemble has no split")
+
+
+# a tree nested deeper than the JSON parser's recursion limit
+_DEEP_TREE = ('{"feature":0,"threshold":0.0,"left":' * 3000 + '{"value":0.0}'
+              + ',"right":{"value":0.0}}' * 3000)
+
+
 class TestErrorMapping:
     def test_unknown_command(self, capsys):
         assert run(["nonsense"]) == 1
@@ -383,6 +399,41 @@ class TestErrorMapping:
             argv = ["embed", "--corpus", str(corpus), "--out", str(out), "--dim", "32"]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda d: _first_split(d).update(feature=99999),
+        lambda d: _first_split(d).update(feature=-1),
+        lambda d: d["ridge"].update(weights=d["ridge"]["weights"][:-1]),
+        lambda d: d["gbm"]["trees"].__setitem__(0, "DEEP"),
+    ], ids=["feature_too_large", "feature_negative", "short_ridge_weights", "deep_tree"])
+    def test_bad_ensemble_model_exit_two(self, pipeline, tmp_path, capsys, rewrite):
+        data = pipeline["stack"].read_bytes()
+        d = json.loads(data[12:])
+        rewrite(d)
+        blob = json.dumps(d, sort_keys=True).replace('"DEEP"', _DEEP_TREE).encode()
+        model, out = tmp_path / "bad.aten", tmp_path / "ens.tsv"
+        model.write_bytes(data[:4] + struct.pack("<II", 1, len(blob)) + blob)
+        assert run(["ensemble", "score", "--model", str(model),
+                    "--scores", f"{pipeline['eval']},{pipeline['eval_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--split", "eval", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
+        assert not out.exists()
+
+    # BadConfig is a usage error: exit 1, as for every other run-config value
+    @pytest.mark.parametrize("section", [
+        {"grid_step": 0}, {"grid_step": 2}, {"gbm_rounds": 2.5}, {"gbm_depth": -1},
+        {"forest_depth": -1},
+    ], ids=["grid_step_0", "grid_step_2", "fractional_rounds", "gbm_depth_neg",
+            "forest_depth_neg"])
+    def test_bad_ensemble_config_exit_one(self, pipeline, tmp_path, capsys, section):
+        config, out = tmp_path / "run.json", tmp_path / "stack.aten"
+        config.write_text(json.dumps({"ensemble": section}))
+        assert run(["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
         assert not out.exists()
 
     def test_unexpected_exception_exit_three(self, pipeline, capsys, monkeypatch):

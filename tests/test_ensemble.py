@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import struct
 
 import numpy as np
@@ -96,6 +97,152 @@ class TestMetaExamples:
         sets = [[Trial("u0", 0.0), Trial("u1", 1.0)]]
         with pytest.raises(MissingEmbedding):
             es.build_meta_examples(sets, {"u0": _embedding("u0", [0.0])}, entries)
+
+
+def _float_best_split(x_node, y_node, feat_idx):
+    """The float-argsort split search the rank-based one replaced: the
+    reference its splits and bytes must equal."""
+    n = len(y_node)
+    xf = x_node[:, feat_idx]
+    order = np.argsort(xf, axis=0, kind="stable")
+    xs = np.take_along_axis(xf, order, axis=0)
+    ys = y_node[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    left_sum, left_sq = csum[:-1], csq[:-1]
+    right_sum = csum[-1] - left_sum
+    right_sq = csq[-1] - left_sq
+    sse = (left_sq - left_sum**2 / left_n) + (right_sq - right_sum**2 / right_n)
+    sse = np.where(xs[:-1] < xs[1:], sse, np.inf)
+    pos = np.argmin(sse, axis=0)
+    per_feat = sse[pos, np.arange(len(feat_idx))]
+    best = int(np.argmin(per_feat))
+    if not np.isfinite(per_feat[best]):
+        return None
+    row = pos[best]
+    threshold = (xs[row, best] + xs[row + 1, best]) / 2.0
+    return int(feat_idx[best]), float(threshold), float(per_feat[best])
+
+
+def _float_grow(x, y, idx, depth, rng, n_feats):
+    y_node = y[idx]
+    leaf = es.TreeNode(value=float(y_node.mean()))
+    if depth == 0 or len(idx) < 2 or np.all(y_node == y_node[0]):
+        return leaf
+    d = x.shape[1]
+    if rng is not None and n_feats is not None and n_feats < d:
+        feat_idx = np.sort(rng.choice(d, size=n_feats, replace=False))
+    else:
+        feat_idx = np.arange(d)
+    found = _float_best_split(x[idx], y_node, feat_idx)
+    if found is None:
+        return leaf
+    feature, threshold, split_sse = found
+    if split_sse >= es._node_sse(y_node) - 1e-12:
+        return leaf
+    mask = x[idx, feature] <= threshold
+    node = es.TreeNode(value=leaf.value, feature=feature, threshold=threshold)
+    node.left = _float_grow(x, y, idx[mask], depth - 1, rng, n_feats)
+    node.right = _float_grow(x, y, idx[~mask], depth - 1, rng, n_feats)
+    return node
+
+
+def _float_trees(x, y, kind, **kw):
+    """fit_tree / fit_gbm / fit_forest trees as the float search grows them."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if kind == "tree":
+        return [_float_grow(x, y, np.arange(len(y)), kw["max_depth"], None, None)]
+    if kind == "gbm":
+        pred = np.full(len(y), float(y.mean()))
+        trees = []
+        for _ in range(kw["rounds"]):
+            trees.append(_float_grow(x, y - pred, np.arange(len(y)), kw["depth"], None, None))
+            pred += kw["shrinkage"] * es.predict_tree(trees[-1], x)
+        return trees
+    d = x.shape[1]
+    n_feats = max(1, min(d, math.ceil(kw["feature_frac"] * d)))
+    trees = []
+    for t in range(kw["n_trees"]):
+        rng = np.random.default_rng([kw["seed"], t])
+        idx = rng.integers(0, len(y), size=len(y))
+        trees.append(_float_grow(x[idx], y[idx], np.arange(len(y)), kw["max_depth"], rng, n_feats))
+    return trees
+
+
+def _hostile_xy(n, d, seed):
+    """Heavy ties, -0.0 beside 0.0, both infinities and NaN in x."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, d)), 1)
+    for value, share in ((0.0, 0.1), (-0.0, 0.1), (np.inf, 0.03), (-np.inf, 0.03), (np.nan, 0.05)):
+        x[rng.random(size=(n, d)) < share] = value
+    x[:, 0] = np.round(rng.normal(size=n))  # a few distinct values only
+    x[:, 1] = rng.permutation(n) / 4.0  # all distinct: the rank n - 1 occurs
+    return x, np.round(rng.normal(size=n), 2)
+
+
+def _as_json(trees):
+    # json spells NaN thresholds and leaves, which == would not match
+    return json.dumps([t.to_dict() for t in trees], sort_keys=True)
+
+
+# a boundary into +inf has threshold +inf, so its right child is empty
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+class TestRankSearchMatchesFloatSearch:
+    @pytest.mark.parametrize("n", [2, 40, 256, 300])
+    def test_ranks_order_like_values(self, n):
+        x, _ = _hostile_xy(n, 6, seed=n)
+        ranks, nan_rank = es._rank_columns(x)
+        assert ranks.dtype == (np.uint8 if n <= 256 else np.uint16)
+        for j in range(x.shape[1]):
+            order = np.argsort(x[:, j], kind="stable")
+            assert np.array_equal(np.argsort(ranks[:, j], kind="stable"), order)
+            xs, rs = x[order, j], ranks[order, j]
+            steps_up = (xs[:-1] < xs[1:]) | np.isnan(xs[1:]) & ~np.isnan(xs[:-1])
+            assert np.array_equal(rs[:-1] < rs[1:], steps_up)
+            nan_rows = np.isnan(x[:, j])
+            if nan_rank is None:
+                assert not nan_rows.any()
+                continue
+            assert set(ranks[nan_rows, j]) == ({nan_rank[j]} if nan_rows.any() else set())
+            assert nan_rank[j] not in ranks[~nan_rows, j]
+
+    @pytest.mark.parametrize("n", [40, 256, 300])
+    @pytest.mark.parametrize("depth", [1, 3, 8])
+    def test_fit_tree(self, n, depth):
+        x, y = _hostile_xy(n, 6, seed=depth)
+        got = es.fit_tree(x, y, depth)
+        assert _as_json([got]) == _as_json(_float_trees(x, y, "tree", max_depth=depth))
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_fit_gbm(self, n):
+        x, y = _hostile_xy(n, 5, seed=n + 1)
+        kw = dict(rounds=12, depth=4, shrinkage=0.3)
+        got = es.fit_gbm(x, y, **kw)
+        assert _as_json(got.trees) == _as_json(_float_trees(x, y, "gbm", **kw))
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_fit_forest(self, n):
+        x, y = _hostile_xy(n, 9, seed=n + 2)
+        kw = dict(n_trees=6, max_depth=5, feature_frac=0.4, seed=7)
+        got = es.fit_forest(x, y, **kw)
+        assert _as_json(got.trees) == _as_json(_float_trees(x, y, "forest", **kw))
+
+    def test_equal_sse_goes_to_first_feature_and_boundary(self):
+        # boundaries 0|123 and 012|3 tie exactly, in both (identical) columns
+        x = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        found = es._best_split(x, y, np.arange(2))
+        assert found == _float_best_split(x, y, np.arange(2))
+        assert found[:2] == (0, 0.5)
+
+    def test_best_split_on_all_rows_matches(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            x, y = _hostile_xy(int(rng.integers(2, 30)), 4, seed=int(rng.integers(1 << 30)))
+            feat_idx = np.sort(rng.choice(4, size=int(rng.integers(1, 5)), replace=False))
+            assert repr(es._best_split(x, y, feat_idx)) == repr(_float_best_split(x, y, feat_idx))
 
 
 class TestTrees:
@@ -305,6 +452,34 @@ class TestGbm:
             pred += m.shrinkage * es.predict_tree(tree, x)
         assert np.array_equal(es.predict_gbm(m, x), pred)
 
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    def test_sort_cache_bounded_by_tree_shape(self, monkeypatch, depth):
+        sizes, searches, sorts = [], [], []
+        next_round, sorted_rows, sort = (
+            es._Columns.next_round, es._Columns.sorted_rows, es._Columns._sort)
+
+        def spy_next_round(cols):
+            sizes.append(len(cols.current) + len(cols.previous))
+            next_round(cols)
+
+        def spy_sorted_rows(cols, idx, feat_idx):
+            searches.append(idx)
+            return sorted_rows(cols, idx, feat_idx)
+
+        def spy_sort(cols, idx, feat_idx):
+            sorts.append(idx)
+            return sort(cols, idx, feat_idx)
+
+        monkeypatch.setattr(es._Columns, "next_round", spy_next_round)
+        monkeypatch.setattr(es._Columns, "sorted_rows", spy_sorted_rows)
+        monkeypatch.setattr(es._Columns, "_sort", spy_sort)
+        rng = np.random.default_rng(depth)
+        x, y = rng.normal(size=(80, 4)), rng.normal(size=80)
+        es.fit_gbm(x, y, rounds=60, depth=depth, shrinkage=0.5)
+        assert len(sizes) == 60
+        assert max(sizes) <= 2 * (2**depth - 1)
+        assert len(sorts) <= len(searches) - 59  # the root, at least, is sorted once
+
     def test_negative_rounds_rejected(self):
         with pytest.raises(BadConfig):
             es.fit_gbm(np.ones((3, 1)), np.ones(3), rounds=-1)
@@ -355,6 +530,28 @@ class TestForest:
     def test_zero_trees_rejected(self):
         with pytest.raises(BadConfig):
             es.fit_forest(np.ones((4, 1)), np.ones(4), n_trees=0)
+
+
+class TestStackConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("grid_step", 0), ("grid_step", 2), ("grid_step", -0.1), ("grid_step", float("nan")),
+        ("grid_step", "0.1"), ("gbm_rounds", 2.5), ("gbm_rounds", -1), ("gbm_depth", -1),
+        ("gbm_depth", 1.5), ("forest_depth", -1), ("forest_trees", 0), ("seed", -1),
+        ("ridge_lambda", -1.0), ("gbm_shrinkage", float("inf")), ("feature_frac", None),
+        ("bootstrap", "yes"),
+    ])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(BadConfig):
+            es.StackConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid_step", 1.5), ("grid_step", 1), ("grid_step", 0.3), ("gbm_rounds", 0),
+        ("gbm_depth", 0), ("forest_depth", np.int64(2)), ("feature_frac", 1e-9),
+        ("feature_frac", 0.0), ("feature_frac", 4.0), ("ridge_lambda", 0), ("seed", 2**70),
+        ("gbm_shrinkage", -0.1),
+    ])
+    def test_edge_values_stay_valid(self, field, value):
+        assert getattr(es.StackConfig(**{field: value}), field) == value
 
 
 class TestCombineWeights:
@@ -504,6 +701,25 @@ class TestEnsembleFile:
         es.save_ensemble(p1, model)
         es.save_ensemble(p2, es.load_ensemble(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_leaves_only_the_model(self, tmp_path):
+        es.save_ensemble(tmp_path / "m.aten", self._model())
+        es.save_ensemble(str(tmp_path / "m.aten"), self._model(seed=1))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.aten"]
+
+    def test_failed_save_keeps_old_model_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.aten"
+        es.save_ensemble(path, self._model())
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(es.os, "replace", fail)
+        with pytest.raises(OSError):
+            es.save_ensemble(path, self._model(seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.aten"]
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         model = self._model(seed=2)
