@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform, _hann_periodic, write_wav
+from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
 from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind, read_text
 from .protocol import ProtocolEntry, write_protocol
 from .text import CaptionSet, write_captions
@@ -33,8 +34,6 @@ GENERATOR_KINDS = (
     "fake_hum_phase",
     "fake_blackbox",
 )
-
-_INT16_SCALE = 32768.0
 
 # per event type: frequency band (Hz), chirp slope span (Hz/s),
 # amplitude-modulation rate range (Hz; 0 = steady)
@@ -124,7 +123,9 @@ DEFAULT_FAKE_GENERATORS = (
 
 def _quantize_pcm16(x: np.ndarray) -> np.ndarray:
     """Snap to the 16-bit grid so written WAVs reload bit-exactly."""
-    return np.clip(np.rint(x * _INT16_SCALE), -32768, 32767) / _INT16_SCALE
+    y = _pcm16_grid(x)
+    y /= _INT16_SCALE
+    return y
 
 
 def _pink_bed(rng, n: int, sample_rate: int) -> np.ndarray:
@@ -187,24 +188,28 @@ _SMEAR_NFFT = 1024
 
 def _windowed_frames(x: np.ndarray, n_fft: int):
     hop = n_fft // 2
-    xp = np.concatenate([np.zeros(n_fft), x, np.zeros(n_fft)])
-    n_frames = 1 + math.ceil((len(xp) - n_fft) / hop)
-    total = n_fft + (n_frames - 1) * hop
-    xp = np.concatenate([xp, np.zeros(total - len(xp))])
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+    n_frames = 1 + math.ceil((len(x) + n_fft) / hop)
+    xp = np.zeros(n_fft + (n_frames - 1) * hop)
+    xp[n_fft : n_fft + len(x)] = x
     window = _hann_periodic(n_fft)
-    return xp[idx] * window, window, hop
+    return sliding_window_view(xp, n_fft)[::hop] * window, window, hop
 
 
 def _overlap_add(frames: np.ndarray, weight: np.ndarray, hop: int, n_fft: int, orig_len: int):
-    total = n_fft + (len(frames) - 1) * hop
-    out = np.zeros(total)
-    den = np.zeros(total)
-    for k in range(len(frames)):
-        out[k * hop : k * hop + n_fft] += frames[k]
-        den[k * hop : k * hop + n_fft] += weight
+    """Weighted overlap-add of frames that overlap by half.
+
+    Needs ``hop == n_fft // 2``: each hop-long output block then sums at
+    most two terms, the back half of one frame and the front half of the
+    next, so two half-frame adds give a per-frame loop's result to the bit.
+    """
+    out = np.zeros((len(frames) + 1, hop))
+    den = np.zeros((len(frames) + 1, hop))
+    out[:-1] += frames[:, :hop]
+    out[1:] += frames[:, hop:]
+    den[:-1] += weight[:hop]
+    den[1:] += weight[hop:]
     out /= np.maximum(den, 1e-12)
-    return out[n_fft : n_fft + orig_len]
+    return out.reshape(-1)[n_fft : n_fft + orig_len]
 
 
 def _frame_smear(x: np.ndarray, smear: float, n_fft: int = _SMEAR_NFFT) -> np.ndarray:

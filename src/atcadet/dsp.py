@@ -7,11 +7,13 @@ read from a small binary container.
 
 from __future__ import annotations
 
+import functools
 import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadHeader,
@@ -154,9 +156,16 @@ def load_wav(path) -> Waveform:
     return Waveform(ints.astype(np.float64) / _INT16_SCALE, sample_rate)
 
 
+def _pcm16_grid(samples: np.ndarray) -> np.ndarray:
+    """Samples in int16 units, rounded and clipped, as a new float array."""
+    y = samples * _INT16_SCALE
+    np.rint(y, out=y)
+    return np.clip(y, -32768, 32767, out=y)
+
+
 def write_wav(path, wave: Waveform) -> None:
     """Write 16-bit PCM mono; samples are clipped and rounded to int16."""
-    ints = np.clip(np.rint(wave.samples * _INT16_SCALE), -32768, 32767).astype("<i2")
+    ints = _pcm16_grid(wave.samples).astype("<i2")
     payload = ints.tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -191,10 +200,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax: float) -> np.ndarray:
     """Triangular mel filters over FFT bins, each normalized to unit sum.
 
-    Returns an (n_mels, n_fft//2 + 1) matrix.
+    Returns an (n_mels, n_fft//2 + 1) matrix, cached and read-only.
     """
     n_bins = n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * (sample_rate / n_fft)
@@ -208,15 +218,15 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float, fmax:
         total = tri.sum()
         if total > 0:
             filters[m] = tri / total
+    filters.flags.writeable = False
     return filters
 
 
+@functools.lru_cache(maxsize=16)
 def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def frame_count(n_samples: int, n_fft: int, hop: int) -> int:
-    return 1 + (n_samples - n_fft) // hop
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
 
 
 def stft_power(wave: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
@@ -224,11 +234,9 @@ def stft_power(wave: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     n = len(wave.samples)
     if n < cfg.n_fft:
         raise TooShort(f"need at least {cfg.n_fft} samples, got {n}")
-    t_frames = frame_count(n, cfg.n_fft, cfg.hop)
     window = _hann_periodic(cfg.n_fft)
-    starts = np.arange(t_frames) * cfg.hop
-    frames = wave.samples[starts[:, None] + np.arange(cfg.n_fft)] * window
-    spectrum = np.fft.rfft(frames, axis=1)
+    # unnamed, the windowed frames are freed before |spectrum| is allocated
+    spectrum = np.fft.rfft(sliding_window_view(wave.samples, cfg.n_fft)[:: cfg.hop] * window, axis=1)
     return np.abs(spectrum) ** 2
 
 

@@ -503,6 +503,8 @@ class StackedModel:
             raise BadJson(f"malformed ensemble model: {exc}") from exc
         if len(ridge.weights) != n_features:
             raise BadJson(f"ridge has {len(ridge.weights)} weights for {n_features} features")
+        if not forest.trees:
+            raise BadJson("forest holds no trees")
         pending = gbm.trees + forest.trees
         while pending:
             node = pending.pop()

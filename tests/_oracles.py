@@ -206,3 +206,75 @@ def simplex_bruteforce_oracle(preds, y, step=0.05):
         if m <= band:
             return w
     raise AssertionError("unreachable")
+
+
+# ---------------------------------------------------------------------------
+# Reference framing, overlap-add and mel bank: the index-gather, per-frame
+# loop and per-filter loop forms the strided and cached versions replace.
+# They must agree to the byte.
+
+
+def hann_periodic_ref(n):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def windowed_frames_ref(x, n_fft):
+    hop = n_fft // 2
+    xp = np.concatenate([np.zeros(n_fft), x, np.zeros(n_fft)])
+    n_frames = 1 + math.ceil((len(xp) - n_fft) / hop)
+    total = n_fft + (n_frames - 1) * hop
+    xp = np.concatenate([xp, np.zeros(total - len(xp))])
+    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+    window = hann_periodic_ref(n_fft)
+    return xp[idx] * window, window, hop
+
+
+def overlap_add_ref(frames, weight, hop, n_fft, orig_len):
+    total = n_fft + (len(frames) - 1) * hop
+    out = np.zeros(total)
+    den = np.zeros(total)
+    for k in range(len(frames)):
+        out[k * hop : k * hop + n_fft] += frames[k]
+        den[k * hop : k * hop + n_fft] += weight
+    out /= np.maximum(den, 1e-12)
+    return out[n_fft : n_fft + orig_len]
+
+
+def pcm16_grid_ref(samples):
+    return np.clip(np.rint(samples * 32768.0), -32768, 32767)
+
+
+def quantize_pcm16_ref(x):
+    return pcm16_grid_ref(x) / 32768.0
+
+
+def stft_power_ref(wave, cfg):
+    n = len(wave.samples)
+    t_frames = 1 + (n - cfg.n_fft) // cfg.hop
+    window = hann_periodic_ref(cfg.n_fft)
+    starts = np.arange(t_frames) * cfg.hop
+    frames = wave.samples[starts[:, None] + np.arange(cfg.n_fft)] * window
+    spectrum = np.fft.rfft(frames, axis=1)
+    return np.abs(spectrum) ** 2
+
+
+def mel_filterbank_ref(sample_rate, n_fft, n_mels, fmin, fmax):
+    def hz_to_mel(f):
+        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+    def mel_to_hz(m):
+        return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+
+    n_bins = n_fft // 2 + 1
+    bin_hz = np.arange(n_bins) * (sample_rate / n_fft)
+    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    filters = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
+        lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
+        up = (bin_hz - lo) / (mid - lo)
+        down = (hi - bin_hz) / (hi - mid)
+        tri = np.maximum(0.0, np.minimum(up, down))
+        total = tri.sum()
+        if total > 0:
+            filters[m] = tri / total
+    return filters

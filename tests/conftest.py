@@ -1,11 +1,25 @@
-"""Shared pytest wiring: the acceptance-criteria summary block.
+"""Shared pytest wiring: the acceptance-criteria summary block and the
+Hypothesis profile.
 
 Tests marked ``@pytest.mark.acceptance(num, title)`` are collected into a
 final terminal section with one PASS/FAIL line per criterion, so the
 deliverable checks can be read off the bottom of any full run.
+
+The default Hypothesis profile draws the same examples on every run and
+keeps no example database, so two runs test the same inputs. Hypothesis
+still caches the literals it reads from source files; that cache goes to
+a temporary directory removed after the run, so no ``.hypothesis/``
+directory is left behind.
 """
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import configuration, settings
+
+settings.register_profile("atcadet", derandomize=True, database=None)
+settings.load_profile("atcadet")
 
 _ACCEPTANCE = {}
 
@@ -15,6 +29,13 @@ def pytest_configure(config):
         "markers",
         "acceptance(num, title): one deliverable acceptance criterion",
     )
+    config.hypothesis_home = tempfile.mkdtemp(prefix="atcadet-hypothesis-")
+    configuration.set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 def pytest_collection_modifyitems(items):

@@ -406,7 +406,9 @@ class TestErrorMapping:
         lambda d: _first_split(d).update(feature=-1),
         lambda d: d["ridge"].update(weights=d["ridge"]["weights"][:-1]),
         lambda d: d["gbm"]["trees"].__setitem__(0, "DEEP"),
-    ], ids=["feature_too_large", "feature_negative", "short_ridge_weights", "deep_tree"])
+        lambda d: d["forest"].update(trees=[], seeds=[]),
+    ], ids=["feature_too_large", "feature_negative", "short_ridge_weights", "deep_tree",
+            "empty_forest"])
     def test_bad_ensemble_model_exit_two(self, pipeline, tmp_path, capsys, rewrite):
         data = pipeline["stack"].read_bytes()
         d = json.loads(data[12:])

@@ -781,3 +781,16 @@ class TestEnsembleFile:
         bad.write_bytes(b"ATEN" + struct.pack("<II", 1, len(blob)) + blob)
         with pytest.raises(BadConfig):
             es.load_ensemble(bad)
+
+    def test_empty_forest_rejected_at_load(self, tmp_path):
+        good = tmp_path / "good.aten"
+        es.save_ensemble(good, self._model())
+        d = json.loads(good.read_bytes()[12:].decode())
+        d["forest"].update(trees=[], seeds=[])
+        with pytest.raises(BadJson, match="forest holds no trees"):
+            es.StackedModel.from_dict(d)
+        blob = json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "bad.aten"
+        bad.write_bytes(b"ATEN" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(BadJson):
+            es.load_ensemble(bad)
