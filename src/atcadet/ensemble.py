@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +30,7 @@ from .errors import (
     TooFewExamples,
     TruncatedFile,
     WrongKind,
+    atomic_write,
 )
 from .text import pool_text_vector
 
@@ -621,20 +621,11 @@ def predict_stacked(model: StackedModel, x) -> np.ndarray:
 
 
 def save_ensemble(path, model: StackedModel) -> None:
-    """Write through a temp file in the same directory, renamed over
-    ``path`` once complete, so an interrupted save leaves no partial model."""
     blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(ENSEMBLE_MAGIC)
-            fh.write(struct.pack("<II", ENSEMBLE_VERSION, len(blob)))
-            fh.write(blob)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as fh:
+        fh.write(ENSEMBLE_MAGIC)
+        fh.write(struct.pack("<II", ENSEMBLE_VERSION, len(blob)))
+        fh.write(blob)
 
 
 def load_ensemble(path) -> StackedModel:

@@ -7,6 +7,9 @@ anything else escaping to the CLI is treated as an internal invariant
 violation (exit code 3).
 """
 
+import os
+from contextlib import contextmanager
+
 
 def read_text(path, error) -> str:
     """The whole of a UTF-8 text file, newlines normalized as text-mode
@@ -16,6 +19,22 @@ def read_text(path, error) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from exc
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """A file object on a temp file next to ``path``, renamed over ``path``
+    once the block ends without error. A write that fails or is cut off
+    leaves the old file, or none, and no temp file. Text mode is UTF-8."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class AtcadetError(Exception):

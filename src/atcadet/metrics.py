@@ -21,6 +21,7 @@ from .errors import (
     NonFinite,
     OneClassOnly,
     UnknownUtt,
+    atomic_write,
     read_text,
 )
 from .protocol import LABELS
@@ -92,7 +93,7 @@ def compute_eer(trials) -> EerResult:
 
 
 def write_scores(path, trials) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         for t in trials:
             fh.write(f"{t.utt_id}\t{t.score:.6f}\n")
 

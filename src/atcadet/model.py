@@ -11,9 +11,9 @@ frame count. The encoder and cross-attention of the whole batch are one
 tape op: it loops over the samples in plain numpy, scores every head at
 once as a (heads, rows, d_k) view of column blocks, and writes its rows
 time-major, ready for the GRU. ``cross_attention`` is the one-sample
-case of the same kernel. Each GRU layer is one more tape op over all
-timesteps: the input projection for every frame is a single matmul,
-only the hidden-to-hidden products stay in the time loop. Both ops
+case of the same kernel. The whole GRU stack is one more tape op, run
+as a layer wavefront: one time loop of T + L - 1 iterations in which
+each matmul and elementwise op serves every layer at once. Both ops
 carry hand-written backward passes.
 """
 
@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
     WrongKind,
+    atomic_write,
 )
 from .text import TextEmbedding
 
@@ -301,7 +302,7 @@ def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals
 def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Encoder and cross-attention of a batch of same-length utterances as
     one tape op. Returns the attended rows time-major, (T*B, d_model):
-    row ``t*B + b`` is frame t of sample b, the layout ``_gru_layer`` reads.
+    row ``t*B + b`` is frame t of sample b, the layout ``_run_gru`` reads.
 
     Samples run one at a time, which keeps their arrays small; the
     backward sums the six weight gradients over them. Texts are data: no
@@ -341,76 +342,107 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     return ad._result(out.reshape(steps * len(xs), cfg.d_model), tensors, bwd)
 
 
-def _gru_layer(params: AtcaParams, layer: int, x: Tensor, batch: int, h0) -> Tensor:
-    """One GRU layer over time-major rows ``x`` (T*batch, d_in) as a single
-    tape op; returns every hidden state, time-major, as (T*batch, H).
+def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
+    """The whole GRU stack over time-major rows ``x`` (T*batch, d_model) as
+    one tape op with a hand-written backward pass through time; returns the
+    last layer's final hidden states as (batch, gru_hidden). ``collect``,
+    when given, receives each layer's (T*batch, H) states.
 
-    The input projection ``x @ [Wz|Wr|Wh] + [bz|br|bh]`` runs once for all
-    timesteps; only ``h @ [Uz|Ur]`` and ``(r*h) @ Uh`` stay in the
-    recurrence. The gates, candidates and states are kept for a
-    hand-written backward pass through time.
+    The layers run as a wavefront (Appleyard et al. 2016): at iteration k
+    layer l does step k - l, so T + L - 1 iterations cover L layers and each
+    op runs once per iteration for all of them. ``ext[k]`` holds the state
+    ``[h_0; ...; h_{L-1}; x_k; 1]`` iteration k reads, one column per
+    sample. One product with ``e`` gives every layer's z and r
+    pre-activations and the candidate's input term: U in the diagonal
+    blocks, layer l's W fed from h_{l-1} (layer 0's from x), the biases
+    from the ones row. The block-diagonal ``uh`` gives the candidate's
+    recurrent term. Layers that have not started are reset to the initial
+    state; the steps past the end are computed, but nothing reads them and
+    their gradient is zero. Feature-major blocks keep every per-iteration
+    slice contiguous, and the backward sweep adds each iteration's share of
+    the weight and input gradients from those blocks, so it needs no
+    whole-run copies.
     """
-    tensors = [params[f"gru{layer}_{kind}{gate}"] for gate in "zrh" for kind in "WUb"]
-    wz, uz, bz, wr, ur, br, wh, uh, bh = (t.values for t in tensors)
-    hid = uz.shape[0]
-    if x.values.ndim != 2 or x.values.shape[1] != wz.shape[0]:
-        raise ShapeMismatch(f"GRU layer {layer} input has shape {x.values.shape}, wants {wz.shape[0]} columns")
+    cfg = params.config
+    n_layers, hid, d_in = cfg.gru_layers, cfg.gru_hidden, cfg.d_model
+    lh = n_layers * hid
+    if x.values.ndim != 2 or x.values.shape[1] != d_in:
+        raise ShapeMismatch(f"GRU input has shape {x.values.shape}, wants {d_in} columns")
     steps = x.values.shape[0] // batch
-    w = np.concatenate([wz, wr, wh], axis=1)
-    u = np.concatenate([uz, ur], axis=1)
-    proj = (x.values @ w + np.concatenate([bz, br, bh], axis=1)).reshape(steps, batch, 3 * hid)
-    states = np.empty((steps + 1, batch, hid))
-    states[0] = 0.0 if h0 is None else h0
-    gates = np.empty((steps, batch, 2 * hid))  # [z | r]
-    cand = np.empty((steps, batch, hid))
-    for t in range(steps):
-        h = states[t]
-        gates[t] = ad.sigmoid_values(proj[t, :, : 2 * hid] + h @ u)
-        z, r = gates[t, :, :hid], gates[t, :, hid:]
-        cand[t] = np.tanh(proj[t, :, 2 * hid :] + (r * h) @ uh)
-        states[t + 1] = z * h + (1.0 - z) * cand[t]
+    iters = steps + n_layers - 1
+    tensors = [params[f"gru{layer}_{kind}{gate}"] for layer in range(n_layers) for gate in "zrh" for kind in "WUb"]
+    # feature-major: every block below holds one column per sample
+    e, uh = np.zeros((3 * lh, lh + d_in + 1)), np.zeros((lh, lh))
+    blocks = []  # per layer: the state rows it reads as input and as its own h, its [z|r|n] rows of e
+    for layer in range(n_layers):
+        wz, uz, bz, wr, ur, br, wh, uh_l, bh = (t.values for t in tensors[9 * layer : 9 * layer + 9])
+        own = slice(layer * hid, (layer + 1) * hid)
+        src = slice(lh, lh + d_in) if layer == 0 else slice(own.start - hid, own.start)
+        rows = (np.arange(3)[:, None] * lh + np.arange(own.start, own.stop)).ravel()
+        e[rows, src] = np.concatenate([wz, wr, wh], axis=1).T
+        e[rows[: 2 * hid], own] = np.concatenate([uz, ur], axis=1).T
+        e[rows, -1] = np.concatenate([bz, br, bh], axis=1)[0]
+        uh[own, own] = uh_l.T
+        blocks.append((src, own, rows))
+    init = np.zeros((n_layers, hid, batch))
+    if h0 is not None:
+        init[:] = np.broadcast_to(h0, (batch, hid)).T
+    init = init.reshape(lh, batch)
+    ext = np.empty((iters + 1, lh + d_in + 1, batch))
+    ext[0, :lh] = init
+    ext[:steps, lh:-1] = x.values.reshape(steps, batch, d_in).transpose(0, 2, 1)
+    ext[steps:, lh:-1] = 0.0
+    ext[:, -1] = 1.0
+    gates = np.empty((iters, 2 * lh, batch))  # [z | r]
+    cand = np.empty((iters, lh, batch))
+    for k in range(iters):
+        h = ext[k, :lh]
+        pre = e @ ext[k]
+        gates[k] = ad.sigmoid_values(pre[: 2 * lh])
+        z, r = gates[k, :lh], gates[k, lh:]
+        np.tanh(pre[2 * lh :] + uh @ (r * h), out=cand[k])
+        np.add(z * h, (1.0 - z) * cand[k], out=ext[k + 1, :lh])
+        if k < n_layers - 1:  # the layers above k have not started
+            ext[k + 1, (k + 1) * hid : lh] = init[(k + 1) * hid :]
 
     def bwd(g, get_buf):
         g = g.reshape(steps, batch, hid)
-        h_prev = states[:-1]
-        z, r = gates[..., :hid], gates[..., hid:]
-        # the factors of the chain rule that do not depend on dh, all steps at once
-        dn_dh = (1.0 - z) * (1.0 - cand * cand)
-        dz_dh = (h_prev - cand) * z * (1.0 - z)
-        dr_drh = h_prev * r * (1.0 - r)
-        d_proj = np.empty((steps, batch, 3 * hid))
-        dh = np.zeros((batch, hid))
-        for t in range(steps - 1, -1, -1):
-            dh = dh + g[t]
-            dn = np.multiply(dh, dn_dh[t], out=d_proj[t, :, 2 * hid :])
-            drh = dn @ uh.T
-            dzr = d_proj[t, :, : 2 * hid]
-            np.multiply(dh, dz_dh[t], out=dzr[:, :hid])
-            np.multiply(drh, dr_drh[t], out=dzr[:, hid:])
-            dh = dh * z[t] + drh * r[t] + dzr @ u.T
-        flat = d_proj.reshape(steps * batch, 3 * hid)
         gx = get_buf(x)
-        if gx is not None:
-            gx += flat @ w.T
-        dwz, dwr, dwh = np.split(x.values.T @ flat, 3, axis=1)
-        duz, dur = np.split(h_prev.reshape(steps * batch, hid).T @ flat[:, : 2 * hid], 2, axis=1)
-        duh = (r * h_prev).reshape(steps * batch, hid).T @ flat[:, 2 * hid :]
-        dbz, dbr, dbh = np.split(flat.sum(axis=0, keepdims=True), 3, axis=1)
-        _accumulate(get_buf, tensors, (dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh))
+        de, duh = np.zeros_like(e), np.zeros_like(uh)
+        d_pre = np.empty((3 * lh, batch))
+        dh = np.zeros((lh, batch))
+        for k in range(iters - 1, -1, -1):
+            if k >= n_layers - 1:
+                dh[lh - hid :] += g[k - n_layers + 1].T
+            else:  # the layers above k were reset after this iteration
+                dh[(k + 1) * hid :] = 0.0
+            z, r, h, c = gates[k, :lh], gates[k, lh:], ext[k, :lh], cand[k]
+            rh = h * r
+            one_minus_z = 1.0 - z
+            dn = np.multiply(dh, one_minus_z * (1.0 - c * c), out=d_pre[2 * lh :])
+            drh = uh.T @ dn
+            np.multiply(dh, (h - c) * z * one_minus_z, out=d_pre[:lh])
+            np.multiply(drh, rh * (1.0 - r), out=d_pre[lh : 2 * lh])
+            dh = dh * z + drh * r + e[:, :lh].T @ d_pre
+            de += d_pre @ ext[k].T
+            duh += dn @ rh.T
+            if gx is not None and k < steps:
+                gx[k * batch : (k + 1) * batch] += d_pre.T @ e[:, lh:-1]
+        grads = []
+        for src, own, rows in blocks:
+            dwz, dwr, dwh = np.split(de[rows, src].T, 3, axis=1)
+            duz, dur = np.split(de[rows[: 2 * hid], own].T, 2, axis=1)
+            dbz, dbr, dbh = np.split(de[rows, -1:].T, 3, axis=1)
+            grads += [dwz, duz, dbz, dwr, dur, dbr, dwh, duh[own, own].T, dbh]
+        _accumulate(get_buf, tensors, grads)
 
-    return ad._result(states[1:].reshape(steps * batch, hid), (x, *tensors), bwd)
+    def time_major(lo, layer):
+        return ext[lo : lo + steps, layer * hid : (layer + 1) * hid].transpose(0, 2, 1).reshape(steps * batch, hid)
 
-
-def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
-    """Chain the layer ops over time-major rows; returns the last layer's
-    final hidden states as (batch, gru_hidden). ``collect``, when given,
-    receives each layer's (T*batch, H) states."""
-    for layer in range(params.config.gru_layers):
-        x = _gru_layer(params, layer, x, batch, h0)
-        if collect is not None:
-            collect.append(x.values)
-    rows = x.values.shape[0]
-    return ad.slice_rows(x, rows - batch, rows)
+    out = ad._result(time_major(n_layers, n_layers - 1), (x, *tensors), bwd)
+    if collect is not None:
+        collect.extend(time_major(layer + 1, layer) for layer in range(n_layers))
+    return ad.slice_rows(out, (steps - 1) * batch, steps * batch)
 
 
 def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = False):
@@ -431,9 +463,10 @@ def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Batched pass over same-length utterances; returns (B, 2) logits.
 
     The encoder and cross-attention of the whole batch are one tape op
-    (``_front``) that writes its rows time-major; each GRU layer is one
-    more (``_gru_layer``), and the head reads the last layer's final
-    states. A step records the same few tape nodes at any B and T.
+    (``_front``) that writes its rows time-major; the whole GRU stack is
+    one more (``_run_gru``), and the head reads the last layer's final
+    states. A step records the same six tape nodes at any B, T and
+    number of GRU layers.
     """
     if len(specs) == 0:
         raise ShapeMismatch("empty batch")
@@ -457,7 +490,7 @@ def scores_from_logits(logits_matrix: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(path, params: AtcaParams) -> None:
     blob = params.config.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)

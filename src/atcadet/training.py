@@ -26,6 +26,7 @@ from .errors import (
     EmptySplit,
     MissingEmbedding,
     MissingFeature,
+    atomic_write,
 )
 from .metrics import Trial, compute_eer
 from .protocol import filter_split
@@ -101,7 +102,7 @@ class TrainReport:
 
 
 def write_report(path, report: TrainReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from atcadet import autodiff as ad
 from atcadet.autodiff import Tensor
 
 
@@ -278,3 +279,73 @@ def mel_filterbank_ref(sample_rate, n_fft, n_mels, fmin, fmax):
         if total > 0:
             filters[m] = tri / total
     return filters
+
+
+# ---------------------------------------------------------------------------
+# Reference GRU stack: one tape op per layer, each with its own time loop and
+# input projection, chained layer after layer. The wavefront op that runs the
+# whole stack in one loop must agree with it to rounding.
+
+
+def gru_layer_ref(params, layer, x, batch, h0):
+    """One GRU layer over time-major rows ``x`` (T*batch, d_in) as a single
+    tape op; returns every hidden state, time-major, as (T*batch, H)."""
+    tensors = [params[f"gru{layer}_{kind}{gate}"] for gate in "zrh" for kind in "WUb"]
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (t.values for t in tensors)
+    hid = uz.shape[0]
+    steps = x.values.shape[0] // batch
+    w = np.concatenate([wz, wr, wh], axis=1)
+    u = np.concatenate([uz, ur], axis=1)
+    proj = (x.values @ w + np.concatenate([bz, br, bh], axis=1)).reshape(steps, batch, 3 * hid)
+    states = np.empty((steps + 1, batch, hid))
+    states[0] = 0.0 if h0 is None else h0
+    gates = np.empty((steps, batch, 2 * hid))  # [z | r]
+    cand = np.empty((steps, batch, hid))
+    for t in range(steps):
+        h = states[t]
+        gates[t] = ad.sigmoid_values(proj[t, :, : 2 * hid] + h @ u)
+        z, r = gates[t, :, :hid], gates[t, :, hid:]
+        cand[t] = np.tanh(proj[t, :, 2 * hid :] + (r * h) @ uh)
+        states[t + 1] = z * h + (1.0 - z) * cand[t]
+
+    def bwd(g, get_buf):
+        g = g.reshape(steps, batch, hid)
+        h_prev = states[:-1]
+        z, r = gates[..., :hid], gates[..., hid:]
+        dn_dh = (1.0 - z) * (1.0 - cand * cand)
+        dz_dh = (h_prev - cand) * z * (1.0 - z)
+        dr_drh = h_prev * r * (1.0 - r)
+        d_proj = np.empty((steps, batch, 3 * hid))
+        dh = np.zeros((batch, hid))
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g[t]
+            dn = np.multiply(dh, dn_dh[t], out=d_proj[t, :, 2 * hid :])
+            drh = dn @ uh.T
+            dzr = d_proj[t, :, : 2 * hid]
+            np.multiply(dh, dz_dh[t], out=dzr[:, :hid])
+            np.multiply(drh, dr_drh[t], out=dzr[:, hid:])
+            dh = dh * z[t] + drh * r[t] + dzr @ u.T
+        flat = d_proj.reshape(steps * batch, 3 * hid)
+        gx = get_buf(x)
+        if gx is not None:
+            gx += flat @ w.T
+        dwz, dwr, dwh = np.split(x.values.T @ flat, 3, axis=1)
+        duz, dur = np.split(h_prev.reshape(steps * batch, hid).T @ flat[:, : 2 * hid], 2, axis=1)
+        duh = (r * h_prev).reshape(steps * batch, hid).T @ flat[:, 2 * hid :]
+        dbz, dbr, dbh = np.split(flat.sum(axis=0, keepdims=True), 3, axis=1)
+        for tensor, grad in zip(tensors, (dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh)):
+            buf = get_buf(tensor)
+            if buf is not None:
+                buf += grad
+
+    return ad._result(states[1:].reshape(steps * batch, hid), (x, *tensors), bwd)
+
+
+def run_gru_ref(x, params, batch, h0=None, collect=None):
+    """Chain the per-layer ops; same contract as ``model._run_gru``."""
+    for layer in range(params.config.gru_layers):
+        x = gru_layer_ref(params, layer, x, batch, h0)
+        if collect is not None:
+            collect.append(x.values)
+    rows = x.values.shape[0]
+    return ad.slice_rows(x, rows - batch, rows)

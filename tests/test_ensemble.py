@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from atcadet import ensemble as es
+from atcadet import errors
 from atcadet.errors import (
     BadConfig,
     BadHeader,
@@ -715,7 +716,7 @@ class TestEnsembleFile:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(es.os, "replace", fail)
+        monkeypatch.setattr(errors.os, "replace", fail)
         with pytest.raises(OSError):
             es.save_ensemble(path, self._model(seed=1))
         assert path.read_bytes() == before

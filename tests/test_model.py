@@ -19,7 +19,7 @@ from atcadet.errors import (
 )
 from atcadet.model import AtcaConfig, AtcaParams
 
-from _oracles import gru_scalar_oracle, gru_weights_from_params
+from _oracles import fd_gradients, gru_scalar_oracle, gru_weights_from_params, rel_errors, run_gru_ref
 
 
 def _tiny_cfg(**kw):
@@ -369,7 +369,7 @@ def _perturbed_params(cfg: AtcaConfig, seed: int) -> AtcaParams:
 
 
 class TestFusedGru:
-    """The fused per-layer GRU op against the per-step graph it replaced."""
+    """The fused GRU stack op against the per-step graph it replaced."""
 
     @pytest.fixture
     def params(self):
@@ -425,6 +425,110 @@ class TestFusedGru:
                 ad.weighted_ce_logits(logits, np.array([0, 1, 0]), (1.0, 1.0))
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
+
+
+def _gru_run(run_gru, params: AtcaParams, x_rows, batch: int, h0=None):
+    """Logits, every layer's states and the gradients of the input and of
+    every GRU and head tensor for one GRU stack implementation, under a
+    weighted cross-entropy on the head."""
+    x = Tensor(x_rows, requires_grad=True)
+    states = []
+    with ad.Tape() as tape:
+        h_t = run_gru(x, params, batch, h0=h0, collect=states)
+        logits = ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
+        loss = ad.weighted_ce_logits(logits, np.arange(batch) % 2, (1.0, 1.5))
+    grads = ad.backward(tape, loss)
+    named = {n: grads[t].copy() for n, t in params.tensors.items() if n.startswith(("gru", "head"))}
+    return logits.values, [np.array(s) for s in states], grads[x].copy(), named
+
+
+def _assert_gru_runs_agree(got, want):
+    (logits, states, gx, grads), (ref_logits, ref_states, ref_gx, ref_grads) = got, want
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-9, atol=1e-12)
+    assert len(states) == len(ref_states)
+    for layer, (s, ref) in enumerate(zip(states, ref_states)):
+        np.testing.assert_allclose(s, ref, rtol=1e-9, atol=1e-12, err_msg=f"layer {layer} states")
+    np.testing.assert_allclose(gx, ref_gx, rtol=1e-9, atol=1e-12, err_msg="input gradient")
+    assert grads.keys() == ref_grads.keys()
+    for name in ref_grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+class TestWavefrontGru:
+    """The one-op wavefront GRU stack against the per-layer ops it replaced
+    and against the per-step graph, including the start and end of the
+    wavefront where some layers have not started or have finished."""
+
+    @pytest.mark.parametrize("t_frames", [43, 169])
+    def test_matches_per_layer_ops(self, t_frames):
+        cfg = AtcaConfig()
+        params = _perturbed_params(cfg, seed=41)
+        x_rows = np.random.default_rng(42).normal(size=(t_frames * 32, cfg.d_model))
+        _assert_gru_runs_agree(_gru_run(md._run_gru, params, x_rows, 32),
+                               _gru_run(run_gru_ref, params, x_rows, 32))
+
+    @pytest.mark.parametrize("layers,t_frames,batch", [
+        (1, 6, 3),
+        (3, 6, 3),
+        (3, 1, 3),  # fewer steps than layers
+        (3, 2, 3),
+        (3, 6, 1),  # B=1
+        (2, 1, 1),
+    ], ids=["one_layer", "three_layers", "three_layers_T1", "three_layers_T2", "three_layers_B1", "two_layers_T1_B1"])
+    @pytest.mark.parametrize("with_h0", [False, True], ids=["zero_h0", "h0"])
+    def test_matches_per_step_graph(self, layers, t_frames, batch, with_h0):
+        cfg = AtcaConfig(d_spec=6, d_model=8, d_k=8, n_heads=1, gru_layers=layers, gru_hidden=5, d_text=7)
+        params = _perturbed_params(cfg, seed=43 + layers)
+        rng = np.random.default_rng(44)
+        x_rows = rng.normal(size=(t_frames * batch, cfg.d_model))
+        h0 = rng.uniform(-1.0, 1.0, size=(1, cfg.gru_hidden)) if with_h0 else None
+        _assert_gru_runs_agree(_gru_run(md._run_gru, params, x_rows, batch, h0=h0),
+                               _gru_run(_per_step_gru, params, x_rows, batch, h0=h0))
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_forward_batch_matches_per_step_graph(self, layers):
+        params = _perturbed_params(_tiny_cfg(gru_layers=layers), seed=45)
+        rng = np.random.default_rng(46)
+        specs = [rng.normal(size=(4, 3)) for _ in range(3)]
+        texts = [rng.normal(size=(2, 5)) for _ in range(3)]
+        labels = np.array([0, 1, 1])
+        fused, fused_grads = _logits_and_grads(_fused_forward_batch, specs, texts, params, labels)
+        ref, ref_grads = _logits_and_grads(_per_step_forward_batch, specs, texts, params, labels)
+        np.testing.assert_allclose(fused, ref, rtol=1e-9, atol=1e-12)
+        for name in ref_grads:
+            np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_tape_length_independent_of_layer_count(self):
+        rng = np.random.default_rng(47)
+        specs = [rng.normal(size=(5, 3)) for _ in range(2)]
+        texts = [rng.normal(size=(2, 5)) for _ in range(2)]
+        lengths = []
+        for layers in (1, 3):
+            p = AtcaParams.init(_tiny_cfg(gru_layers=layers), seed=48)
+            with ad.Tape() as tape:
+                ad.weighted_ce_logits(_fused_forward_batch(specs, texts, p), np.array([0, 1]), (1.0, 1.0))
+            lengths.append(len(tape))
+        assert lengths == [6, 6]
+
+    def test_gradients_match_finite_differences(self):
+        """Criterion 01's check, on a three-layer stack longer than deep."""
+        cfg = AtcaConfig(d_spec=3, d_model=4, d_k=4, n_heads=1, gru_layers=3, gru_hidden=3, d_text=4)
+        params = _perturbed_params(cfg, seed=49)
+        rng = np.random.default_rng(50)
+        specs = [rng.normal(size=(4, 3)) for _ in range(2)]
+        texts = [rng.normal(size=(3, 4)) for _ in range(2)]
+        labels, weights = np.array([0, 1]), (1.0, 1.5)
+        tensors = list(params.tensors.values())
+
+        def loss_value():
+            return float(ad.weighted_ce_logits(_fused_forward_batch(specs, texts, params), labels, weights).values)
+
+        with ad.Tape() as tape:
+            loss = ad.weighted_ce_logits(_fused_forward_batch(specs, texts, params), labels, weights)
+        grads = ad.backward(tape, loss)
+        numeric, _ = fd_gradients(loss_value, tensors)
+        worst = max(float(rel_errors(grads[t], g).max()) for t, g in zip(tensors, numeric))
+        assert worst < 1e-4
 
 
 class TestFusedFront:
