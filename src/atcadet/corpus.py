@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
-from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind, read_text
+from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, read_text
 from .protocol import ProtocolEntry, write_protocol
 from .text import CaptionSet, write_captions
 
@@ -467,7 +467,9 @@ class CorpusManifest:
 
 
 def write_manifest(path, manifest: CorpusManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Written last by :func:`build_corpus`, and atomically: a corpus
+    directory holds a manifest only once everything else is on disk."""
+    with atomic_write(path, "w") as fh:
         json.dump(manifest.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -283,6 +283,10 @@ def _grow(x, y, idx, depth, rng, n_feats, cols) -> TreeNode:
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int, rng=None, n_feats: Optional[int] = None) -> TreeNode:
+    """Regression tree on rows of ``x``; a split threshold is the midpoint
+    of two neighbouring values, so ``x`` must be finite."""
+    if not np.isfinite(x).all():
+        raise NonFinite("tree features must be finite")
     return _grow(x, y, np.arange(len(y)), max_depth, rng, n_feats, _Columns(x))
 
 

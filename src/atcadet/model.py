@@ -6,15 +6,16 @@ Keys/Values; the attended features are added back onto the acoustic
 input (residual refinement), summarized by a stacked GRU, and the last
 hidden state feeds a linear head producing (real, fake) logits.
 
-A training step records a handful of tape nodes at any batch size and
-frame count. The encoder and cross-attention of the whole batch are one
-tape op: it loops over the samples in plain numpy, scores every head at
-once as a (heads, rows, d_k) view of column blocks, and writes its rows
-time-major, ready for the GRU. ``cross_attention`` is the one-sample
-case of the same kernel. The whole GRU stack is one more tape op, run
-as a layer wavefront: one time loop of T + L - 1 iterations in which
-each matmul and elementwise op serves every layer at once. Both ops
-carry hand-written backward passes.
+A training step records four tape nodes at any batch size, frame count
+and GRU depth, each op with a hand-written backward pass. The encoder
+and cross-attention of the whole batch are one: it loops over the
+samples in plain numpy, scores every head at once as a (heads, rows,
+d_k) view of column blocks, and writes its rows time-major, ready for
+the GRU. ``encode_acoustic`` and ``cross_attention`` are its one-sample
+cases. The whole GRU stack is the second, run as a layer wavefront: one
+time loop of T + L - 1 iterations in which each matmul and elementwise
+op serves every layer at once. The head is the third and the loss, in
+``autodiff``, the fourth.
 """
 
 from __future__ import annotations
@@ -222,9 +223,18 @@ def _accumulate(get_buf, tensors, grads) -> None:
 
 def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
     """Standardize spectrogram frames by the stored normalizer buffers,
-    project them to d_model and apply tanh. ``raw`` must be None."""
-    x = _spec_input(spec, raw, params)
-    return ad.tanh(ad.add(ad.matmul(x, params["enc_spec_w"]), params["enc_spec_b"]))
+    project them to d_model and apply tanh, as one tape op: the one-sample
+    case of the encoder in :func:`_front`. ``raw`` must be None."""
+    x = _spec_input(spec, raw, params).values
+    tensors = [params["enc_spec_w"], params["enc_spec_b"]]
+    we, be = (t.values for t in tensors)
+    enc = np.tanh(x @ we + be)
+
+    def bwd(g, get_buf):
+        dpre = g * (1.0 - enc * enc)
+        _accumulate(get_buf, tensors, (x.T @ dpre, dpre.sum(axis=0)))
+
+    return ad._result(enc, tensors, bwd)
 
 
 def _attend(enc, text, wq, wkv, wo, n_heads: int):
@@ -344,9 +354,10 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
 
 def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
     """The whole GRU stack over time-major rows ``x`` (T*batch, d_model) as
-    one tape op with a hand-written backward pass through time; returns the
-    last layer's final hidden states as (batch, gru_hidden). ``collect``,
-    when given, receives each layer's (T*batch, H) states.
+    one tape op with a hand-written backward pass through time; its output
+    is the last layer's final hidden states, (batch, gru_hidden), so the
+    output gradient enters the sweep once, at the last iteration.
+    ``collect``, when given, receives each layer's (T*batch, H) states.
 
     The layers run as a wavefront (Appleyard et al. 2016): at iteration k
     layer l does step k - l, so T + L - 1 iterations cover L layers and each
@@ -406,15 +417,13 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
             ext[k + 1, (k + 1) * hid : lh] = init[(k + 1) * hid :]
 
     def bwd(g, get_buf):
-        g = g.reshape(steps, batch, hid)
         gx = get_buf(x)
         de, duh = np.zeros_like(e), np.zeros_like(uh)
         d_pre = np.empty((3 * lh, batch))
         dh = np.zeros((lh, batch))
+        dh[lh - hid :] += g.T
         for k in range(iters - 1, -1, -1):
-            if k >= n_layers - 1:
-                dh[lh - hid :] += g[k - n_layers + 1].T
-            else:  # the layers above k were reset after this iteration
+            if k < n_layers - 1:  # the layers above k were reset after this iteration
                 dh[(k + 1) * hid :] = 0.0
             z, r, h, c = gates[k, :lh], gates[k, lh:], ext[k, :lh], cand[k]
             rh = h * r
@@ -436,13 +445,12 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
             grads += [dwz, duz, dbz, dwr, dur, dbr, dwh, duh[own, own].T, dbh]
         _accumulate(get_buf, tensors, grads)
 
-    def time_major(lo, layer):
-        return ext[lo : lo + steps, layer * hid : (layer + 1) * hid].transpose(0, 2, 1).reshape(steps * batch, hid)
-
-    out = ad._result(time_major(n_layers, n_layers - 1), (x, *tensors), bwd)
     if collect is not None:
-        collect.extend(time_major(layer + 1, layer) for layer in range(n_layers))
-    return ad.slice_rows(out, (steps - 1) * batch, steps * batch)
+        collect.extend(ext[layer + 1 : layer + 1 + steps, layer * hid : (layer + 1) * hid]
+                       .transpose(0, 2, 1).reshape(steps * batch, hid) for layer in range(n_layers))
+    # contiguous, as the head's product wants it: a transposed view rounds differently there
+    final = np.ascontiguousarray(ext[iters, lh - hid : lh].T)
+    return ad._result(final, (x, *tensors), bwd)
 
 
 def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = False):
@@ -459,19 +467,29 @@ def gru_stack(x: Tensor, params: AtcaParams, h0=None, return_states: bool = Fals
     return out
 
 
+def _head(h: Tensor, params: AtcaParams) -> Tensor:
+    """The linear two-class head ``h @ head_w + head_b`` as one tape op."""
+    tensors = [params["head_w"], params["head_b"]]
+    w, b = (t.values for t in tensors)
+
+    def bwd(g, get_buf):
+        _accumulate(get_buf, (h, *tensors), (g @ w.T, h.values.T @ g, g.sum(axis=0)))
+
+    return ad._result(h.values @ w + b, (h, *tensors), bwd)
+
+
 def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Batched pass over same-length utterances; returns (B, 2) logits.
 
     The encoder and cross-attention of the whole batch are one tape op
     (``_front``) that writes its rows time-major; the whole GRU stack is
-    one more (``_run_gru``), and the head reads the last layer's final
-    states. A step records the same six tape nodes at any B, T and
-    number of GRU layers.
+    one more (``_run_gru``), which hands the last layer's final states to
+    the head op (``_head``). With the loss, a step records the same four
+    tape nodes at any B, T and number of GRU layers.
     """
     if len(specs) == 0:
         raise ShapeMismatch("empty batch")
-    h_t = _run_gru(_front(specs, raws, texts, params), params, len(specs))
-    return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
+    return _head(_run_gru(_front(specs, raws, texts, params), params, len(specs)), params)
 
 
 # ---------------------------------------------------------------------------

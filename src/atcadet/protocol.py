@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadProtocol, DuplicateUtt, read_text
+from .errors import BadProtocol, DuplicateUtt, atomic_write, read_text
 
 LABELS = ("bonafide", "spoof")
 SPLITS = ("train", "dev", "eval")
@@ -49,7 +49,7 @@ def read_protocol(path) -> list:
 
 
 def write_protocol(path, entries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         for e in entries:
             fh.write(f"{e.utt_id}\t{e.wav_path}\t{e.label}\t{e.generator_id}\t{e.split}\n")
 

@@ -27,6 +27,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
     UnknownStyle,
+    atomic_write,
     read_text,
 )
 
@@ -131,7 +132,7 @@ def load_captions(path) -> list:
 
 
 def write_captions(path, caption_sets) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         for cs in caption_sets:
             ordered = {s: cs.captions[s] for s in STYLES if s in cs.captions}
             fh.write(json.dumps({"utt_id": cs.utt_id, "captions": ordered}, sort_keys=False))

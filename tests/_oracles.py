@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own computation paths: finite
 differences instead of the tape, direct DFT sums instead of the FFT
-frontend, exhaustive threshold sweeps instead of the sorted EER sweep.
+frontend, exhaustive threshold sweeps instead of the sorted EER sweep,
+and op-by-op graphs of generic tape ops instead of the model's
+hand-written ones.
 """
 
 import math
@@ -10,7 +12,9 @@ import math
 import numpy as np
 
 from atcadet import autodiff as ad
+from atcadet import model as md
 from atcadet.autodiff import Tensor
+from atcadet.errors import ShapeMismatch
 
 
 def fd_gradients(loss_fn, tensors, h=1e-5):
@@ -282,6 +286,274 @@ def mel_filterbank_ref(sample_rate, n_fft, n_mels, fmin, fmax):
 
 
 # ---------------------------------------------------------------------------
+# Generic tape ops: the op-by-op engine the model ran on before each stage
+# became one hand-written op. The reference graphs below are built from
+# them. No broadcasting except a row-vector bias in ``add``; every other
+# shape mismatch raises ShapeMismatch.
+
+
+def _require_2d(t: Tensor, name: str):
+    if t.values.ndim != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got shape {t.values.shape}")
+
+
+
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Matrix product ``a @ b`` (or ``a @ b.T`` when transpose_b)."""
+    _require_2d(a, "matmul lhs")
+    _require_2d(b, "matmul rhs")
+    bv = b.values.T if transpose_b else b.values
+    if a.values.shape[1] != bv.shape[0]:
+        raise ShapeMismatch(
+            f"matmul inner dims differ: {a.values.shape} x {b.values.shape}"
+            f"{' (transposed)' if transpose_b else ''}"
+        )
+    out_v = a.values @ bv
+
+    def bwd(g, get_buf):
+        ga = get_buf(a)
+        gb = get_buf(b)
+        if transpose_b:
+            if ga is not None:
+                ga += g @ b.values
+            if gb is not None:
+                gb += g.T @ a.values
+        else:
+            if ga is not None:
+                ga += g @ b.values.T
+            if gb is not None:
+                gb += a.values.T @ g
+
+    return ad._result(out_v, (a, b), bwd)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; ``b`` may be a row vector broadcast over a's rows."""
+    bias = False
+    if a.values.shape != b.values.shape:
+        ok = (
+            a.values.ndim == 2
+            and (b.values.shape == (1, a.values.shape[1]) or b.values.shape == (a.values.shape[1],))
+        )
+        if not ok:
+            raise ShapeMismatch(f"add shapes {a.values.shape} and {b.values.shape}")
+        bias = True
+    out_v = a.values + b.values
+
+    def bwd(g, get_buf):
+        ga = get_buf(a)
+        gb = get_buf(b)
+        if ga is not None:
+            ga += g
+        if gb is not None:
+            gb += g.sum(axis=0).reshape(b.values.shape) if bias else g
+
+    return ad._result(out_v, (a, b), bwd)
+
+
+def hadamard(a: Tensor, b: Tensor) -> Tensor:
+    if a.values.shape != b.values.shape:
+        raise ShapeMismatch(f"hadamard shapes {a.values.shape} and {b.values.shape}")
+    out_v = a.values * b.values
+
+    def bwd(g, get_buf):
+        ga = get_buf(a)
+        gb = get_buf(b)
+        if ga is not None:
+            ga += g * b.values
+        if gb is not None:
+            gb += g * a.values
+
+    return ad._result(out_v, (a, b), bwd)
+
+
+def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
+    """``scale * x + shift`` with python-float constants."""
+    out_v = scale * x.values + shift
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            gx += scale * g
+
+    return ad._result(out_v, (x,), bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_v = ad.sigmoid_values(x.values)
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            gx += g * out_v * (1.0 - out_v)
+
+    return ad._result(out_v, (x,), bwd)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out_v = np.tanh(x.values)
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            gx += g * (1.0 - out_v * out_v)
+
+    return ad._result(out_v, (x,), bwd)
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax with max-subtraction for stability."""
+    _require_2d(x, "softmax_rows input")
+    shifted = x.values - x.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out_v = e / e.sum(axis=1, keepdims=True)
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            dot = (g * out_v).sum(axis=1, keepdims=True)
+            gx += out_v * (g - dot)
+
+    return ad._result(out_v, (x,), bwd)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    if not parts:
+        raise ShapeMismatch("concat_rows needs at least one part")
+    cols = {p.values.shape[1] for p in parts}
+    for p in parts:
+        _require_2d(p, "concat_rows part")
+    if len(cols) != 1:
+        raise ShapeMismatch(f"concat_rows column counts differ: {sorted(cols)}")
+    out_v = np.concatenate([p.values for p in parts], axis=0)
+    offsets = np.cumsum([0] + [p.values.shape[0] for p in parts])
+
+    def bwd(g, get_buf):
+        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
+            gp = get_buf(p)
+            if gp is not None:
+                gp += g[a:b]
+
+    return ad._result(out_v, tuple(parts), bwd)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    _require_2d(x, "slice_rows input")
+    if not (0 <= start < stop <= x.values.shape[0]):
+        raise ShapeMismatch(f"slice rows [{start}:{stop}] out of range for {x.values.shape}")
+    out_v = x.values[start:stop]
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            gx[start:stop] += g
+
+    return ad._result(out_v, (x,), bwd)
+
+
+def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows of x selected by an integer index array (repeats allowed)."""
+    _require_2d(x, "gather_rows input")
+    idx = np.asarray(idx, dtype=np.intp)
+    out_v = x.values[idx]
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            np.add.at(gx, idx, g)
+
+    return ad._result(out_v, (x,), bwd)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    out_v = x.values.sum()
+
+    def bwd(g, get_buf):
+        gx = get_buf(x)
+        if gx is not None:
+            gx += g
+
+    return ad._result(out_v, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# Reference graphs of the model composed from the generic ops: the graphs
+# the model recorded before its stages became hand-written ops.
+
+
+def encode_ref(spec, params):
+    """The acoustic encoder as ``tanh(add(matmul(x, W), b))``."""
+    x = md._spec_input(spec, None, params)
+    return tanh(add(matmul(x, params["enc_spec_w"]), params["enc_spec_b"]))
+
+
+def head_ref(h, params):
+    """The two-class head as ``add(matmul(h, W), b)``."""
+    return add(matmul(h, params["head_w"]), params["head_b"])
+
+
+def gru_step_graph(params, layer, x_t, h_prev):
+    """One GRU timestep of one layer."""
+    p = params
+    z = sigmoid(add(add(matmul(x_t, p[f"gru{layer}_Wz"]), matmul(h_prev, p[f"gru{layer}_Uz"])), p[f"gru{layer}_bz"]))
+    r = sigmoid(add(add(matmul(x_t, p[f"gru{layer}_Wr"]), matmul(h_prev, p[f"gru{layer}_Ur"])), p[f"gru{layer}_br"]))
+    h_tilde = tanh(
+        add(
+            add(matmul(x_t, p[f"gru{layer}_Wh"]), matmul(hadamard(r, h_prev), p[f"gru{layer}_Uh"])),
+            p[f"gru{layer}_bh"],
+        )
+    )
+    return add(hadamard(z, h_prev), hadamard(affine(z, -1.0, 1.0), h_tilde))
+
+
+def per_step_gru(x, params, batch, h0=None, collect=None):
+    """Stacked GRU over time-major rows, unrolled one step at a time; same
+    contract as ``model._run_gru``."""
+    cfg = params.config
+    steps = [slice_rows(x, t * batch, (t + 1) * batch) for t in range(x.shape[0] // batch)]
+    h = None
+    for layer in range(cfg.gru_layers):
+        start = np.zeros((batch, cfg.gru_hidden)) if h0 is None else np.tile(h0, (batch, 1))
+        h = Tensor(start)
+        outs = []
+        for x_t in steps:
+            h = gru_step_graph(params, layer, x_t, h)
+            outs.append(h)
+        steps = outs
+        if collect is not None:
+            collect.append(np.vstack([o.values for o in outs]))
+    return h
+
+
+def graph_cross_attention(acoustic, text, params):
+    """Cross-attention with one selector matrix per head."""
+    cfg = params.config
+    text_t = text if isinstance(text, Tensor) else Tensor(text)
+    q = matmul(acoustic, params["Wq"])
+    k = matmul(text_t, params["Wk"])
+    v = matmul(text_t, params["Wv"])
+    merged = None
+    for h in range(cfg.n_heads):
+        sel = np.zeros((cfg.d_model, cfg.d_k))
+        sel[h * cfg.d_k : (h + 1) * cfg.d_k] = np.eye(cfg.d_k)
+        sel_t = Tensor(sel)
+        qh, kh, vh = matmul(q, sel_t), matmul(k, sel_t), matmul(v, sel_t)
+        att = softmax_rows(affine(matmul(qh, kh, transpose_b=True), 1.0 / math.sqrt(cfg.d_k)))
+        placed = matmul(matmul(att, vh), sel_t, transpose_b=True)
+        merged = placed if merged is None else add(merged, placed)
+    return add(acoustic, matmul(merged, params["Wo"]))
+
+
+def per_step_forward_batch(specs, texts, params):
+    """Forward pass: per-sample encoder and attention graphs, gathered
+    time-major, then the per-step GRU graph and the head graph."""
+    seqs = [graph_cross_attention(encode_ref(s, params), t, params) for s, t in zip(specs, texts)]
+    batch, t_frames = len(seqs), seqs[0].shape[0]
+    order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
+    return head_ref(per_step_gru(gather_rows(concat_rows(seqs), order), params, batch), params)
+
+
+# ---------------------------------------------------------------------------
 # Reference GRU stack: one tape op per layer, each with its own time loop and
 # input projection, chained layer after layer. The wavefront op that runs the
 # whole stack in one loop must agree with it to rounding.
@@ -348,4 +620,4 @@ def run_gru_ref(x, params, batch, h0=None, collect=None):
         if collect is not None:
             collect.append(x.values)
     rows = x.values.shape[0]
-    return ad.slice_rows(x, rows - batch, rows)
+    return slice_rows(x, rows - batch, rows)

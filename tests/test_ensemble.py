@@ -213,7 +213,9 @@ class TestRankSearchMatchesFloatSearch:
     @pytest.mark.parametrize("depth", [1, 3, 8])
     def test_fit_tree(self, n, depth):
         x, y = _hostile_xy(n, 6, seed=depth)
-        got = es.fit_tree(x, y, depth)
+        # fit_tree itself rejects non-finite x; the search it runs still
+        # serves fit_gbm and fit_forest, which take such x
+        got = es._grow(x, y, np.arange(n), depth, None, None, es._Columns(x))
         assert _as_json([got]) == _as_json(_float_trees(x, y, "tree", max_depth=depth))
 
     @pytest.mark.parametrize("n", [40, 300])
@@ -271,6 +273,16 @@ class TestTrees:
         y = np.array([1.0, 2.0, 6.0])
         tree = es.fit_tree(np.arange(3.0).reshape(-1, 1), y, 0)
         assert tree.is_leaf and tree.value == y.mean()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            es.fit_tree(np.array([[0.0], [1.0], [bad]]), np.array([0.0, 1.0, 2.0]), 2)
+
+    def test_nan_row_rejected(self):
+        x = np.array([[0.0, 1.0], [np.nan, np.nan], [2.0, 3.0]])
+        with pytest.raises(NonFinite):
+            es.fit_tree(x, np.array([0.0, 1.0, 2.0]), 2)
 
     def test_deep_tree_memorizes_distinct_rows(self):
         rng = np.random.default_rng(0)

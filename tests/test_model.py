@@ -19,7 +19,17 @@ from atcadet.errors import (
 )
 from atcadet.model import AtcaConfig, AtcaParams
 
-from _oracles import fd_gradients, gru_scalar_oracle, gru_weights_from_params, rel_errors, run_gru_ref
+import _oracles as ops
+from _oracles import (
+    fd_gradients,
+    graph_cross_attention,
+    gru_scalar_oracle,
+    gru_weights_from_params,
+    per_step_forward_batch,
+    per_step_gru,
+    rel_errors,
+    run_gru_ref,
+)
 
 
 def _tiny_cfg(**kw):
@@ -73,6 +83,78 @@ class TestEncode:
         p.buffers["norm_sigma"][:] = [[2.0, 0.5]]
         out = md.encode_acoustic(np.array([[3.0, 0.0]]), None, p)
         np.testing.assert_allclose(out.values, np.tanh([[1.0, 2.0]]), atol=1e-15)
+
+
+def _op_run(op, inp, params, watched, mix):
+    """Output and gradients of ``op(inp, params)`` under the loss
+    ``sum(out * mix)``, for the tensors in ``watched``."""
+    with ad.Tape() as tape:
+        out = op(inp, params)
+        loss = ops.sum_all(ops.hadamard(out, mix))
+    grads = ad.backward(tape, loss)
+    return out.values, [grads[t].copy() for t in watched]
+
+
+class TestHandWrittenOps:
+    """The encoder and head ops against the generic-op chains they
+    replaced, ``tanh(add(matmul(...)))`` and ``add(matmul(...))``: equal to
+    the bit in values and gradients, and criterion 01's finite-difference
+    check on each."""
+
+    @pytest.fixture
+    def params(self):
+        return _perturbed_params(AtcaConfig(d_spec=6, d_model=8, d_k=8, n_heads=1, gru_layers=2,
+                                            gru_hidden=5, d_text=7), seed=51)
+
+    def test_encoder_matches_generic_chain_bitwise(self, params):
+        rng = np.random.default_rng(52)
+        spec, mix = rng.normal(size=(9, 6)), Tensor(rng.normal(size=(9, 8)))
+        watched = [params["enc_spec_w"], params["enc_spec_b"]]
+        out, grads = _op_run(lambda s, p: md.encode_acoustic(s, None, p), spec, params, watched, mix)
+        ref, ref_grads = _op_run(ops.encode_ref, spec, params, watched, mix)
+        assert np.array_equal(out, ref)
+        for g, want in zip(grads, ref_grads):
+            assert np.array_equal(g, want)
+
+    def test_head_matches_generic_chain_bitwise(self, params):
+        rng = np.random.default_rng(53)
+        h, mix = Tensor(rng.uniform(-1.0, 1.0, size=(32, 5)), requires_grad=True), Tensor(rng.normal(size=(32, 2)))
+        watched = [h, params["head_w"], params["head_b"]]
+        out, grads = _op_run(md._head, h, params, watched, mix)
+        ref, ref_grads = _op_run(ops.head_ref, h, params, watched, mix)
+        assert np.array_equal(out, ref)
+        for g, want in zip(grads, ref_grads):
+            assert np.array_equal(g, want)
+
+    def test_gru_output_is_contiguous(self, params):
+        # the head's products round differently on a transposed view; the
+        # checkpoint bytes of a train run depend on this layout
+        x = Tensor(np.random.default_rng(56).normal(size=(3 * 4, 8)))
+        assert md._run_gru(x, params, 4).values.flags.c_contiguous
+
+    def test_encoder_gradients_match_finite_differences(self, params):
+        rng = np.random.default_rng(54)
+        spec, mix = rng.normal(size=(5, 6)), Tensor(rng.normal(size=(5, 8)))
+        watched = [params["enc_spec_w"], params["enc_spec_b"]]
+        _, grads = _op_run(lambda s, p: md.encode_acoustic(s, None, p), spec, params, watched, mix)
+        numeric, _ = fd_gradients(lambda: float((md.encode_acoustic(spec, None, params).values * mix.values).sum()),
+                                  watched)
+        assert max(float(rel_errors(g, n).max()) for g, n in zip(grads, numeric)) < 1e-4
+
+    def test_head_gradients_match_finite_differences(self, params):
+        rng = np.random.default_rng(55)
+        h = Tensor(rng.uniform(-1.0, 1.0, size=(4, 5)), requires_grad=True)
+        labels, weights = np.array([0, 1, 1, 0]), (1.0, 1.5)
+        watched = [h, params["head_w"], params["head_b"]]
+
+        def loss_value():
+            return float(ad.weighted_ce_logits(md._head(h, params), labels, weights).values)
+
+        with ad.Tape() as tape:
+            loss = ad.weighted_ce_logits(md._head(h, params), labels, weights)
+        grads = ad.backward(tape, loss)
+        numeric, _ = fd_gradients(loss_value, watched)
+        assert max(float(rel_errors(grads[t], n).max()) for t, n in zip(watched, numeric)) < 1e-4
 
 
 class TestCrossAttention:
@@ -269,80 +351,12 @@ class TestForward:
 
         with ad.Tape() as tape2:
             parts = [md.forward_batch([specs[i]], [None], [texts[i]], p) for i in range(2)]
-            loss2 = ad.weighted_ce_logits(ad.concat_rows(parts), labels, weights)
+            loss2 = ad.weighted_ce_logits(ops.concat_rows(parts), labels, weights)
         grads2 = ad.backward(tape2, loss2)
 
         assert loss.values == pytest.approx(float(loss2.values), abs=1e-13)
         for name, t in p.tensors.items():
             np.testing.assert_allclose(grads[t], grads2[t], atol=1e-11, err_msg=name)
-
-
-def _gru_step(params: AtcaParams, layer: int, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    """One GRU timestep composed from autodiff ops: the graph the model
-    recorded per step before each layer became one fused op."""
-    p = params
-    z = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p[f"gru{layer}_Wz"]), ad.matmul(h_prev, p[f"gru{layer}_Uz"])), p[f"gru{layer}_bz"])
-    )
-    r = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p[f"gru{layer}_Wr"]), ad.matmul(h_prev, p[f"gru{layer}_Ur"])), p[f"gru{layer}_br"])
-    )
-    h_tilde = ad.tanh(
-        ad.add(
-            ad.add(ad.matmul(x_t, p[f"gru{layer}_Wh"]), ad.matmul(ad.hadamard(r, h_prev), p[f"gru{layer}_Uh"])),
-            p[f"gru{layer}_bh"],
-        )
-    )
-    return ad.add(ad.hadamard(z, h_prev), ad.hadamard(ad.affine(z, -1.0, 1.0), h_tilde))
-
-
-def _per_step_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:
-    """Reference stacked GRU over time-major rows, unrolled one step at a time."""
-    cfg = params.config
-    steps = [ad.slice_rows(x, t * batch, (t + 1) * batch) for t in range(x.shape[0] // batch)]
-    h = None
-    for layer in range(cfg.gru_layers):
-        start = np.zeros((batch, cfg.gru_hidden)) if h0 is None else np.tile(h0, (batch, 1))
-        h = Tensor(start)
-        outs = []
-        for x_t in steps:
-            h = _gru_step(params, layer, x_t, h)
-            outs.append(h)
-        steps = outs
-        if collect is not None:
-            collect.append(np.vstack([o.values for o in outs]))
-    return h
-
-
-def _graph_cross_attention(acoustic: Tensor, text, params: AtcaParams) -> Tensor:
-    """Cross-attention composed from autodiff ops with one selector matrix
-    per head: the graph the model recorded per sample before the encoder
-    and attention became one fused op."""
-    cfg = params.config
-    text_t = text if isinstance(text, Tensor) else Tensor(text)
-    q = ad.matmul(acoustic, params["Wq"])
-    k = ad.matmul(text_t, params["Wk"])
-    v = ad.matmul(text_t, params["Wv"])
-    merged = None
-    for h in range(cfg.n_heads):
-        sel = np.zeros((cfg.d_model, cfg.d_k))
-        sel[h * cfg.d_k : (h + 1) * cfg.d_k] = np.eye(cfg.d_k)
-        sel_t = Tensor(sel)
-        qh, kh, vh = ad.matmul(q, sel_t), ad.matmul(k, sel_t), ad.matmul(v, sel_t)
-        att = ad.softmax_rows(ad.affine(ad.matmul(qh, kh, transpose_b=True), 1.0 / math.sqrt(cfg.d_k)))
-        placed = ad.matmul(ad.matmul(att, vh), sel_t, transpose_b=True)
-        merged = placed if merged is None else ad.add(merged, placed)
-    return ad.add(acoustic, ad.matmul(merged, params["Wo"]))
-
-
-def _per_step_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
-    """Reference forward pass: per-sample encoder and attention graphs,
-    gathered time-major, then the per-step GRU graph."""
-    seqs = [_graph_cross_attention(md.encode_acoustic(s, None, params), t, params) for s, t in zip(specs, texts)]
-    batch, t_frames = len(seqs), seqs[0].shape[0]
-    order = np.arange(batch * t_frames).reshape(batch, t_frames).T.ravel()
-    h_t = _per_step_gru(ad.gather_rows(ad.concat_rows(seqs), order), params, batch)
-    return ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
 
 
 def _fused_forward_batch(specs, texts, params: AtcaParams) -> Tensor:
@@ -386,7 +400,7 @@ class TestFusedGru:
         texts = [rng.normal(size=(int(rng.integers(1, 5)), 7)) for _ in range(4)]
         labels = np.array([0, 1, 1, 0])
         fused, fused_grads = _logits_and_grads(_fused_forward_batch, specs, texts, params, labels)
-        ref, ref_grads = _logits_and_grads(_per_step_forward_batch, specs, texts, params, labels)
+        ref, ref_grads = _logits_and_grads(per_step_forward_batch, specs, texts, params, labels)
         np.testing.assert_allclose(fused, ref, rtol=1e-9, atol=1e-12)
         for name in ref_grads:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -398,13 +412,13 @@ class TestFusedGru:
         x = Tensor(x_rows, requires_grad=True)
         with ad.Tape() as tape:
             out, states = md.gru_stack(x, params, h0=h0, return_states=True)
-            loss = ad.sum_all(out)
+            loss = ops.sum_all(out)
         grads = ad.backward(tape, loss)
         ref_x = Tensor(x_rows, requires_grad=True)
         ref_states = []
         with ad.Tape() as ref_tape:
-            ref_out = _per_step_gru(ref_x, params, 1, h0=h0, collect=ref_states)
-            ref_loss = ad.sum_all(ref_out)
+            ref_out = per_step_gru(ref_x, params, 1, h0=h0, collect=ref_states)
+            ref_loss = ops.sum_all(ref_out)
         ref_grads = ad.backward(ref_tape, ref_loss)
         np.testing.assert_allclose(out.values, ref_out.values, rtol=1e-9, atol=1e-12)
         for layer in range(2):
@@ -435,7 +449,7 @@ def _gru_run(run_gru, params: AtcaParams, x_rows, batch: int, h0=None):
     states = []
     with ad.Tape() as tape:
         h_t = run_gru(x, params, batch, h0=h0, collect=states)
-        logits = ad.add(ad.matmul(h_t, params["head_w"]), params["head_b"])
+        logits = ops.head_ref(h_t, params)
         loss = ad.weighted_ce_logits(logits, np.arange(batch) % 2, (1.0, 1.5))
     grads = ad.backward(tape, loss)
     named = {n: grads[t].copy() for n, t in params.tensors.items() if n.startswith(("gru", "head"))}
@@ -483,7 +497,7 @@ class TestWavefrontGru:
         x_rows = rng.normal(size=(t_frames * batch, cfg.d_model))
         h0 = rng.uniform(-1.0, 1.0, size=(1, cfg.gru_hidden)) if with_h0 else None
         _assert_gru_runs_agree(_gru_run(md._run_gru, params, x_rows, batch, h0=h0),
-                               _gru_run(_per_step_gru, params, x_rows, batch, h0=h0))
+                               _gru_run(per_step_gru, params, x_rows, batch, h0=h0))
 
     @pytest.mark.parametrize("layers", [1, 3])
     def test_forward_batch_matches_per_step_graph(self, layers):
@@ -493,7 +507,7 @@ class TestWavefrontGru:
         texts = [rng.normal(size=(2, 5)) for _ in range(3)]
         labels = np.array([0, 1, 1])
         fused, fused_grads = _logits_and_grads(_fused_forward_batch, specs, texts, params, labels)
-        ref, ref_grads = _logits_and_grads(_per_step_forward_batch, specs, texts, params, labels)
+        ref, ref_grads = _logits_and_grads(per_step_forward_batch, specs, texts, params, labels)
         np.testing.assert_allclose(fused, ref, rtol=1e-9, atol=1e-12)
         for name in ref_grads:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -503,12 +517,12 @@ class TestWavefrontGru:
         specs = [rng.normal(size=(5, 3)) for _ in range(2)]
         texts = [rng.normal(size=(2, 5)) for _ in range(2)]
         lengths = []
-        for layers in (1, 3):
+        for layers in (1, 2, 3):
             p = AtcaParams.init(_tiny_cfg(gru_layers=layers), seed=48)
             with ad.Tape() as tape:
                 ad.weighted_ce_logits(_fused_forward_batch(specs, texts, p), np.array([0, 1]), (1.0, 1.0))
             lengths.append(len(tape))
-        assert lengths == [6, 6]
+        assert lengths == [4, 4, 4]  # front end, GRU stack, head, loss
 
     def test_gradients_match_finite_differences(self):
         """Criterion 01's check, on a three-layer stack longer than deep."""
@@ -553,7 +567,7 @@ class TestFusedFront:
         texts = [rng.normal(size=(n, 7)) for n in caption_lengths]
         labels = np.arange(len(specs)) % 2
         fused, fused_grads = _logits_and_grads(_fused_forward_batch, specs, texts, params, labels)
-        ref, ref_grads = _logits_and_grads(_per_step_forward_batch, specs, texts, params, labels)
+        ref, ref_grads = _logits_and_grads(per_step_forward_batch, specs, texts, params, labels)
         np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
         for name in ref_grads:
             np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -569,7 +583,7 @@ class TestFusedFront:
             taped = _fused_forward_batch(specs, texts, params)
         assert len(tape) > 0
         np.testing.assert_array_equal(fused.values, taped.values)
-        np.testing.assert_allclose(fused.values, _per_step_forward_batch(specs, texts, params).values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused.values, per_step_forward_batch(specs, texts, params).values, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_cross_attention_matches_selector_graph(self, n_heads):
@@ -579,12 +593,12 @@ class TestFusedFront:
         text_rows = rng.normal(size=(3, 7))
         mix = Tensor(rng.normal(size=(5, 8)))  # makes the output gradient non-uniform
         results = []
-        for attend in (md.cross_attention, _graph_cross_attention):
+        for attend in (md.cross_attention, graph_cross_attention):
             acoustic = Tensor(acoustic_rows, requires_grad=True)
             text = Tensor(text_rows, requires_grad=True)
             with ad.Tape() as tape:
                 out = attend(acoustic, text, params)
-                loss = ad.sum_all(ad.hadamard(out, mix))
+                loss = ops.sum_all(ops.hadamard(out, mix))
             grads = ad.backward(tape, loss)
             watched = [acoustic, text] + [params[n] for n in ("Wq", "Wk", "Wv", "Wo")]
             results.append((out.values, [grads[t].copy() for t in watched]))

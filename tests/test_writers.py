@@ -1,15 +1,18 @@
-"""The train and score stages write through ``errors.atomic_write``: a write
-that fails part-way keeps the old file and leaves no temp file behind."""
+"""Writers that go through ``errors.atomic_write``: a write that fails
+part-way keeps the old file and leaves no temp file behind."""
 
 import numpy as np
 import pytest
 
+from atcadet import corpus as cp
 from atcadet import ensemble as es
 from atcadet import errors
 from atcadet import model as md
 from atcadet import training as tr
 from atcadet.metrics import Trial, write_scores
 from atcadet.model import AtcaConfig, AtcaParams
+from atcadet.protocol import ProtocolEntry, write_protocol
+from atcadet.text import write_captions
 
 
 def _checkpoint(seed):
@@ -32,9 +35,26 @@ def _scores(seed):
     return [Trial(f"u{i}", 0.25 * i + seed) for i in range(5)]
 
 
+def _protocol(seed):
+    return [ProtocolEntry(f"u{i}", f"wav/u{i}.wav", "spoof" if (i + seed) % 2 else "bonafide", "g0", "train")
+            for i in range(4)]
+
+
+def _captions(seed):
+    return [cp.make_captions(f"u{i}", ["dog", "rain"][: 1 + (i + seed) % 2]) for i in range(3)]
+
+
+def _manifest(seed):
+    clips = [cp.ClipRecord(f"u{i}", "real", "bonafide", ("dog",), 1.0 + seed, (seed, i)) for i in range(3)]
+    return cp.CorpusManifest(clips, {"track1": {"train": ["u0", "u1"], "eval": ["u2"]}}, 0.25)
+
+
 WRITERS = {
+    "captions": (write_captions, _captions),
     "checkpoint": (md.save_checkpoint, _checkpoint),
     "ensemble": (es.save_ensemble, _ensemble),
+    "manifest": (cp.write_manifest, _manifest),
+    "protocol": (write_protocol, _protocol),
     "report": (tr.write_report, _report),
     "scores": (write_scores, _scores),
 }
