@@ -572,28 +572,67 @@ def plan_corpus(cfg: CorpusConfig):
     return plan, {"track1": track1, "track2": track2}, held_out.id
 
 
-def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
-    """Synthesize WAVs, captions, both protocols, and the manifest."""
-    plan, splits, _ = plan_corpus(cfg)
-    wav_dir = os.path.join(out_dir, "wav")
-    os.makedirs(wav_dir, exist_ok=True)
-
+def _synth_share(cfg: CorpusConfig, plan, share: int, n_shares: int, wav_dir) -> list:
+    """Write the WAV of every ``n_shares``-th clip of ``plan`` from index
+    ``share`` on; return each one's (plan index, event tags)."""
     gen_scaled = {
         g.id: scaled_generator(g, cfg.artifact_strength, cfg.sample_rate)
         for g in cfg.fake_generators
     }
+    done = []
+    for i in range(share, len(plan), n_shares):
+        utt, gen = plan[i]
+        wave, tags = synth_real([cfg.seed, i], cfg.duration_s, cfg.sample_rate)
+        if gen.kind != "real":
+            wave = apply_fake(wave, gen_scaled[gen.id], [cfg.seed, i, 1])
+        write_wav(os.path.join(wav_dir, f"{utt}.wav"), wave)
+        done.append((i, tags))
+    return done
+
+
+def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
+    """Synthesize WAVs, captions, both protocols, and the manifest.
+
+    Each clip depends only on its seed ``[cfg.seed, i]``, so the clips are
+    dealt out in interleaved shares, one per CPU this process may run on:
+    this process synthesizes share 0 and forked workers the rest. A worker's
+    exception is raised here, once every share has stopped. Everything else
+    is written in plan order after the WAVs, the manifest last.
+    """
+    plan, splits, _ = plan_corpus(cfg)
+    wav_dir = os.path.join(out_dir, "wav")
+    os.makedirs(wav_dir, exist_ok=True)
+
+    import scipy.signal  # noqa: F401 - imported once, here, so forked workers inherit it
+
+    n_shares = len(os.sched_getaffinity(0))
+    if n_shares == 1:
+        done = _synth_share(cfg, plan, 0, 1, wav_dir)
+    else:
+        # imported here, as scipy is, to keep them out of every CLI start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: spawn and forkserver would import numpy and scipy again in
+        # every worker. A worker that dies raises BrokenProcessPool here.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(n_shares - 1, mp_context=fork) as pool:
+            pending = [
+                pool.submit(_synth_share, cfg, plan, k, n_shares, wav_dir)
+                for k in range(1, n_shares)
+            ]
+            done = _synth_share(cfg, plan, 0, n_shares, wav_dir)
+            for future in pending:
+                done += future.result()
+    tags_of = dict(done)
+
     clips = []
     captions = []
     for i, (utt, gen) in enumerate(plan):
-        wave, tags = synth_real([cfg.seed, i], cfg.duration_s, cfg.sample_rate)
-        label = "bonafide"
-        if gen.kind != "real":
-            wave = apply_fake(wave, gen_scaled[gen.id], [cfg.seed, i, 1])
-            label = "spoof"
-        write_wav(os.path.join(wav_dir, f"{utt}.wav"), wave)
+        label = "bonafide" if gen.kind == "real" else "spoof"
         hint = _GENERATOR_HINTS[gen.kind] if cfg.caption_generator_hints else None
-        captions.append(make_captions(utt, tags, hint))
-        clips.append(ClipRecord(utt, gen.id, label, tags, cfg.duration_s, (cfg.seed, i)))
+        captions.append(make_captions(utt, tags_of[i], hint))
+        clips.append(ClipRecord(utt, gen.id, label, tags_of[i], cfg.duration_s, (cfg.seed, i)))
 
     write_captions(os.path.join(out_dir, "captions.jsonl"), captions)
 

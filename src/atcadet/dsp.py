@@ -23,6 +23,7 @@ from .errors import (
     TooShort,
     TruncatedFile,
     UnsupportedFormat,
+    atomic_write,
 )
 
 FEATURE_MAGIC = b"ATFX"
@@ -183,7 +184,7 @@ def write_wav(path, wave: Waveform) -> None:
         b"data",
         len(payload),
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(payload)
 
@@ -263,7 +264,7 @@ def write_features(path, matrix: FeatureMatrix) -> None:
     if not np.all(np.isfinite(values)):
         raise NonFinite("feature matrix overflows float32")
     t_frames, n_dims = values.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, t_frames, n_dims))
         fh.write(values.tobytes(order="C"))

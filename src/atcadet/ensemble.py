@@ -282,11 +282,15 @@ def _grow(x, y, idx, depth, rng, n_feats, cols) -> TreeNode:
     return node
 
 
-def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int, rng=None, n_feats: Optional[int] = None) -> TreeNode:
-    """Regression tree on rows of ``x``; a split threshold is the midpoint
-    of two neighbouring values, so ``x`` must be finite."""
+def _require_finite(x: np.ndarray) -> None:
+    # a split threshold is the midpoint of two neighbouring values
     if not np.isfinite(x).all():
         raise NonFinite("tree features must be finite")
+
+
+def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int, rng=None, n_feats: Optional[int] = None) -> TreeNode:
+    """Regression tree on rows of ``x``, which must be finite."""
+    _require_finite(x)
     return _grow(x, y, np.arange(len(y)), max_depth, rng, n_feats, _Columns(x))
 
 
@@ -355,6 +359,7 @@ def fit_gbm(x, y, rounds: int = 100, depth: int = 3, shrinkage: float = 0.1) -> 
     y = np.asarray(y, dtype=np.float64)
     if rounds < 0:
         raise BadConfig("rounds must be >= 0")
+    _require_finite(x)
     init = float(y.mean())
     pred = np.full(len(y), init)
     cols = _Columns(x, cache=True)
@@ -396,6 +401,7 @@ def fit_forest(
     y = np.asarray(y, dtype=np.float64)
     if n_trees < 1:
         raise BadConfig("n_trees must be >= 1")
+    _require_finite(x)
     d = x.shape[1]
     n_feats = max(1, min(d, math.ceil(feature_frac * d)))
     cols = _Columns(x)

@@ -1,0 +1,76 @@
+"""Score TSVs from one checkpoint do not depend on the BLAS thread count.
+
+The test writes fixed inputs, then runs the same ``score`` calls in two
+fresh processes, one with ``OPENBLAS_NUM_THREADS=1`` and one with it unset,
+and compares the bytes each wrote. The program itself sets no thread
+variable. ``.aten`` files are not pinned this way: their ridge weights move
+in the last bits with the thread count (README).
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+from atcadet import corpus as cp
+from atcadet import dsp
+from atcadet import model as md
+from atcadet import text as tx
+from atcadet.protocol import ProtocolEntry, write_protocol
+
+SRC = os.path.dirname(os.path.dirname(dsp.__file__))
+
+# writes every score file of one checkpoint into sys.argv[2]
+SCORE_SCRIPT = (
+    "import sys\n"
+    "from atcadet.cli import main\n"
+    "inputs, out = sys.argv[1], sys.argv[2]\n"
+    "for split in ('dev', 'eval'):\n"
+    "    for ablate in ([], ['--ablate-text']):\n"
+    "        assert main(['score', '--ckpt', inputs + '/model.atck',\n"
+    "                     '--protocol', inputs + '/protocol.tsv', '--features', inputs + '/feats',\n"
+    "                     '--embeddings', inputs + '/emb.bin', '--split', split, *ablate,\n"
+    "                     '--out', f'{out}/{split}{len(ablate)}.tsv']) == 0\n"
+)
+
+
+def _inputs(root, n=48):
+    """A protocol of ``n`` clips over three splits, hop-512-sized features,
+    toy caption embeddings and a checkpoint."""
+    root.mkdir()
+    rng = np.random.default_rng(21)
+    entries = [
+        ProtocolEntry(f"u{i:03d}", f"wav/u{i:03d}.wav", ("bonafide", "spoof")[i % 2],
+                      ("real", "fake")[i % 2], ("train", "dev", "dev", "eval")[i % 4])
+        for i in range(n)
+    ]
+    write_protocol(root / "protocol.tsv", entries)
+    (root / "feats").mkdir()
+    for e in entries:
+        dsp.write_features(root / "feats" / f"{e.utt_id}.atfx",
+                           dsp.FeatureMatrix(rng.normal(size=(169, 64))))
+    tags = cp.EVENT_VOCAB
+    tx.write_embeddings(root / "emb.bin", [
+        tx.toy_embed(cp.make_captions(e.utt_id, (tags[i % 8], tags[(3 * i) % 8])))
+        for i, e in enumerate(entries)
+    ])
+    md.save_checkpoint(root / "model.atck", md.AtcaParams.init(md.AtcaConfig(), seed=5))
+    return root
+
+
+def test_scores_from_one_checkpoint_independent_of_blas_threads(tmp_path):
+    inputs = _inputs(tmp_path / "inputs")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    trees = {}
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
+        out = tmp_path / name
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", SCORE_SCRIPT, str(inputs), str(out)],
+                       env={**env, **extra}, check=True, timeout=300, capture_output=True)
+        trees[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in out.iterdir()}
+    assert sorted(trees["one"]) == ["dev0.tsv", "dev1.tsv", "eval0.tsv", "eval1.tsv"]
+    assert trees["one"] == trees["unset"]

@@ -1,12 +1,17 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from atcadet import corpus as cp
+from atcadet import errors
+from atcadet.cli import main
 from atcadet.dsp import Waveform, load_wav
-from atcadet.errors import BadConfig, BadJson, InsufficientFamilies, WrongKind
+from atcadet.errors import BadConfig, BadJson, InsufficientFamilies, NonFinite, WrongKind
 from atcadet.protocol import read_protocol
 from atcadet.text import load_captions, tokenize
 
@@ -331,6 +336,96 @@ class TestBuildCorpus:
             assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
         for wav in sorted((out / "wav").iterdir()):
             assert wav.read_bytes() == (out2 / "wav" / wav.name).read_bytes(), wav.name
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _cpus(monkeypatch, n):
+    """Make ``build_corpus`` see ``n`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestShares:
+    """Clips dealt out over the CPUs: share 0 in this process, the others in
+    forked workers."""
+
+    @pytest.mark.parametrize("cfg, shares", [
+        (_tiny_cfg(caption_generator_hints=True), (1, 2, 3)),
+        # the smallest corpus that plans: one real clip and one clip of
+        # each of two fake families; at 4 shares one share is empty
+        (_tiny_cfg(n_clips=3, bonafide_fraction=0.3,
+                   fake_generators=cp.DEFAULT_FAKE_GENERATORS[:2]), (1, 3, 4)),
+    ])
+    def test_same_tree_at_any_share_count(self, cfg, shares, tmp_path, monkeypatch):
+        trees = []
+        for n in shares:
+            _cpus(monkeypatch, n)
+            cp.build_corpus(cfg, tmp_path / str(n))
+            assert multiprocessing.active_children() == []
+            trees.append(_tree(tmp_path / str(n)))
+        assert sum(name.startswith("wav/") for name in trees[0]) == cfg.n_clips
+        for tree in trees[1:]:
+            assert tree == trees[0]
+
+    @pytest.mark.parametrize("failing", ["u0000", "u0001"])  # shares 0 and 1 of 2
+    @pytest.mark.parametrize("error, code, line", [
+        (lambda path: NonFinite("clip blew up"), 2, "ERROR NON_FINITE: clip blew up"),
+        (lambda path: OSError(28, "No space left on device", path), 3,
+         "ERROR INTERNAL: [Errno 28] No space left on device: '{path}'"),
+    ])
+    def test_share_error_reaches_cli_as_in_serial_run(self, failing, error, code, line,
+                                                      tmp_path, monkeypatch, capsys):
+        write_wav = cp.write_wav
+
+        def failing_write(path, wave):
+            if os.path.basename(path) == f"{failing}.wav":
+                raise error(path)
+            write_wav(path, wave)
+
+        monkeypatch.setattr(cp, "write_wav", failing_write)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": {"n_clips": 8, "duration_s": 0.5,
+                                                 "sample_rate": 8000}}))
+        out = tmp_path / "corpus"
+        argv = ["corpus", "synth", "--config", str(config), "--out", str(out)]
+        expected = line.format(path=out / "wav" / f"{failing}.wav")
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            assert main(argv) == code
+            assert capsys.readouterr().err.strip() == expected
+            assert not (out / "manifest.json").exists()
+            assert multiprocessing.active_children() == []
+
+    def test_worker_killed_mid_write_leaves_no_wav_of_it(self, tmp_path, monkeypatch, capsys):
+        _cpus(monkeypatch, 2)
+        cp.build_corpus(_tiny_cfg(n_clips=8), tmp_path / "ok")
+        real_open = open
+        runner = os.getpid()
+
+        def open_then_die(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            # u0001 is in share 1 of 2, so a worker writes it
+            if "u0001.wav" in os.fspath(path) and os.getpid() != runner:
+                fh.write(b"RIFF")
+                fh.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fh
+
+        monkeypatch.setattr(errors, "open", open_then_die, raising=False)
+        out = tmp_path / "corpus"
+        argv = ["corpus", "synth", "--config", str(tmp_path / "run.json"), "--out", str(out)]
+        (tmp_path / "run.json").write_text(json.dumps({"corpus": {
+            "n_clips": 8, "duration_s": 0.5, "sample_rate": 8000, "seed": 1}}))
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("ERROR INTERNAL:")
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+        wavs = sorted(p.name for p in (out / "wav").glob("*.wav"))
+        assert "u0001.wav" not in wavs and "u0000.wav" in wavs
+        for name in wavs:
+            assert (out / "wav" / name).read_bytes() == (tmp_path / "ok" / "wav" / name).read_bytes()
 
 
 class TestHints:

@@ -222,15 +222,41 @@ class TestRankSearchMatchesFloatSearch:
     def test_fit_gbm(self, n):
         x, y = _hostile_xy(n, 5, seed=n + 1)
         kw = dict(rounds=12, depth=4, shrinkage=0.3)
-        got = es.fit_gbm(x, y, **kw)
-        assert _as_json(got.trees) == _as_json(_float_trees(x, y, "gbm", **kw))
+        # fit_gbm rejects non-finite x; this is its loop, on the search alone
+        pred = np.full(n, float(y.mean()))
+        cols = es._Columns(x, cache=True)
+        got = []
+        for _ in range(kw["rounds"]):
+            got.append(es._grow(x, y - pred, np.arange(n), kw["depth"], None, None, cols))
+            cols.next_round()
+            pred += kw["shrinkage"] * es.predict_tree(got[-1], x)
+        assert _as_json(got) == _as_json(_float_trees(x, y, "gbm", **kw))
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_fit_forest(self, n):
         x, y = _hostile_xy(n, 9, seed=n + 2)
         kw = dict(n_trees=6, max_depth=5, feature_frac=0.4, seed=7)
-        got = es.fit_forest(x, y, **kw)
-        assert _as_json(got.trees) == _as_json(_float_trees(x, y, "forest", **kw))
+        # fit_forest rejects non-finite x; this is its loop, on the search alone
+        n_feats = math.ceil(kw["feature_frac"] * x.shape[1])
+        cols = es._Columns(x)
+        got = []
+        for t in range(kw["n_trees"]):
+            rng = np.random.default_rng([kw["seed"], t])
+            idx = rng.integers(0, n, size=n)
+            got.append(es._grow(x, y, idx, kw["max_depth"], rng, n_feats, cols))
+        assert _as_json(got) == _as_json(_float_trees(x, y, "forest", **kw))
+
+    @pytest.mark.parametrize("kind", ["gbm", "forest"])
+    def test_public_fit_on_finite_x(self, kind):
+        x, y = _hostile_xy(300, 9, seed=11)
+        x[~np.isfinite(x)] = 0.0
+        if kind == "gbm":
+            kw = dict(rounds=12, depth=4, shrinkage=0.3)
+            got = es.fit_gbm(x, y, **kw)
+        else:
+            kw = dict(n_trees=6, max_depth=5, feature_frac=0.4, seed=7)
+            got = es.fit_forest(x, y, **kw)
+        assert _as_json(got.trees) == _as_json(_float_trees(x, y, kind, **kw))
 
     def test_equal_sse_goes_to_first_feature_and_boundary(self):
         # boundaries 0|123 and 012|3 tie exactly, in both (identical) columns
@@ -283,6 +309,16 @@ class TestTrees:
         x = np.array([[0.0, 1.0], [np.nan, np.nan], [2.0, 3.0]])
         with pytest.raises(NonFinite):
             es.fit_tree(x, np.array([0.0, 1.0, 2.0]), 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_gbm_rejects_non_finite_features(self, bad):
+        with pytest.raises(NonFinite):
+            es.fit_gbm(np.array([[0.0], [1.0], [bad]]), np.array([0.0, 1.0, 2.0]), rounds=2, depth=2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_forest_rejects_non_finite_features(self, bad):
+        with pytest.raises(NonFinite):
+            es.fit_forest(np.array([[0.0], [1.0], [bad]]), np.array([0.0, 1.0, 2.0]), n_trees=2)
 
     def test_deep_tree_memorizes_distinct_rows(self):
         rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from atcadet import corpus as cp
+from atcadet import dsp
 from atcadet import ensemble as es
 from atcadet import errors
 from atcadet import model as md
@@ -49,14 +50,24 @@ def _manifest(seed):
     return cp.CorpusManifest(clips, {"track1": {"train": ["u0", "u1"], "eval": ["u2"]}}, 0.25)
 
 
+def _wav(seed):
+    return dsp.Waveform(np.random.default_rng(seed).uniform(-0.5, 0.5, 400), 16000)
+
+
+def _features(seed):
+    return dsp.FeatureMatrix(np.random.default_rng(seed).normal(size=(6, 4)))
+
+
 WRITERS = {
     "captions": (write_captions, _captions),
     "checkpoint": (md.save_checkpoint, _checkpoint),
     "ensemble": (es.save_ensemble, _ensemble),
+    "features": (dsp.write_features, _features),
     "manifest": (cp.write_manifest, _manifest),
     "protocol": (write_protocol, _protocol),
     "report": (tr.write_report, _report),
     "scores": (write_scores, _scores),
+    "wav": (dsp.write_wav, _wav),
 }
 
 
