@@ -173,7 +173,6 @@ def embed(ctx, corpus_dir, out_path, dim, seed, force):
     captions = tx.load_captions(os.path.join(corpus_dir, "captions.jsonl"))
     cfg = tx.ToyEmbedderConfig(dim=dim, seed=seed)
     _guard_output(out_path, force)
-    _guard_output(tx.index_path_for(out_path), force)
     tx.write_embeddings(out_path, [tx.toy_embed(cs, cfg) for cs in captions])
     click.echo(f"wrote {len(captions)} embeddings to {out_path}")
 
@@ -202,7 +201,6 @@ def embed_import(src_dir, out_path, force):
         # empty spans mark an externally produced, unsegmented matrix
         embeddings.append(tx.TextEmbedding(name[: -len(".atfx")], feat.values, ()))
     _guard_output(out_path, force)
-    _guard_output(tx.index_path_for(out_path), force)
     tx.write_embeddings(out_path, embeddings)
     click.echo(f"imported {len(embeddings)} embeddings to {out_path}")
 

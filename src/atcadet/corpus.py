@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
 from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, read_text
 from .protocol import ProtocolEntry, write_protocol
+from .shares import run_shares
 from .text import CaptionSet, write_captions
 
 EVENT_VOCAB = ("alarm", "bird", "dog", "engine", "horn", "rain", "siren", "wind")
@@ -572,32 +573,32 @@ def plan_corpus(cfg: CorpusConfig):
     return plan, {"track1": track1, "track2": track2}, held_out.id
 
 
-def _synth_share(cfg: CorpusConfig, plan, share: int, n_shares: int, wav_dir) -> list:
-    """Write the WAV of every ``n_shares``-th clip of ``plan`` from index
-    ``share`` on; return each one's (plan index, event tags)."""
+def _synth_share(indices, cfg: CorpusConfig, plan, wav_dir) -> list:
+    """Write the WAV of each clip ``indices`` picks from ``plan``; return
+    each one's event tags."""
     gen_scaled = {
         g.id: scaled_generator(g, cfg.artifact_strength, cfg.sample_rate)
         for g in cfg.fake_generators
     }
-    done = []
-    for i in range(share, len(plan), n_shares):
+    tags = []
+    for i in indices:
         utt, gen = plan[i]
-        wave, tags = synth_real([cfg.seed, i], cfg.duration_s, cfg.sample_rate)
+        wave, clip_tags = synth_real([cfg.seed, i], cfg.duration_s, cfg.sample_rate)
         if gen.kind != "real":
             wave = apply_fake(wave, gen_scaled[gen.id], [cfg.seed, i, 1])
         write_wav(os.path.join(wav_dir, f"{utt}.wav"), wave)
-        done.append((i, tags))
-    return done
+        tags.append(clip_tags)
+    return tags
 
 
 def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
     """Synthesize WAVs, captions, both protocols, and the manifest.
 
     Each clip depends only on its seed ``[cfg.seed, i]``, so the clips are
-    dealt out in interleaved shares, one per CPU this process may run on:
-    this process synthesizes share 0 and forked workers the rest. A worker's
-    exception is raised here, once every share has stopped. Everything else
-    is written in plan order after the WAVs, the manifest last.
+    synthesized over every CPU (``shares.run_shares``). If a share fails,
+    the temp files of WAVs cut off mid-write are removed before its error
+    is raised. Everything else is written in plan order after the WAVs,
+    the manifest last.
     """
     plan, splits, _ = plan_corpus(cfg)
     wav_dir = os.path.join(out_dir, "wav")
@@ -605,26 +606,15 @@ def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
 
     import scipy.signal  # noqa: F401 - imported once, here, so forked workers inherit it
 
-    n_shares = len(os.sched_getaffinity(0))
-    if n_shares == 1:
-        done = _synth_share(cfg, plan, 0, 1, wav_dir)
-    else:
-        # imported here, as scipy is, to keep them out of every CLI start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: spawn and forkserver would import numpy and scipy again in
-        # every worker. A worker that dies raises BrokenProcessPool here.
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(n_shares - 1, mp_context=fork) as pool:
-            pending = [
-                pool.submit(_synth_share, cfg, plan, k, n_shares, wav_dir)
-                for k in range(1, n_shares)
-            ]
-            done = _synth_share(cfg, plan, 0, n_shares, wav_dir)
-            for future in pending:
-                done += future.result()
-    tags_of = dict(done)
+    try:
+        tags_of = run_shares(_synth_share, range(len(plan)), cfg, plan, wav_dir)
+    except BaseException:
+        # a worker killed inside errors.atomic_write leaves ".<utt>.wav.<pid>.tmp"
+        prefixes = tuple(f".{utt}.wav." for utt, _ in plan)
+        for name in os.listdir(wav_dir):
+            if name.startswith(prefixes) and name.endswith(".tmp"):
+                os.remove(os.path.join(wav_dir, name))
+        raise
 
     clips = []
     captions = []

@@ -32,6 +32,7 @@ from .errors import (
     WrongKind,
     atomic_write,
 )
+from .shares import run_shares
 from .text import pool_text_vector
 
 ENSEMBLE_MAGIC = b"ATEN"
@@ -563,16 +564,33 @@ def choose_combine_weights(preds: np.ndarray, y: np.ndarray, step: float = 0.05)
     raise AssertionError("unreachable: minimum not within its own band")
 
 
-def _fit_three(x, y, cfg: StackConfig):
-    gbm = fit_gbm(x, y, cfg.gbm_rounds, cfg.gbm_depth, cfg.gbm_shrinkage)
-    forest = fit_forest(
-        x, y, cfg.forest_trees, cfg.forest_depth, cfg.feature_frac, cfg.seed, cfg.bootstrap
-    )
-    ridge = fit_ridge(x, y, cfg.ridge_lambda)
-    return gbm, forest, ridge
+def _fit_trees(jobs, x, y, fold_of, cfg: StackConfig) -> list:
+    """For each (kind, fold) job: the model fit on all rows when fold is
+    None, else the fold model's predictions on the fold's held-out rows."""
+    out = []
+    for kind, fold in jobs:
+        rows = slice(None) if fold is None else fold_of != fold
+        if kind == "gbm":
+            model = fit_gbm(x[rows], y[rows], cfg.gbm_rounds, cfg.gbm_depth, cfg.gbm_shrinkage)
+            predict = predict_gbm
+        else:
+            model = fit_forest(x[rows], y[rows], cfg.forest_trees, cfg.forest_depth,
+                               cfg.feature_frac, cfg.seed, cfg.bootstrap)
+            predict = predict_forest
+        out.append(model if fold is None else predict(model, x[fold_of == fold]))
+    return out
 
 
 def fit_stacked(examples, folds: int = 5, cfg: StackConfig = StackConfig(), return_diagnostics: bool = False):
+    """Fit the stack on ``examples`` with ``folds``-fold out-of-fold
+    combine weights.
+
+    The GBM and forest fits are independent of each other, so they run
+    over every CPU (``shares.run_shares``). The ridge fits stay in this
+    process, after them: ridge runs on BLAS, whose threads in two
+    processes spin against each other (a run that also fitted ridge in
+    the workers was slower than a serial one).
+    """
     if folds < 2:
         raise BadConfig("need at least 2 folds")
     examples = list(examples)
@@ -589,20 +607,26 @@ def fit_stacked(examples, folds: int = 5, cfg: StackConfig = StackConfig(), retu
     for k, chunk in enumerate(np.array_split(rng.permutation(n), folds)):
         fold_of[chunk] = k
 
+    # a GBM on all rows (fold None), then on each fold's training rows; the
+    # same for the forest. Dealt interleaved, share 0 holds a GBM and a
+    # forest fit at any share count below 2 * (folds + 1), so a traced run
+    # times both kinds in this process, and two shares each get half the
+    # GBMs and half the forests.
+    jobs = [(kind, fold) for kind in ("gbm", "forest") for fold in (None, *range(folds))]
+    trees = dict(zip(jobs, run_shares(_fit_trees, jobs, x, y, fold_of, cfg)))
     oof = np.zeros((n, 3))
     fold_train_indices = []
     for k in range(folds):
         hold = np.flatnonzero(fold_of == k)
         rest = np.flatnonzero(fold_of != k)
         fold_train_indices.append(rest)
-        gbm, forest, ridge = _fit_three(x[rest], y[rest], cfg)
-        oof[hold, 0] = predict_gbm(gbm, x[hold])
-        oof[hold, 1] = predict_forest(forest, x[hold])
-        oof[hold, 2] = predict_ridge(ridge, x[hold])
+        oof[hold, 0] = trees["gbm", k]
+        oof[hold, 1] = trees["forest", k]
+        oof[hold, 2] = predict_ridge(fit_ridge(x[rest], y[rest], cfg.ridge_lambda), x[hold])
 
     weights = choose_combine_weights(oof, y, cfg.grid_step)
-    gbm, forest, ridge = _fit_three(x, y, cfg)
-    model = StackedModel(gbm, forest, ridge, weights, x.shape[1])
+    ridge = fit_ridge(x, y, cfg.ridge_lambda)
+    model = StackedModel(trees["gbm", None], trees["forest", None], ridge, weights, x.shape[1])
     if return_diagnostics:
         diag = {
             "fold_of": fold_of,

@@ -189,8 +189,9 @@ def _as_matrix(x, what: str) -> np.ndarray:
     return values
 
 
-def _spec_input(spec, raw, params: AtcaParams) -> Tensor:
-    """Spectrogram frames standardized by the stored normalizer buffers."""
+def _spec_input(spec, raw, params: AtcaParams) -> np.ndarray:
+    """Spectrogram frames standardized by the stored normalizer buffers;
+    not checked for finiteness (see :func:`check_inputs`)."""
     cfg = params.config
     if raw is not None:
         raise ShapeMismatch("raw-waveform features are not supported")
@@ -199,19 +200,41 @@ def _spec_input(spec, raw, params: AtcaParams) -> Tensor:
         raise ShapeMismatch(f"spec features have {values.shape[1]} dims, config wants {cfg.d_spec}")
     x = values - params.buffers["norm_mu"]
     x /= params.buffers["norm_sigma"]
-    return Tensor(x)
+    return x
 
 
-def _text_input(text, cfg: AtcaConfig) -> Tensor:
+def _text_input(text, cfg: AtcaConfig) -> np.ndarray:
+    """A caption matrix, (L, d_text); not checked for finiteness."""
     if isinstance(text, Tensor):
-        text_t = text
+        values = text.values
     elif isinstance(text, TextEmbedding):
-        text_t = Tensor(text.matrix)
+        values = text.matrix
     else:
-        text_t = Tensor(_as_matrix(text, "text embedding"))
-    if text_t.values.ndim != 2 or text_t.values.shape[1] != cfg.d_text:
-        raise ShapeMismatch(f"text embedding has shape {text_t.values.shape}, config wants {cfg.d_text} columns")
-    return text_t
+        values = _as_matrix(text, "text embedding")
+    if values.ndim != 2 or values.shape[1] != cfg.d_text:
+        raise ShapeMismatch(f"text embedding has shape {values.shape}, config wants {cfg.d_text} columns")
+    return values
+
+
+def check_inputs(specs, texts, params: AtcaParams) -> None:
+    """Raise NonFinite unless every spectrogram, once standardized, and
+    every caption matrix is finite. The model's ops do not check their
+    inputs: ``train`` and ``score_protocol`` call this once per call
+    instead of on every step.
+
+    Standardizing and its rounding are monotonic in each column, so a
+    spectrogram's frames all stay finite exactly when each column's
+    smallest and largest value do; only those are standardized here.
+    TextEmbedding matrices were checked when they were built.
+    """
+    mats = [_as_matrix(spec, "spec features") for spec in specs]
+    # min and max carry a NaN through
+    if not all(np.isfinite(_spec_input(np.stack([m.min(axis=0), m.max(axis=0)]), None, params)).all()
+               for m in mats if len(m)):
+        raise NonFinite("standardized spectrogram frames must be finite")
+    cfg = params.config
+    if not all(isinstance(t, TextEmbedding) or np.isfinite(_text_input(t, cfg)).all() for t in texts):
+        raise NonFinite("caption embeddings must be finite")
 
 
 def _accumulate(get_buf, tensors, grads) -> None:
@@ -225,7 +248,7 @@ def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
     """Standardize spectrogram frames by the stored normalizer buffers,
     project them to d_model and apply tanh, as one tape op: the one-sample
     case of the encoder in :func:`_front`. ``raw`` must be None."""
-    x = _spec_input(spec, raw, params).values
+    x = _spec_input(spec, raw, params)
     tensors = [params["enc_spec_w"], params["enc_spec_b"]]
     we, be = (t.values for t in tensors)
     enc = np.tanh(x @ we + be)
@@ -287,7 +310,8 @@ def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals
     projected by Wo and residual-added. Differentiable in ``acoustic``,
     in ``text`` when it is a Tensor, and in Wq, Wk, Wv and Wo."""
     cfg = params.config
-    text_t = _text_input(text, cfg)
+    text_v = _text_input(text, cfg)
+    text_t = text if isinstance(text, Tensor) else Tensor(text_v)
     if acoustic.values.ndim != 2 or acoustic.values.shape[1] != cfg.d_model:
         raise ShapeMismatch(f"acoustic input has shape {acoustic.values.shape}, config wants {cfg.d_model} columns")
     tensors = [params[n] for n in ("Wq", "Wk", "Wv", "Wo")]
@@ -321,8 +345,8 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     cfg = params.config
     if not len(specs) == len(raws) == len(texts):
         raise ShapeMismatch(f"batch has {len(specs)} specs, {len(raws)} raws and {len(texts)} texts")
-    xs = [_spec_input(spec, raw, params).values for spec, raw in zip(specs, raws)]
-    ts = [_text_input(text, cfg).values for text in texts]
+    xs = [_spec_input(spec, raw, params) for spec, raw in zip(specs, raws)]
+    ts = [_text_input(text, cfg) for text in texts]
     steps = xs[0].shape[0]
     if any(x.shape[0] != steps for x in xs):
         raise ShapeMismatch("forward_batch requires equal-length sequences")
@@ -485,7 +509,8 @@ def forward_batch(specs, raws, texts, params: AtcaParams) -> Tensor:
     (``_front``) that writes its rows time-major; the whole GRU stack is
     one more (``_run_gru``), which hands the last layer's final states to
     the head op (``_head``). With the loss, a step records the same four
-    tape nodes at any B, T and number of GRU layers.
+    tape nodes at any B, T and number of GRU layers. The inputs are not
+    checked for finiteness; :func:`check_inputs` does that once per run.
     """
     if len(specs) == 0:
         raise ShapeMismatch("empty batch")

@@ -218,30 +218,51 @@ def index_path_for(path) -> str:
     return f"{path}.index.jsonl"
 
 
-def write_embeddings(path, embeddings) -> None:
-    """Binary payload of stacked feature blocks plus a JSONL index sidecar."""
-    index_lines = []
-    with open(path, "wb") as fh:
+_BLOCK_HEAD = 16  # FEATURE_MAGIC, then version, rows and dims as <III
+
+
+def write_embedding_payload(path, embeddings) -> None:
+    """The stacked feature blocks of ``embeddings``, in order."""
+    with atomic_write(path) as fh:
         for emb in embeddings:
-            offset = fh.tell()
             values = emb.matrix.astype("<f4")
-            rows, dims = values.shape
             fh.write(FEATURE_MAGIC)
-            fh.write(struct.pack("<III", FEATURE_VERSION, rows, dims))
+            fh.write(struct.pack("<III", FEATURE_VERSION, *values.shape))
             fh.write(values.tobytes(order="C"))
-            index_lines.append(
-                {
-                    "utt_id": emb.utt_id,
-                    "offset": offset,
-                    "L": rows,
-                    "Dt": dims,
-                    "spans": [[s, a, b] for s, a, b in emb.style_spans],
-                }
-            )
-    with open(index_path_for(path), "w", encoding="utf-8") as fh:
-        for line in index_lines:
+
+
+def write_embedding_index(path, embeddings) -> None:
+    """The JSONL index of the payload ``write_embedding_payload`` writes
+    for ``embeddings``: one line per block, with its offset."""
+    offset = 0
+    with atomic_write(path, "w") as fh:
+        for emb in embeddings:
+            rows, dims = emb.matrix.shape
+            line = {
+                "utt_id": emb.utt_id,
+                "offset": offset,
+                "L": rows,
+                "Dt": dims,
+                "spans": [[s, a, b] for s, a, b in emb.style_spans],
+            }
             fh.write(json.dumps(line))
             fh.write("\n")
+            offset += _BLOCK_HEAD + 4 * rows * dims
+
+
+def write_embeddings(path, embeddings) -> None:
+    """Binary payload of stacked feature blocks plus a JSONL index sidecar.
+
+    The index is the embedding's commit marker. It is written last, and
+    an old one is removed before the payload is replaced, so a write cut
+    off at any point leaves no index over the wrong payload.
+    """
+    embeddings = list(embeddings)
+    index = index_path_for(path)
+    if os.path.exists(index):
+        os.remove(index)
+    write_embedding_payload(path, embeddings)
+    write_embedding_index(index, embeddings)
 
 
 def _is_index_entry(obj) -> bool:
@@ -292,10 +313,10 @@ def _read_index(path) -> list:
 
 def _read_block(fh, path, entry) -> TextEmbedding:
     fh.seek(entry["offset"])
-    head = fh.read(16)
-    if len(head) < 16 or head[:4] != FEATURE_MAGIC:
+    head = fh.read(_BLOCK_HEAD)
+    if len(head) < _BLOCK_HEAD or head[:4] != FEATURE_MAGIC:
         raise BadHeader(f"{path}: no feature block at offset {entry['offset']}")
-    version, rows, dims = struct.unpack("<III", head[4:16])
+    version, rows, dims = struct.unpack("<III", head[4:])
     if version != FEATURE_VERSION:
         raise BadHeader(f"{path}: unsupported feature block version {version}")
     if rows != entry["L"] or dims != entry["Dt"]:

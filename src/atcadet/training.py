@@ -142,10 +142,6 @@ def _spec_matrix(feat) -> np.ndarray:
     return feat.values if hasattr(feat, "values") else np.asarray(feat, dtype=np.float64)
 
 
-def _text_matrix(emb) -> np.ndarray:
-    return emb.matrix if hasattr(emb, "matrix") else np.asarray(emb, dtype=np.float64)
-
-
 def _batches_same_length(indices, lengths, batch_size):
     """Chunk shuffled indices into batches of equal sequence length."""
     groups = {}
@@ -223,9 +219,10 @@ def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaCon
     params = md.AtcaParams.init(model_cfg, seed=cfg.seed)
 
     spec_mats = [_spec_matrix(features[e.utt_id]) for e in train_e]
-    texts = [_text_matrix(embeddings[e.utt_id]) for e in train_e]
+    texts = [embeddings[e.utt_id] for e in train_e]
     labels = np.array([0 if e.label == "bonafide" else 1 for e in train_e], dtype=np.int64)
     _fit_normalizers(params, spec_mats)
+    md.check_inputs(spec_mats, texts, params)
 
     weights = np.asarray(model_cfg.class_weights, dtype=np.float64)
     lengths = [m.shape[0] for m in spec_mats]
@@ -297,8 +294,9 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
         texts = [np.zeros((1, params.config.d_text))] * len(entries)
     else:
         _check_coverage(entries, features, embeddings)
-        texts = [_text_matrix(embeddings[e.utt_id]) for e in entries]
+        texts = [embeddings[e.utt_id] for e in entries]
     spec_mats = [_spec_matrix(features[e.utt_id]) for e in entries]
+    md.check_inputs(spec_mats, texts, params)
     lengths = [m.shape[0] for m in spec_mats]
     scores = np.empty(len(entries))
     with ad.no_grad():

@@ -483,7 +483,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 def encode_ref(spec, params):
     """The acoustic encoder as ``tanh(add(matmul(x, W), b))``."""
-    x = md._spec_input(spec, None, params)
+    x = Tensor(md._spec_input(spec, None, params))
     return tanh(add(matmul(x, params["enc_spec_w"]), params["enc_spec_b"]))
 
 

@@ -243,6 +243,32 @@ class TestErrorMapping:
                     "--out", str(pipeline["corpus"])]) == 1
         assert capsys.readouterr().err.startswith("ERROR OUTPUT_EXISTS:")
 
+    def test_embed_over_a_stale_index(self, pipeline, tmp_path):
+        # the index is the embedding's commit marker: an index without its
+        # payload is a leftover and does not block a rerun
+        out = tmp_path / "emb.bin"
+        argv = ["embed", "--corpus", str(pipeline["corpus"]), "--out", str(out), "--dim", "32"]
+        assert run(argv) == 0
+        os.remove(out)
+        assert run(argv) == 0
+        assert out.read_bytes() == pipeline["emb"].read_bytes()
+        with open(tx.index_path_for(out), "rb") as fh, open(tx.index_path_for(pipeline["emb"]), "rb") as want:
+            assert fh.read() == want.read()
+
+    def test_embed_over_a_payload_without_index(self, pipeline, tmp_path, capsys):
+        # the payload is the user's output path: a write cut off before its
+        # index still needs --force, as any other file at --out does
+        out = tmp_path / "emb.bin"
+        argv = ["embed", "--corpus", str(pipeline["corpus"]), "--out", str(out), "--dim", "32"]
+        assert run(argv) == 0
+        os.remove(tx.index_path_for(out))
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("ERROR OUTPUT_EXISTS:")
+        assert not os.path.exists(tx.index_path_for(out))
+        assert run(argv + ["--force"]) == 0
+        assert out.read_bytes() == pipeline["emb"].read_bytes()
+
     def test_force_overwrites_scores(self, pipeline):
         argv = ["score", "--ckpt", str(pipeline["ckpt"]),
                 "--protocol", pipeline["protocol"],
@@ -457,11 +483,13 @@ class TestErrorMapping:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
+        # and the process pools that corpus synth and ensemble fit import lazily
         src = os.path.dirname(os.path.dirname(cli.__file__))
+        lazy = ("scipy", "multiprocessing", "concurrent.futures")
         out = subprocess.run(
-            [sys.executable, "-c", "import sys, atcadet.cli; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, atcadet.cli; print([m in sys.modules for m in {lazy}])"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == str([False] * len(lazy))
 
 
 class TestVersionAndHelp:

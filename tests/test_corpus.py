@@ -424,6 +424,7 @@ class TestShares:
         assert not (out / "manifest.json").exists()
         wavs = sorted(p.name for p in (out / "wav").glob("*.wav"))
         assert "u0001.wav" not in wavs and "u0000.wav" in wavs
+        assert [p.name for p in (out / "wav").iterdir() if p.name.endswith(".tmp")] == []
         for name in wavs:
             assert (out / "wav" / name).read_bytes() == (tmp_path / "ok" / "wav" / name).read_bytes()
 

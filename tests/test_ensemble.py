@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import multiprocessing
+import os
+import signal
 import struct
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from atcadet import ensemble as es
 from atcadet import errors
+from atcadet.cli import main
 from atcadet.errors import (
     BadConfig,
     BadHeader,
@@ -21,9 +25,9 @@ from atcadet.errors import (
     TruncatedFile,
     WrongKind,
 )
-from atcadet.metrics import Trial
-from atcadet.protocol import ProtocolEntry
-from atcadet.text import TextEmbedding
+from atcadet.metrics import Trial, write_scores
+from atcadet.protocol import ProtocolEntry, write_protocol
+from atcadet.text import TextEmbedding, write_embeddings
 
 from _oracles import ridge_gd_oracle, simplex_bruteforce_oracle
 
@@ -843,3 +847,116 @@ class TestEnsembleFile:
         bad.write_bytes(b"ATEN" + struct.pack("<II", 1, len(blob)) + blob)
         with pytest.raises(BadJson):
             es.load_ensemble(bad)
+
+
+def _cpus(monkeypatch, n):
+    """Make ``run_shares`` see ``n`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fit_inputs(root, n=11):
+    """Protocol, two score files and embeddings of an ``n``-utterance dev
+    split, and the ``ensemble fit`` arguments that read them. At 11 rows
+    and 5 folds, fold 0 holds 3 rows out and the other folds 2, so the
+    fits on fold 0's training rows are the only ones on 8 rows."""
+    rng = np.random.default_rng(0)
+    entries = [ProtocolEntry(f"u{i}", f"u{i}.wav", "bonafide" if i % 2 else "spoof", "gen", "dev")
+               for i in range(n)]
+    write_protocol(root / "protocol.tsv", entries)
+    for name in ("a", "b"):
+        write_scores(root / f"{name}.tsv",
+                     [Trial(e.utt_id, (e.label == "bonafide") + 0.3 * rng.normal()) for e in entries])
+    write_embeddings(root / "emb.bin", [_embedding(e.utt_id, rng.normal(size=4)) for e in entries])
+    return ["ensemble", "fit", "--scores", f"{root / 'a.tsv'},{root / 'b.tsv'}",
+            "--embeddings", str(root / "emb.bin"), "--protocol", str(root / "protocol.tsv"),
+            "--seed", "3", "--out", str(root / "stack.aten")]
+
+
+class TestShares:
+    """The twelve GBM and forest fits dealt out over the CPUs: share 0 in
+    this process, the others in forked workers; ridge in this process."""
+
+    def test_same_model_and_diagnostics_at_any_share_count(self, tmp_path, monkeypatch):
+        examples = _toy_examples(23, seed=4)
+        fits = []
+        for n in (1, 2, 3, 13):  # 13: more shares than jobs
+            _cpus(monkeypatch, n)
+            model, diag = es.fit_stacked(examples, folds=5, cfg=SMALL_CFG, return_diagnostics=True)
+            assert multiprocessing.active_children() == []
+            es.save_ensemble(tmp_path / f"{n}.aten", model)
+            fits.append(((tmp_path / f"{n}.aten").read_bytes(), diag))
+        first_bytes, first = fits[0]
+        for blob, diag in fits[1:]:
+            assert blob == first_bytes
+            assert sorted(diag) == sorted(first)
+            for key in ("fold_of", "oof_predictions", "targets"):
+                assert np.array_equal(diag[key], first[key])
+            for rest, want in zip(diag["fold_train_indices"], first["fold_train_indices"], strict=True):
+                assert np.array_equal(rest, want)
+
+    @pytest.mark.parametrize("cpus, counts", [
+        (1, (6, 6)),  # no pool: every fit here
+        (2, (3, 3)),  # half the GBMs and half the forests
+        (3, None), (4, None), (5, None), (6, None), (11, None),
+    ])
+    def test_callers_share_holds_a_gbm_and_a_forest(self, cpus, counts, monkeypatch):
+        # a traced run times both kinds from spans in this process
+        _cpus(monkeypatch, cpus)
+        here = []
+        for kind in ("fit_gbm", "fit_forest"):
+            def recording(*args, kind=kind, fit=getattr(es, kind)):
+                here.append(kind)
+                return fit(*args)
+            monkeypatch.setattr(es, kind, recording)
+        es.fit_stacked(_toy_examples(12), folds=5, cfg=SMALL_CFG)
+        assert multiprocessing.active_children() == []
+        got = (here.count("fit_gbm"), here.count("fit_forest"))
+        assert min(got) >= 1
+        assert counts is None or got == counts
+
+    @pytest.mark.parametrize("kind", ["fit_gbm", "fit_forest"])
+    @pytest.mark.parametrize("rows, share", [(11, 0), (8, 1)])  # all rows; fold 0's training rows
+    @pytest.mark.parametrize("error, code, line", [
+        (NonFinite("fit blew up"), 2, "ERROR NON_FINITE: fit blew up"),
+        (OSError(28, "No space left on device"), 3, "ERROR INTERNAL: [Errno 28] No space left on device"),
+    ])
+    def test_fit_error_reaches_cli_as_in_serial_run(self, kind, rows, share, error, code, line,
+                                                    tmp_path, monkeypatch, capsys):
+        argv = _fit_inputs(tmp_path)
+        runner = os.getpid()
+        fit = getattr(es, kind)
+
+        def failing_fit(x, y, *args):
+            if len(y) == rows:
+                (tmp_path / f"failed.{os.getpid()}").touch()
+                raise error
+            return fit(x, y, *args)
+
+        monkeypatch.setattr(es, kind, failing_fit)
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            assert main(argv) == code
+            assert capsys.readouterr().err.strip() == line
+            assert not (tmp_path / "stack.aten").exists()
+            assert multiprocessing.active_children() == []
+            failed = [int(p.suffix[1:]) for p in tmp_path.glob("failed.*")]
+            assert (failed == [runner]) == (n == 1 or share == 0)
+            for p in tmp_path.glob("failed.*"):
+                p.unlink()
+
+    def test_worker_killed_gives_exit_3(self, tmp_path, monkeypatch, capsys):
+        _cpus(monkeypatch, 2)
+        argv = _fit_inputs(tmp_path)
+        runner = os.getpid()
+        fit_forest = es.fit_forest
+
+        def fit_then_die(*args):
+            if os.getpid() != runner:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit_forest(*args)
+
+        monkeypatch.setattr(es, "fit_forest", fit_then_die)
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("ERROR INTERNAL:")
+        assert not (tmp_path / "stack.aten").exists()
+        assert multiprocessing.active_children() == []

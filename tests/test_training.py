@@ -4,7 +4,7 @@ import pytest
 from atcadet import autodiff as ad
 from atcadet import model as md
 from atcadet import training as tr
-from atcadet.errors import BadConfig, EmptySplit, MissingEmbedding, MissingFeature
+from atcadet.errors import BadConfig, EmptySplit, MissingEmbedding, MissingFeature, NonFinite
 from atcadet.metrics import compute_eer
 from atcadet.protocol import ProtocolEntry
 
@@ -249,6 +249,96 @@ class TestScoreProtocol:
         params, entries, features, embeddings = trained
         with pytest.raises(MissingFeature):
             tr.score_protocol(params, entries, {}, embeddings)
+
+
+def _validate_every_step(monkeypatch):
+    """Make the model check its inputs as it did on every step: each
+    standardized spectrogram and caption matrix through a validating Tensor."""
+    spec_input, text_input = md._spec_input, md._text_input
+    monkeypatch.setattr(md, "_spec_input", lambda spec, raw, params: ad.Tensor(spec_input(spec, raw, params)).values)
+    monkeypatch.setattr(md, "_text_input", lambda text, cfg: ad.Tensor(text_input(text, cfg)).values)
+
+
+class TestInputsCheckedOncePerCall:
+    """``train`` and ``score_protocol`` check their inputs once per call;
+    the model's ops no longer check them on every step."""
+
+    def _run(self, tmp_path, name):
+        entries, features, embeddings = _toy_data(n_train=10, n_dev=6, seed=2, t_frames=4)
+        cfg = tr.TrainConfig(epochs=3, batch_size=4, seed=1, patience=3)
+        params, report = tr.train(entries, features, embeddings, cfg, TOY_CFG)
+        md.save_checkpoint(tmp_path / name, params)
+        scores = [t.score for t in tr.score_protocol(params, entries, features, embeddings)]
+        specs = [features[e.utt_id] for e in entries[:4]]
+        texts = [embeddings[e.utt_id] for e in entries[:4]]
+        with ad.Tape() as tape:
+            logits = md.forward_batch(specs, [None] * 4, texts, params)
+            loss = ad.weighted_ce_logits(logits, np.array([0, 1, 0, 1]), np.ones(2))
+        grads = ad.backward(tape, loss)
+        return ((tmp_path / name).read_bytes(), report.train_loss, report.val_eer, scores,
+                logits.values, [grads[t] for t in params.tensors.values()])
+
+    def test_same_bits_as_checking_every_step(self, tmp_path, monkeypatch):
+        now = self._run(tmp_path, "now.atck")
+        _validate_every_step(monkeypatch)
+        before = self._run(tmp_path, "before.atck")
+        assert now[:4] == before[:4]
+        assert np.array_equal(now[4], before[4])
+        for a, b in zip(now[5], before[5], strict=True):
+            assert np.array_equal(a, b)
+
+    def test_one_check_per_call(self, monkeypatch):
+        entries, features, embeddings = _toy_data()
+        calls = []
+        check = md.check_inputs
+
+        def counted(specs, texts, params):
+            calls.append(len(specs))
+            check(specs, texts, params)
+
+        monkeypatch.setattr(md, "check_inputs", counted)
+        tr.train(entries, features, embeddings, tr.TrainConfig(epochs=3, seed=0, patience=3), TOY_CFG)
+        assert calls == [8, 4, 4, 4]  # the train split, then dev once per epoch
+
+    @pytest.mark.parametrize("where", ["spec", "text"])
+    def test_non_finite_input_fails_before_the_first_step(self, where, monkeypatch):
+        entries, features, embeddings = _toy_data()
+        (features if where == "spec" else embeddings)["u1"][0, 0] = np.nan
+        steps = []
+        monkeypatch.setattr(md, "forward_batch", lambda *args: steps.append(args))
+        with pytest.raises(NonFinite):
+            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=1), TOY_CFG)
+        assert steps == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_scoring_rejects_a_non_finite_frame(self, value, trained):
+        params, entries, features, embeddings = trained
+        features = {**features, "u2": features["u2"].copy()}  # not the first sample
+        features["u2"][1, 1] = value
+        with pytest.raises(NonFinite, match="spectrogram"):
+            tr.score_protocol(params, entries, features, embeddings)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_check_stays_exact_where_the_extremes_overflow(self):
+        params = md.AtcaParams.init(TOY_CFG, seed=0)
+        params.buffers["norm_sigma"][0, 1] = 1e-10
+        spec = np.zeros((3, TOY_CFG.d_spec))
+        spec[:, 0] = 1e300
+        # the largest value overflows in column 1, which holds only zeros
+        md.check_inputs([spec], [], params)
+        spec[2, 1] = 1e300
+        with pytest.raises(NonFinite):
+            md.check_inputs([spec], [], params)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_scoring_checks_the_standardized_frames(self, trained):
+        params, entries, features, embeddings = trained
+        broken = params.copy()
+        broken.buffers["norm_sigma"][0, 0] = 0.0
+        with pytest.raises(NonFinite, match="spectrogram"):
+            tr.score_protocol(broken, entries, features, embeddings)
+        with pytest.raises(NonFinite, match="spectrogram"):
+            tr.ablate_text(broken, entries, features)
 
 
 class TestAblateText:

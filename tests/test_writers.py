@@ -1,6 +1,9 @@
 """Writers that go through ``errors.atomic_write``: a write that fails
 part-way keeps the old file and leaves no temp file behind."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from atcadet import dsp
 from atcadet import ensemble as es
 from atcadet import errors
 from atcadet import model as md
+from atcadet import text as tx
 from atcadet import training as tr
 from atcadet.metrics import Trial, write_scores
 from atcadet.model import AtcaConfig, AtcaParams
@@ -58,9 +62,17 @@ def _features(seed):
     return dsp.FeatureMatrix(np.random.default_rng(seed).normal(size=(6, 4)))
 
 
+def _embeddings(seed):
+    rng = np.random.default_rng(seed)
+    return [tx.TextEmbedding(f"u{i}", rng.normal(size=(2 + i, 3)), (("audioset", 0, 1), ("clotho", 1, 2 + i)))
+            for i in range(3)]
+
+
 WRITERS = {
     "captions": (write_captions, _captions),
     "checkpoint": (md.save_checkpoint, _checkpoint),
+    "embedding_index": (tx.write_embedding_index, _embeddings),
+    "embedding_payload": (tx.write_embedding_payload, _embeddings),
     "ensemble": (es.save_ensemble, _ensemble),
     "features": (dsp.write_features, _features),
     "manifest": (cp.write_manifest, _manifest),
@@ -132,3 +144,53 @@ def test_report_bytes(tmp_path):
         b'{\n  "best_epoch": 1,\n  "class_weights": [\n    1.0,\n    1.0\n  ],\n  "train_loss": [\n'
         b'    0.7,\n    0.5\n  ],\n  "val_eer": [\n    0.3,\n    0.2\n  ],\n  "wall_seconds": 1.5\n}\n'
     )
+
+
+def _single_pass_embeddings(path, embeddings):
+    """The embedding writer as it was before it went through atomic_write:
+    offsets from ``tell()`` while the payload is written, then the index."""
+    lines = []
+    with open(path, "wb") as fh:
+        for emb in embeddings:
+            offset = fh.tell()
+            values = emb.matrix.astype("<f4")
+            fh.write(dsp.FEATURE_MAGIC + struct.pack("<III", dsp.FEATURE_VERSION, *values.shape))
+            fh.write(values.tobytes(order="C"))
+            lines.append({"utt_id": emb.utt_id, "offset": offset, "L": values.shape[0],
+                          "Dt": values.shape[1], "spans": [list(s) for s in emb.style_spans]})
+    with open(tx.index_path_for(path), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
+
+
+def test_embedding_files_match_single_pass_writer(tmp_path):
+    tx.write_embeddings(tmp_path / "new.bin", _embeddings(0))
+    _single_pass_embeddings(tmp_path / "old.bin", _embeddings(0))
+    for suffix in ("", ".index.jsonl"):
+        assert (tmp_path / f"new.bin{suffix}").read_bytes() == (tmp_path / f"old.bin{suffix}").read_bytes()
+
+
+def test_failed_embedding_overwrite_leaves_no_index(tmp_path, fill_disk):
+    # the index is the commit marker: it goes before the payload is replaced
+    path = tmp_path / "emb.bin"
+    tx.write_embeddings(path, _embeddings(0))
+    before = path.read_bytes()
+    fill_disk()
+    with pytest.raises(OSError):
+        tx.write_embeddings(path, _embeddings(1))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
+
+
+def test_embedding_cut_before_its_index_leaves_only_the_payload(tmp_path, monkeypatch):
+    path = tmp_path / "emb.bin"
+    tx.write_embeddings(path, _embeddings(0))
+
+    def disk_full(path, embeddings):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tx, "write_embedding_index", disk_full)
+    with pytest.raises(OSError):
+        tx.write_embeddings(path, _embeddings(1))
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
+    tx.write_embedding_payload(tmp_path / "want.bin", _embeddings(1))
+    assert path.read_bytes() == (tmp_path / "want.bin").read_bytes()
