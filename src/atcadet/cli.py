@@ -381,12 +381,12 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
     cfg = _stack_config(run.get("ensemble", {}))
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
+    _guard_output(out_path, force)
     entries = filter_split(read_protocol(protocol_path), split)
     score_sets = _read_score_sets(scores_spec)
     embeddings = _load_embedding_map(embeddings_path)
     examples = es.build_meta_examples(score_sets, embeddings, entries)
     model = es.fit_stacked(examples, folds=folds, cfg=cfg)
-    _guard_output(out_path, force)
     es.save_ensemble(out_path, model)
     weights = ", ".join(f"{w:.2f}" for w in model.combine_weights)
     click.echo(f"wrote ensemble to {out_path} (combine weights {weights})")

@@ -11,9 +11,11 @@ into train.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,15 +131,61 @@ def _quantize_pcm16(x: np.ndarray) -> np.ndarray:
     return y
 
 
+@functools.cache
+def _load_sigtools():
+    """scipy's compiled filter module ``scipy/signal/_sigtools``, or None
+    if its file is missing.
+
+    It is loaded on its own: ``import scipy.signal`` takes about 1 s and
+    keeps about 65 MB of scipy resident, for the one filter synthesis
+    uses. It is left out of ``sys.modules``, so a later ``import
+    scipy.signal`` imports its submodule as usual; if ``scipy.signal`` is
+    already imported, its module is returned.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    name = "scipy.signal._sigtools"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_sigtools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # a single-phase extension module registers itself on creation
+            sys.modules.pop(name, None)
+            return module
+    return None
+
+
+def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x)``, bit for bit, for a float64 ``x``
+    and an ``a`` of two or more taps.
+
+    It makes the call ``lfilter`` makes for these inputs (scipy 1.17), on
+    the compiled filter alone; ``lfilter`` itself is the fallback where
+    that filter cannot be found.
+    """
+    linear_filter = getattr(_load_sigtools(), "_linear_filter", None)
+    if linear_filter is None:
+        from scipy.signal import lfilter
+
+        return lfilter(b, a, x)
+    return linear_filter(np.atleast_1d(b), np.atleast_1d(a), x, -1)
+
+
 def _pink_bed(rng, n: int, sample_rate: int) -> np.ndarray:
     """1/f-shaped bed: one-pole lowpass cascade, taps summed."""
-    from scipy.signal import lfilter  # scipy is imported by synthesis alone
-
     x = rng.standard_normal(n)
     bed = np.zeros(n)
     for f in (10240.0, 2560.0, 640.0, 160.0, 40.0):
         a = math.exp(-2.0 * math.pi * f / sample_rate)
-        x = lfilter([1.0 - a], [1.0, -a], x)
+        x = _lfilter([1.0 - a], [1.0, -a], x)
         bed += x
     rms = math.sqrt(float(np.mean(bed * bed)))
     return bed * (rng.uniform(0.03, 0.08) / max(rms, 1e-9))
@@ -225,14 +273,12 @@ def _lowpass4(x: np.ndarray, sample_rate: int, cutoff_hz: float) -> np.ndarray:
     # at or above Nyquist the filter is an exact pass-through
     if cutoff_hz >= sample_rate / 2.0:
         return x
-    from scipy.signal import lfilter  # scipy is imported by synthesis alone
-
     c = math.tan(math.pi * cutoff_hz / sample_rate)
     b = [c / (1.0 + c), c / (1.0 + c)]
     a = [1.0, (c - 1.0) / (1.0 + c)]
     y = x
     for _ in range(4):
-        y = lfilter(b, a, y)
+        y = _lfilter(b, a, y)
     return y
 
 
@@ -595,16 +641,23 @@ def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
     """Synthesize WAVs, captions, both protocols, and the manifest.
 
     Each clip depends only on its seed ``[cfg.seed, i]``, so the clips are
-    synthesized over every CPU (``shares.run_shares``). If a share fails,
-    the temp files of WAVs cut off mid-write are removed before its error
-    is raised. Everything else is written in plan order after the WAVs,
-    the manifest last.
+    synthesized over every CPU (``shares.run_shares``). Synthesis loads
+    only scipy's compiled filter module (``_lfilter``), once, before the
+    workers fork, so they inherit it. If a share fails, the temp files of
+    WAVs cut off mid-write are removed before its error is raised.
+
+    The manifest is the corpus's commit marker: an old one is removed
+    before the first WAV is written, and the new one is written last,
+    after everything else in plan order.
     """
     plan, splits, _ = plan_corpus(cfg)
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
 
-    import scipy.signal  # noqa: F401 - imported once, here, so forked workers inherit it
+    _load_sigtools()  # loaded once, here, so forked workers inherit it
 
     try:
         tags_of = run_shares(_synth_share, range(len(plan)), cfg, plan, wav_dir)
@@ -639,5 +692,5 @@ def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
         write_protocol(os.path.join(out_dir, f"protocol_{track}.tsv"), entries)
 
     manifest = CorpusManifest(clips, splits, cfg.blackbox_fraction, cfg.to_dict())
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    write_manifest(manifest_path, manifest)
     return manifest

@@ -269,6 +269,24 @@ class TestErrorMapping:
         assert run(argv + ["--force"]) == 0
         assert out.read_bytes() == pipeline["emb"].read_bytes()
 
+    def test_ensemble_fit_refuses_existing_out_before_fitting(self, pipeline, tmp_path,
+                                                               monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the output guard")
+
+        out = tmp_path / "stack.aten"
+        out.write_bytes(b"old")
+        argv = ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                "--split", "dev", "--folds", "3", "--seed", "0", "--out", str(out)]
+        monkeypatch.setattr(cli.es, "fit_stacked", no_fit)
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("ERROR OUTPUT_EXISTS:")
+        assert out.read_bytes() == b"old"
+        monkeypatch.undo()
+        assert run(argv + ["--force"]) == 0
+        assert out.read_bytes() == pipeline["stack"].read_bytes()
+
     def test_force_overwrites_scores(self, pipeline):
         argv = ["score", "--ckpt", str(pipeline["ckpt"]),
                 "--protocol", pipeline["protocol"],
@@ -490,6 +508,27 @@ class TestStartup:
             [sys.executable, "-c", f"import sys, atcadet.cli; print([m in sys.modules for m in {lazy}])"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == str([False] * len(lazy))
+
+
+class TestSynthImports:
+    def test_synth_loads_only_the_compiled_filter_of_scipy(self, tmp_path):
+        # import scipy.signal alone takes about 1 s and keeps about 65 MB
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        heavy = ("scipy.signal", "scipy.linalg", "scipy.sparse")
+        script = (
+            "import json, sys\n"
+            "from atcadet.cli import main\n"
+            "out = sys.argv[1]\n"
+            "open(out + '.json', 'w').write(json.dumps({'corpus': {'n_clips': 12, 'seed': 4}}))\n"
+            "assert main(['corpus', 'synth', '--config', out + '.json', '--out', out]) == 0\n"
+            f"print([m in sys.modules for m in {heavy}])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "corpus")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+            timeout=300)
+        assert len(list((tmp_path / "corpus" / "wav").glob("*.wav"))) == 12
+        assert out.stdout.strip().splitlines()[-1] == str([False] * len(heavy))
 
 
 class TestVersionAndHelp:

@@ -398,6 +398,32 @@ class TestShares:
             assert not (out / "manifest.json").exists()
             assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_forced_rerun_cut_off_leaves_no_manifest(self, n, tmp_path, monkeypatch, capsys):
+        # the manifest is the corpus's commit marker: the old one must not
+        # sit over a mix of old and new WAVs
+        _cpus(monkeypatch, n)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": {"n_clips": 8, "duration_s": 0.5,
+                                                 "sample_rate": 8000, "seed": 1}}))
+        out = tmp_path / "corpus"
+        argv = ["corpus", "synth", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "manifest.json").exists()
+        write_wav = cp.write_wav
+
+        def failing_write(path, wave):
+            if os.path.basename(path) == "u0005.wav":
+                raise OSError(28, "No space left on device", path)
+            write_wav(path, wave)
+
+        monkeypatch.setattr(cp, "write_wav", failing_write)
+        capsys.readouterr()
+        assert main(argv + ["--force", "--seed", "2"]) == 3
+        assert capsys.readouterr().err.startswith("ERROR INTERNAL:")
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
     def test_worker_killed_mid_write_leaves_no_wav_of_it(self, tmp_path, monkeypatch, capsys):
         _cpus(monkeypatch, 2)
         cp.build_corpus(_tiny_cfg(n_clips=8), tmp_path / "ok")
