@@ -53,7 +53,7 @@ def load_run_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise BadJson(f"{path}: unparseable run config: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise BadJson(f"{path}: run config must be a JSON object")
+        raise BadConfig(f"{path}: run config must be a JSON object")
     unknown = sorted(set(cfg) - set(_RUN_CONFIG_SECTIONS))
     if unknown:
         raise BadConfig(f"{path}: unknown config sections {unknown}")
@@ -63,18 +63,12 @@ def load_run_config(path) -> dict:
     return cfg
 
 
-def _model_config(d: dict) -> md.AtcaConfig:
+def _section_config(cls, d: dict):
+    """``cls(**d)`` for a run-config section; an unknown field is a BadConfig."""
     try:
-        return md.AtcaConfig(**d)
+        return cls(**d)
     except TypeError as exc:
-        raise BadConfig(f"bad model config fields: {exc}") from exc
-
-
-def _stack_config(d: dict) -> es.StackConfig:
-    try:
-        return es.StackConfig(**d)
-    except TypeError as exc:
-        raise BadConfig(f"bad ensemble config fields: {exc}") from exc
+        raise BadConfig(f"bad {cls.__name__} fields: {exc}") from exc
 
 
 def _guard_output(path, force: bool) -> None:
@@ -262,7 +256,7 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
     emb_dim = next(iter(embeddings.values())).matrix.shape[1] if embeddings else 768
     model_dict = {"d_spec": feat_dim, "d_text": emb_dim}
     model_dict.update(run.get("model", {}))
-    model_cfg = _model_config(model_dict)
+    model_cfg = _section_config(md.AtcaConfig, model_dict)
     if model_cfg.d_spec != feat_dim:
         raise DimMismatch(f"model d_spec {model_cfg.d_spec} != feature width {feat_dim}")
     if model_cfg.d_text != emb_dim:
@@ -378,7 +372,7 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
                  folds, seed, out_path, force):
     """Fit the stacked regression ensemble on out-of-fold base scores."""
     run = load_run_config(config_path)
-    cfg = _stack_config(run.get("ensemble", {}))
+    cfg = _section_config(es.StackConfig, run.get("ensemble", {}))
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     _guard_output(out_path, force)
@@ -414,11 +408,7 @@ def ensemble_score(model_path, scores_spec, embeddings_path, protocol_path, spli
     score_sets = _read_score_sets(scores_spec)
     embeddings = _load_embedding_map(embeddings_path)
     examples = es.build_meta_examples(score_sets, embeddings, entries)
-    x = np.stack([es.feature_vector(ex) for ex in examples])
-    if x.shape[1] != model.n_features:
-        raise DimMismatch(
-            f"ensemble expects {model.n_features} features, inputs provide {x.shape[1]}")
-    preds = es.predict_stacked(model, x)
+    preds = es.predict_stacked(model, np.stack([es.feature_vector(ex) for ex in examples]))
     trials = [Trial(ex.utt_id, float(p)) for ex, p in zip(examples, preds)]
     _guard_output(out_path, force)
     write_scores(out_path, trials)

@@ -11,32 +11,28 @@ into train.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
-from .errors import BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, read_text
+from .errors import (
+    BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, check_fields, read_text,
+)
 from .protocol import ProtocolEntry, write_protocol
 from .shares import run_shares
 from .text import CaptionSet, write_captions
 
 EVENT_VOCAB = ("alarm", "bird", "dog", "engine", "horn", "rain", "siren", "wind")
-
-GENERATOR_KINDS = (
-    "real",
-    "fake_lowpass_smear",
-    "fake_spectral_quantize",
-    "fake_hum_phase",
-    "fake_blackbox",
-)
 
 # per event type: frequency band (Hz), chirp slope span (Hz/s),
 # amplitude-modulation rate range (Hz; 0 = steady)
@@ -51,25 +47,52 @@ _EVENT_BANDS = {
     "wind": (120.0, 300.0, 90.0, (0.2, 0.8)),
 }
 
-# caption token correlated with the generator family (opt-in)
-_GENERATOR_HINTS = {
-    "real": "crisp",
-    "fake_lowpass_smear": "muffled",
-    "fake_spectral_quantize": "grainy",
-    "fake_hum_phase": "humming",
-    "fake_blackbox": "processed",
+
+class _Param(NamedTuple):
+    """One family parameter: its default, whose type is the parameter's;
+    its valid range; its value at strength ``s`` < 1 for Nyquist frequency
+    ``nyq``; and the black-box family's hidden draw of it from its rng."""
+
+    default: int | float
+    ok: Callable
+    scale: Callable = lambda v, s, nyq: s * v
+    draw: Optional[Callable] = None
+
+
+# per kind: the caption token correlated with the family (opt-in), and its
+# parameters; the black-box family draws the others' in this order
+_FAMILIES = {
+    "real": ("crisp", {}),
+    "fake_lowpass_smear": ("muffled", {
+        "cutoff_hz": _Param(4500.0, lambda v: v > 0, lambda v, s, nyq: nyq - s * (nyq - v),
+                            lambda rng: rng.uniform(3000.0, 9000.0)),
+        "smear": _Param(0.5, lambda v: 0.0 <= v <= 1.0, draw=lambda rng: rng.uniform(0.2, 0.7)),
+    }),
+    "fake_spectral_quantize": ("grainy", {
+        "levels": _Param(10, lambda v: v >= 2, lambda v, s, nyq: max(2, int(round(v / s))),
+                         lambda rng: rng.uniform(8.0, 48.0)),
+    }),
+    "fake_hum_phase": ("humming", {
+        "hum_hz": _Param(50.0, lambda v: 40.0 <= v <= 70.0, lambda v, s, nyq: v,
+                         lambda rng: 50.0 if rng.uniform() < 0.5 else 60.0),
+        "hum_amp": _Param(0.04, lambda v: 0.0 < v <= 0.2, draw=lambda rng: rng.uniform(0.01, 0.05)),
+        "jitter": _Param(0.3, lambda v: 0.0 <= v <= 1.0, draw=lambda rng: rng.uniform(0.1, 0.5)),
+    }),
+    "fake_blackbox": ("processed", {"strength": _Param(1.0, lambda v: 0.0 < v <= 1.0)}),
 }
+_BLACKBOX_PARTS = ("fake_lowpass_smear", "fake_spectral_quantize", "fake_hum_phase")
+
+GENERATOR_KINDS = tuple(_FAMILIES)
+_GENERATOR_HINTS = {kind: hint for kind, (hint, _) in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One clip source: the real recorder or a parametric fake family.
 
-    Documented parameter ranges per kind:
-      fake_lowpass_smear: cutoff_hz > 0, smear in [0, 1]
-      fake_spectral_quantize: levels >= 2
-      fake_hum_phase: hum_hz in [40, 70], hum_amp in (0, 0.2], jitter in [0, 1]
-      fake_blackbox: strength in (0, 1] (hidden params drawn per clip)
+    ``params`` may set any parameter of the kind's ``_FAMILIES`` entry and
+    defaults the rest; an integer parameter takes an int, a float one an
+    int or a float (stored as a float), and each must lie in its range.
     """
 
     id: str
@@ -79,32 +102,22 @@ class GeneratorSpec:
     def __post_init__(self):
         if not self.id:
             raise BadConfig("generator id must be non-empty")
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in _FAMILIES:
             raise WrongKind(f"unknown generator kind {self.kind!r}")
+        _, table = _FAMILIES[self.kind]
         p = dict(self.params)
-        if self.kind == "real":
-            allowed = {}
-        elif self.kind == "fake_lowpass_smear":
-            allowed = {
-                "cutoff_hz": (float(p.get("cutoff_hz", 4500.0)), lambda v: v > 0),
-                "smear": (float(p.get("smear", 0.5)), lambda v: 0.0 <= v <= 1.0),
-            }
-        elif self.kind == "fake_spectral_quantize":
-            allowed = {"levels": (int(p.get("levels", 10)), lambda v: v >= 2)}
-        elif self.kind == "fake_hum_phase":
-            allowed = {
-                "hum_hz": (float(p.get("hum_hz", 50.0)), lambda v: 40.0 <= v <= 70.0),
-                "hum_amp": (float(p.get("hum_amp", 0.04)), lambda v: 0.0 < v <= 0.2),
-                "jitter": (float(p.get("jitter", 0.3)), lambda v: 0.0 <= v <= 1.0),
-            }
-        else:
-            allowed = {"strength": (float(p.get("strength", 1.0)), lambda v: 0.0 < v <= 1.0)}
-        extra = set(p) - set(allowed)
+        extra = set(p) - set(table)
         if extra:
             raise BadConfig(f"generator {self.id!r}: unknown params {sorted(extra)}")
         clean = {}
-        for name, (value, ok) in allowed.items():
-            if not ok(value):
+        for name, param in table.items():
+            value = p.get(name, param.default)
+            number = numbers.Integral if isinstance(param.default, int) else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise BadConfig(f"generator {self.id!r}: {name} must be "
+                                f"of type {type(param.default).__name__}, got {value!r}")
+            value = type(param.default)(value)
+            if not param.ok(value):
                 raise BadConfig(f"generator {self.id!r}: {name}={value} out of range")
             clean[name] = value
         object.__setattr__(self, "params", clean)
@@ -112,11 +125,8 @@ class GeneratorSpec:
 
 REAL_GENERATOR = GeneratorSpec("real", "real")
 
-DEFAULT_FAKE_GENERATORS = (
-    GeneratorSpec("lowpass_smear", "fake_lowpass_smear", {"cutoff_hz": 4500.0, "smear": 0.5}),
-    GeneratorSpec("spectral_quantize", "fake_spectral_quantize", {"levels": 10}),
-    GeneratorSpec("hum_phase", "fake_hum_phase", {"hum_hz": 50.0, "hum_amp": 0.04, "jitter": 0.3}),
-    GeneratorSpec("blackbox", "fake_blackbox", {}),
+DEFAULT_FAKE_GENERATORS = tuple(
+    GeneratorSpec(kind.removeprefix("fake_"), kind) for kind in GENERATOR_KINDS if kind != "real"
 )
 
 
@@ -311,41 +321,34 @@ def _hum_phase(x: np.ndarray, sample_rate: int, rng, hum_hz: float, hum_amp: flo
 def _blackbox(x: np.ndarray, sample_rate: int, rng, strength: float) -> np.ndarray:
     # draw every hidden parameter up front so the stream is order-stable
     nyq = sample_rate / 2.0
-    cutoff = nyq - strength * (nyq - rng.uniform(3000.0, 9000.0))
-    smear = strength * rng.uniform(0.2, 0.7)
-    levels = max(2, int(round(rng.uniform(8.0, 48.0) / strength)))
-    hum_hz = 50.0 if rng.uniform() < 0.5 else 60.0
-    hum_amp = strength * rng.uniform(0.01, 0.05)
-    jitter = strength * rng.uniform(0.1, 0.5)
-    order = rng.permutation(3)
+    parts = []
+    for kind in _BLACKBOX_PARTS:
+        _, table = _FAMILIES[kind]
+        parts.append((kind, {name: p.scale(p.draw(rng), strength, nyq) for name, p in table.items()}))
     y = x
-    for op in order:
-        if op == 0:
-            y = _frame_smear(_lowpass4(y, sample_rate, cutoff), smear)
-        elif op == 1:
-            y = _spectral_quantize(y, levels)
-        else:
-            y = _hum_phase(y, sample_rate, rng, hum_hz, hum_amp, jitter)
+    for op in rng.permutation(len(parts)):
+        y = _corrupt(y, sample_rate, rng, *parts[op])
     return y
+
+
+def _corrupt(x: np.ndarray, sample_rate: int, rng, kind: str, params: dict) -> np.ndarray:
+    """``x`` with the artifact of family ``kind`` at ``params``."""
+    if kind == "fake_lowpass_smear":
+        y = _lowpass4(x, sample_rate, params["cutoff_hz"])
+        return _frame_smear(y, params["smear"]) if params["smear"] > 0.0 else y
+    if kind == "fake_spectral_quantize":
+        return _spectral_quantize(x, params["levels"])
+    if kind == "fake_hum_phase":
+        return _hum_phase(x, sample_rate, rng, **params)
+    return _blackbox(x, sample_rate, rng, **params)
 
 
 def apply_fake(wave: Waveform, gen: GeneratorSpec, seed) -> Waveform:
     """Corrupt a real clip with the family's artifact; seeded, quantized."""
     if gen.kind == "real":
         raise WrongKind("the real generator does not produce fakes")
-    rng = np.random.default_rng(seed)
     x = np.asarray(wave.samples, dtype=np.float64)
-    p = gen.params
-    if gen.kind == "fake_lowpass_smear":
-        y = _lowpass4(x, wave.sample_rate, p["cutoff_hz"])
-        if p["smear"] > 0.0:
-            y = _frame_smear(y, p["smear"])
-    elif gen.kind == "fake_spectral_quantize":
-        y = _spectral_quantize(x, p["levels"])
-    elif gen.kind == "fake_hum_phase":
-        y = _hum_phase(x, wave.sample_rate, rng, p["hum_hz"], p["hum_amp"], p["jitter"])
-    else:
-        y = _blackbox(x, wave.sample_rate, rng, p["strength"])
+    y = _corrupt(x, wave.sample_rate, np.random.default_rng(seed), gen.kind, gen.params)
     peak = float(np.max(np.abs(y)))
     if peak > 0.99:
         y *= 0.99 / peak
@@ -356,26 +359,13 @@ def scaled_generator(gen: GeneratorSpec, strength: float, sample_rate: int) -> G
     """Interpolate a family toward the no-op limit; strength 1 keeps it."""
     if not 0.0 < strength <= 1.0:
         raise BadConfig(f"artifact strength must be in (0, 1], got {strength}")
-    if strength == 1.0 or gen.kind == "real":
+    if strength == 1.0:
         return gen
-    p = gen.params
+    _, table = _FAMILIES[gen.kind]
     nyq = sample_rate / 2.0
-    if gen.kind == "fake_lowpass_smear":
-        p = {
-            "cutoff_hz": nyq - strength * (nyq - p["cutoff_hz"]),
-            "smear": strength * p["smear"],
-        }
-    elif gen.kind == "fake_spectral_quantize":
-        p = {"levels": max(2, int(round(p["levels"] / strength)))}
-    elif gen.kind == "fake_hum_phase":
-        p = {
-            "hum_hz": p["hum_hz"],
-            "hum_amp": strength * p["hum_amp"],
-            "jitter": strength * p["jitter"],
-        }
-    else:
-        p = {"strength": strength * p["strength"]}
-    return GeneratorSpec(gen.id, gen.kind, p)
+    return GeneratorSpec(gen.id, gen.kind, {
+        name: table[name].scale(value, strength, nyq) for name, value in gen.params.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +387,12 @@ class CorpusConfig:
     fake_generators: tuple = DEFAULT_FAKE_GENERATORS
 
     def __post_init__(self):
-        if self.n_clips < 2:
-            raise BadConfig("need at least 2 clips")
+        check_fields(vars(self), ints=(("n_clips", 2), ("sample_rate", 8000), ("seed", 0)),
+                     reals=("duration_s", "bonafide_fraction", "blackbox_fraction",
+                            "train_fraction", "dev_fraction", "artifact_strength"),
+                     flags=("caption_generator_hints",))
         if self.duration_s < 0.5:
             raise BadConfig("clip duration must be >= 0.5 s")
-        if self.sample_rate < 8000:
-            raise BadConfig("sample rate must be >= 8000 Hz")
         if not 0.0 < self.bonafide_fraction < 1.0:
             raise BadConfig("bonafide fraction must be in (0, 1)")
         if not 0.0 < self.blackbox_fraction <= 1.0:
@@ -421,24 +411,15 @@ class CorpusConfig:
         object.__setattr__(self, "fake_generators", gens)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "n_clips", "duration_s", "sample_rate", "bonafide_fraction",
-            "blackbox_fraction", "train_fraction", "dev_fraction",
-            "artifact_strength", "caption_generator_hints", "seed",
-        )}
-        d["fake_generators"] = [
-            {"id": g.id, "kind": g.kind, "params": dict(g.params)} for g in self.fake_generators
-        ]
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusConfig":
-        d = dict(d)
-        gens = d.pop("fake_generators", None)
-        known = {f for f in cls.__dataclass_fields__ if f != "fake_generators"}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise BadConfig(f"unknown corpus config keys {sorted(unknown)}")
+        d = dict(d)
+        gens = d.pop("fake_generators", None)
         try:
             if gens is not None:
                 d["fake_generators"] = tuple(
@@ -446,7 +427,7 @@ class CorpusConfig:
                 )
             return cls(**d)
         except (KeyError, TypeError, ValueError) as exc:
-            raise BadJson(f"malformed corpus config: {exc}") from exc
+            raise BadConfig(f"malformed corpus config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -472,42 +453,20 @@ class CorpusManifest:
         if len(id_set) != len(all_ids):
             raise BadConfig("duplicate utt_id in manifest")
         for track, by_split in self.splits.items():
-            seen = []
-            for ids in by_split.values():
-                seen.extend(ids)
+            seen = [u for ids in by_split.values() for u in ids]
             if len(seen) != len(set(seen)):
                 raise BadConfig(f"{track}: an utterance appears in two splits")
             if set(seen) != id_set:
                 raise BadConfig(f"{track}: splits do not partition the clip set")
 
     def to_dict(self) -> dict:
-        return {
-            "blackbox_fraction": self.blackbox_fraction,
-            "clips": [
-                {
-                    "utt_id": c.utt_id,
-                    "generator_id": c.generator_id,
-                    "label": c.label,
-                    "tags": list(c.tags),
-                    "duration_s": c.duration_s,
-                    "seed": list(c.seed),
-                }
-                for c in self.clips
-            ],
-            "splits": self.splits,
-            "config": self.config,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusManifest":
         try:
-            clips = [
-                ClipRecord(
-                    c["utt_id"], c["generator_id"], c["label"],
-                    tuple(c["tags"]), float(c["duration_s"]), tuple(c["seed"]),
-                )
-                for c in d["clips"]
-            ]
+            clips = [ClipRecord(c["utt_id"], c["generator_id"], c["label"], tuple(c["tags"]),
+                                float(c["duration_s"]), tuple(c["seed"])) for c in d["clips"]]
             return cls(clips, d["splits"], float(d["blackbox_fraction"]), d.get("config"))
         except (KeyError, TypeError, ValueError) as exc:
             raise BadJson(f"malformed manifest: {exc}") from exc
@@ -556,11 +515,7 @@ def _split_group(rng, ids, train_frac, dev_frac):
     n_train = int(round(train_frac * len(ids)))
     n_dev = int(round(dev_frac * len(ids)))
     shuffled = [ids[i] for i in order]
-    return (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_dev],
-        shuffled[n_train + n_dev :],
-    )
+    return shuffled[:n_train], shuffled[n_train : n_train + n_dev], shuffled[n_train + n_dev :]
 
 
 def plan_corpus(cfg: CorpusConfig):
@@ -622,10 +577,8 @@ def plan_corpus(cfg: CorpusConfig):
 def _synth_share(indices, cfg: CorpusConfig, plan, wav_dir) -> list:
     """Write the WAV of each clip ``indices`` picks from ``plan``; return
     each one's event tags."""
-    gen_scaled = {
-        g.id: scaled_generator(g, cfg.artifact_strength, cfg.sample_rate)
-        for g in cfg.fake_generators
-    }
+    gen_scaled = {g.id: scaled_generator(g, cfg.artifact_strength, cfg.sample_rate)
+                  for g in cfg.fake_generators}
     tags = []
     for i in indices:
         utt, gen = plan[i]

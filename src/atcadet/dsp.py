@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    BadConfig,
     BadHeader,
     NonFinite,
     NotWav,
@@ -57,7 +58,6 @@ class Waveform:
 class StftConfig:
     n_fft: int = 2048
     hop: int = 512
-    window: str = "hann"
     n_mels: int = 64
     fmin: float = 20.0
     fmax: float = 22050.0
@@ -65,17 +65,15 @@ class StftConfig:
 
     def __post_init__(self):
         if self.n_fft <= 0 or (self.n_fft & (self.n_fft - 1)) != 0:
-            raise ShapeMismatch(f"n_fft must be a positive power of two, got {self.n_fft}")
+            raise BadConfig(f"n_fft must be a positive power of two, got {self.n_fft}")
         if not 0 < self.hop <= self.n_fft:
-            raise ShapeMismatch(f"hop must be in [1, n_fft], got {self.hop}")
-        if self.window != "hann":
-            raise UnsupportedFormat(f"unknown window {self.window!r}")
+            raise BadConfig(f"hop must be in [1, n_fft], got {self.hop}")
         if not 1 <= self.n_mels <= self.n_fft // 2 + 1:
-            raise ShapeMismatch(f"n_mels must be in [1, n_fft/2+1], got {self.n_mels}")
+            raise BadConfig(f"n_mels must be in [1, n_fft/2+1], got {self.n_mels}")
         if not 0 <= self.fmin < self.fmax:
-            raise ShapeMismatch(f"need 0 <= fmin < fmax, got {self.fmin}, {self.fmax}")
+            raise BadConfig(f"need 0 <= fmin < fmax, got {self.fmin}, {self.fmax}")
         if self.log_floor <= 0:
-            raise ShapeMismatch("log_floor must be positive")
+            raise BadConfig("log_floor must be positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +30,7 @@ from .errors import (
     TruncatedFile,
     WrongKind,
     atomic_write,
+    check_fields,
 )
 from .shares import run_shares
 from .text import pool_text_vector
@@ -443,22 +443,15 @@ class StackConfig:
     grid_step: float = 0.05
 
     def __post_init__(self):
-        for name, low in (("gbm_rounds", 0), ("gbm_depth", 0), ("forest_trees", 1),
-                          ("forest_depth", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise BadConfig(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("ridge_lambda", "gbm_shrinkage", "feature_frac", "grid_step"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise BadConfig(f"{name} must be a finite number, got {value!r}")
+        check_fields(vars(self), ints=(("gbm_rounds", 0), ("gbm_depth", 0), ("forest_trees", 1),
+                                       ("forest_depth", 0), ("seed", 0)),
+                     reals=("ridge_lambda", "gbm_shrinkage", "feature_frac", "grid_step"),
+                     flags=("bootstrap",))
         if self.ridge_lambda < 0:
             raise BadConfig("ridge lambda must be >= 0")
         # simplex_grid divides by round(1 / grid_step)
         if self.grid_step <= 0 or round(1.0 / self.grid_step) < 1:
             raise BadConfig(f"grid_step must give at least one grid division, got {self.grid_step}")
-        if not isinstance(self.bootstrap, bool):
-            raise BadConfig(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass

@@ -7,6 +7,8 @@ anything else escaping to the CLI is treated as an internal invariant
 violation (exit code 3).
 """
 
+import math
+import numbers
 import os
 from contextlib import contextmanager
 
@@ -55,6 +57,27 @@ class OutputExists(UsageError):
 
 class BadConfig(UsageError):
     code = "BAD_CONFIG"
+
+
+def is_real(value) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_fields(fields: dict, ints=(), reals=(), flags=()) -> None:
+    """Raise BadConfig unless each named field holds its type: ``ints``
+    pairs a name with its least value, ``reals`` must be finite numbers
+    and ``flags`` bools."""
+    for name, low in ints:
+        value = fields[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise BadConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    for name in reals:
+        if not is_real(fields[name]):
+            raise BadConfig(f"{name} must be a finite number, got {fields[name]!r}")
+    for name in flags:
+        if not isinstance(fields[name], bool):
+            raise BadConfig(f"{name} must be true or false, got {fields[name]!r}")
 
 
 class DataError(AtcadetError):

@@ -39,6 +39,8 @@ from .errors import (
     TruncatedFile,
     WrongKind,
     atomic_write,
+    check_fields,
+    is_real,
 )
 from .text import TextEmbedding
 
@@ -59,19 +61,18 @@ class AtcaConfig:
     class_weights: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "class_weights", tuple(float(w) for w in self.class_weights))
-        for name in ("d_spec", "d_model", "d_k", "n_heads", "gru_layers", "gru_hidden", "d_text"):
-            if getattr(self, name) < 1:
-                raise BadConfig(f"{name} must be positive")
+        check_fields(vars(self), ints=[(name, 1) for name in (
+            "d_spec", "d_model", "d_k", "n_heads", "gru_layers", "gru_hidden", "d_text")])
         if self.d_k * self.n_heads != self.d_model:
             raise BadConfig(f"d_k*n_heads must equal d_model, got {self.d_k}*{self.n_heads} != {self.d_model}")
-        if len(self.class_weights) != 2 or any(w <= 0 or not math.isfinite(w) for w in self.class_weights):
-            raise BadConfig(f"class_weights must be a pair of positive reals, got {self.class_weights}")
+        pair = self.class_weights
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+                is_real(w) and w > 0 for w in pair):
+            raise BadConfig(f"class_weights must be a pair of positive reals, got {pair!r}")
+        object.__setattr__(self, "class_weights", tuple(float(w) for w in pair))
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["class_weights"] = list(self.class_weights)
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, blob: str) -> "AtcaConfig":

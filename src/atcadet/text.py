@@ -19,6 +19,7 @@ import numpy as np
 
 from .dsp import FEATURE_MAGIC, FEATURE_VERSION
 from .errors import (
+    BadConfig,
     BadHeader,
     BadJson,
     DuplicateUtt,
@@ -98,11 +99,11 @@ class ToyEmbedderConfig:
 
     def __post_init__(self):
         if self.dim < 8:
-            raise ShapeMismatch(f"embedding dim must be >= 8, got {self.dim}")
+            raise BadConfig(f"embedding dim must be >= 8, got {self.dim}")
         if self.vocab_hash_buckets < 1:
-            raise ShapeMismatch("vocab_hash_buckets must be positive")
+            raise BadConfig("vocab_hash_buckets must be positive")
         if not 0 <= self.seed <= _MASK64:
-            raise ShapeMismatch("seed must fit in 64 bits")
+            raise BadConfig("seed must fit in 64 bits")
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +162,13 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def mix64(x: int) -> int:
-    z = x & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 @lru_cache(maxsize=65536)
 def _token_vector(bucket: int, dim: int, seed: int) -> np.ndarray:
     """Unit vector for one hash bucket, from a splitmix64 stream."""
-    state0 = mix64(bucket ^ mix64(seed))
     with np.errstate(over="ignore"):
+        state0 = _mix64_array(np.uint64(bucket) ^ _mix64_array(np.uint64(seed)))
         steps = np.arange(1, dim + 1, dtype=np.uint64)
-        states = np.uint64(state0) + np.uint64(_GOLDEN) * steps
+        states = state0 + np.uint64(_GOLDEN) * steps
         draws = _mix64_array(states)
     floats = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 2.0 - 1.0
     floats /= np.sqrt(np.add.reduce(floats * floats))

@@ -27,6 +27,8 @@ from .errors import (
     MissingEmbedding,
     MissingFeature,
     atomic_write,
+    check_fields,
+    is_real,
 )
 from .metrics import Trial, compute_eer
 from .protocol import filter_split
@@ -46,17 +48,19 @@ class TrainConfig:
     auto_class_weights: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise BadConfig("epochs, batch_size, and patience must be positive")
+        check_fields(vars(self),
+                     ints=(("epochs", 1), ("batch_size", 1), ("patience", 1), ("seed", 0)),
+                     reals=("lr", "adam_beta1", "adam_beta2", "adam_eps"),
+                     flags=("auto_class_weights",))
         if self.lr < 0:
             raise BadConfig("lr must be >= 0")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise BadConfig("adam betas must lie in (0, 1)")
         if self.adam_eps <= 0:
             raise BadConfig("adam_eps must be positive")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise BadConfig("grad_clip must be positive or None")
-        if not 0 <= self.seed < 2**64:
+        if self.grad_clip is not None and not (is_real(self.grad_clip) and self.grad_clip > 0):
+            raise BadConfig(f"grad_clip must be a positive number or None, got {self.grad_clip!r}")
+        if self.seed >= 2**64:
             raise BadConfig("seed must fit in 64 bits")
 
     @classmethod
@@ -64,10 +68,7 @@ class TrainConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise BadConfig(f"unknown train config keys {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise BadJson(f"malformed train config: {exc}") from exc
+        return cls(**d)
 
 
 @dataclass

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own computation paths: finite
 differences instead of the tape, direct DFT sums instead of the FFT
 frontend, exhaustive threshold sweeps instead of the sorted EER sweep,
-and op-by-op graphs of generic tape ops instead of the model's
-hand-written ones.
+op-by-op graphs of generic tape ops instead of the model's hand-written
+ones, and the fake families written out one kind at a time instead of
+the corpus's parameter table.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from atcadet import autodiff as ad
+from atcadet import corpus as cp
 from atcadet import model as md
 from atcadet.autodiff import Tensor
 from atcadet.errors import ShapeMismatch
@@ -621,3 +623,73 @@ def run_gru_ref(x, params, batch, h0=None, collect=None):
             collect.append(x.values)
     rows = x.values.shape[0]
     return slice_rows(x, rows - batch, rows)
+
+
+# Fake families as written out one kind at a time before they became one
+# parameter table: the strength scaling, the black-box composition's
+# hidden draws and the artifact dispatch, on the corpus's own DSP steps.
+
+FAMILY_DEFAULTS_REF = {
+    "fake_lowpass_smear": {"cutoff_hz": 4500.0, "smear": 0.5},
+    "fake_spectral_quantize": {"levels": 10},
+    "fake_hum_phase": {"hum_hz": 50.0, "hum_amp": 0.04, "jitter": 0.3},
+    "fake_blackbox": {"strength": 1.0},
+}
+
+
+def scaled_params_ref(kind, params, strength, sample_rate):
+    """A family's params at ``strength``; strength 1 keeps them."""
+    if strength == 1.0 or kind == "real":
+        return dict(params)
+    p = params
+    nyq = sample_rate / 2.0
+    if kind == "fake_lowpass_smear":
+        return {"cutoff_hz": nyq - strength * (nyq - p["cutoff_hz"]),
+                "smear": strength * p["smear"]}
+    if kind == "fake_spectral_quantize":
+        return {"levels": max(2, int(round(p["levels"] / strength)))}
+    if kind == "fake_hum_phase":
+        return {"hum_hz": p["hum_hz"], "hum_amp": strength * p["hum_amp"],
+                "jitter": strength * p["jitter"]}
+    return {"strength": strength * p["strength"]}
+
+
+def blackbox_ref(x, sample_rate, rng, strength):
+    nyq = sample_rate / 2.0
+    cutoff = nyq - strength * (nyq - rng.uniform(3000.0, 9000.0))
+    smear = strength * rng.uniform(0.2, 0.7)
+    levels = max(2, int(round(rng.uniform(8.0, 48.0) / strength)))
+    hum_hz = 50.0 if rng.uniform() < 0.5 else 60.0
+    hum_amp = strength * rng.uniform(0.01, 0.05)
+    jitter = strength * rng.uniform(0.1, 0.5)
+    order = rng.permutation(3)
+    y = x
+    for op in order:
+        if op == 0:
+            y = cp._frame_smear(cp._lowpass4(y, sample_rate, cutoff), smear)
+        elif op == 1:
+            y = cp._spectral_quantize(y, levels)
+        else:
+            y = cp._hum_phase(y, sample_rate, rng, hum_hz, hum_amp, jitter)
+    return y
+
+
+def apply_fake_ref(wave, kind, params, seed):
+    """Samples of ``corpus.apply_fake`` for family ``kind`` at ``params``."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(wave.samples, dtype=np.float64)
+    p = params
+    if kind == "fake_lowpass_smear":
+        y = cp._lowpass4(x, wave.sample_rate, p["cutoff_hz"])
+        if p["smear"] > 0.0:
+            y = cp._frame_smear(y, p["smear"])
+    elif kind == "fake_spectral_quantize":
+        y = cp._spectral_quantize(x, p["levels"])
+    elif kind == "fake_hum_phase":
+        y = cp._hum_phase(x, wave.sample_rate, rng, p["hum_hz"], p["hum_amp"], p["jitter"])
+    else:
+        y = blackbox_ref(x, wave.sample_rate, rng, p["strength"])
+    peak = float(np.max(np.abs(y)))
+    if peak > 0.99:
+        y *= 0.99 / peak
+    return quantize_pcm16_ref(y)

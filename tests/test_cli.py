@@ -498,6 +498,78 @@ class TestErrorMapping:
                     "--out-ckpt", str(pipeline["root"] / "y.atck")]) == 1
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
 
+    # a run-config value of the wrong type is a usage error like any other
+    # bad value: exit 1 with BAD_CONFIG, and nothing written
+    @pytest.mark.parametrize("config, flags", [
+        ({"corpus": {"n_clips": 12.5}}, []),
+        ({"corpus": {"seed": True}}, []),
+        ({"corpus": {"seed": 1.5}}, []),
+        ({"corpus": {}}, ["--seed", "-1"]),
+        ({"corpus": {"caption_generator_hints": "yes"}}, []),
+        ({"corpus": {"duration_s": "2"}}, []),
+        ({"corpus": {"fake_generators": [
+            {"id": "a", "kind": "fake_lowpass_smear", "params": {"cutoff_hz": "0.3"}},
+            {"id": "b", "kind": "fake_blackbox"}]}}, []),
+        ({"corpus": {"fake_generators": [
+            {"id": "a", "kind": "fake_spectral_quantize", "params": {"levels": 10.7}},
+            {"id": "b", "kind": "fake_blackbox"}]}}, []),
+        ({"corpus": {"fake_generators": [{"id": "a"}, {"id": "b", "kind": "fake_blackbox"}]}}, []),
+        ([{"corpus": {}}], []),
+    ], ids=["fractional_n_clips", "bool_seed", "fractional_seed", "negative_seed_flag",
+            "hints_as_str", "duration_as_str", "float_param_as_str", "fractional_int_param",
+            "generator_without_kind", "config_not_object"])
+    def test_bad_corpus_config_exit_one(self, tmp_path, capsys, config, flags):
+        path, out = tmp_path / "run.json", tmp_path / "corpus"
+        if isinstance(config, dict):
+            config = {"corpus": {"n_clips": 12, "duration_s": 0.5, "sample_rate": 8000,
+                                 **config["corpus"]}}
+        path.write_text(json.dumps(config))
+        assert run(["corpus", "synth", "--config", str(path), "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("section", [
+        {"train": {"epochs": 1.5}}, {"train": {"epochs": "2"}}, {"train": {"batch_size": 2.5}},
+        {"train": {"seed": 1.5}}, {"train": {"patience": True}},
+        {"train": {"auto_class_weights": "no"}}, {"train": {"grad_clip": "5"}},
+        {"model": {"d_model": 8.0}}, {"model": {"gru_layers": "2"}},
+        {"model": {"class_weights": [1, "a"]}}, {"model": {"class_weights": 2}},
+    ], ids=["fractional_epochs", "epochs_as_str", "fractional_batch", "fractional_seed",
+            "bool_patience", "auto_weights_as_str", "grad_clip_as_str", "float_d_model",
+            "gru_layers_as_str", "weight_as_str", "weights_not_pair"])
+    def test_bad_train_config_exit_one(self, pipeline, tmp_path, capsys, section):
+        config = {"train": {"epochs": 1},
+                  "model": {"d_model": 8, "d_k": 8, "gru_layers": 1, "gru_hidden": 8}}
+        for name, fields in section.items():
+            config[name] = {**config[name], **fields}
+        path, ckpt = tmp_path / "run.json", tmp_path / "m.atck"
+        path.write_text(json.dumps(config))
+        assert run(["train", "--corpus", str(pipeline["corpus"]),
+                    "--features", str(pipeline["feats"]), "--embeddings", str(pipeline["emb"]),
+                    "--track", "1", "--config", str(path), "--out-ckpt", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["featurize", "--hop", "0"], ["featurize", "--n-fft", "1000"],
+        ["featurize", "--n-mels", "0"], ["embed", "--dim", "4"], ["embed", "--seed", "-1"],
+    ], ids=["hop_0", "n_fft_not_power_of_two", "n_mels_0", "dim_4", "negative_seed"])
+    def test_bad_flag_value_exit_one(self, pipeline, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+        assert not out.exists()
+
+    def test_ensemble_score_with_too_few_score_files_exit_two(self, pipeline, tmp_path, capsys):
+        # the ensemble was fit on two score files
+        out = tmp_path / "ens.tsv"
+        assert run(["ensemble", "score", "--model", str(pipeline["stack"]),
+                    "--scores", str(pipeline["eval"]), "--embeddings", str(pipeline["emb"]),
+                    "--protocol", pipeline["protocol"], "--split", "eval",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR DIM_MISMATCH:")
+        assert not out.exists()
+
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):

@@ -217,8 +217,8 @@ class TestRankSearchMatchesFloatSearch:
     @pytest.mark.parametrize("depth", [1, 3, 8])
     def test_fit_tree(self, n, depth):
         x, y = _hostile_xy(n, 6, seed=depth)
-        # fit_tree itself rejects non-finite x; the search it runs still
-        # serves fit_gbm and fit_forest, which take such x
+        # fit_tree, like fit_gbm and fit_forest, rejects non-finite x; this
+        # is its search alone, run on such x
         got = es._grow(x, y, np.arange(n), depth, None, None, es._Columns(x))
         assert _as_json([got]) == _as_json(_float_trees(x, y, "tree", max_depth=depth))
 

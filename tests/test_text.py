@@ -44,6 +44,19 @@ def _oracle_token_vector(token: str, cfg: ToyEmbedderConfig) -> np.ndarray:
     return np.array(vals)
 
 
+def _token_vector_scalar_seed_ref(bucket: int, dim: int, seed: int) -> np.ndarray:
+    """``text._token_vector`` as it was with the start state mixed by the
+    scalar splitmix64 finalizer and the stream by the array one."""
+    state0 = _oracle_mix64(bucket ^ _oracle_mix64(seed))
+    with np.errstate(over="ignore"):
+        steps = np.arange(1, dim + 1, dtype=np.uint64)
+        states = np.uint64(state0) + np.uint64(0x9E3779B97F4A7C15) * steps
+        draws = tx._mix64_array(states)
+    floats = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 2.0 - 1.0
+    floats /= np.sqrt(np.add.reduce(floats * floats))
+    return floats
+
+
 class TestCaptions:
     def test_single_style_decode(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -106,6 +119,14 @@ class TestToyEmbed:
         oracle = _oracle_token_vector("rain", cfg)
         scaled = emb.matrix[0] * np.linalg.norm(oracle)
         np.testing.assert_allclose(scaled, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_token_vector_same_bytes_as_scalar_seed_mixing(self, seed):
+        buckets = [0, 1, 2, 3, 4095, 4096, 2**20 - 1, 2**32, 2**63, 2**64 - 1]
+        buckets += [int(b) for b in np.random.default_rng(seed % 7).integers(0, 2**20, size=200)]
+        for bucket in buckets:
+            got = tx._token_vector(bucket, 40, seed)
+            assert got.tobytes() == _token_vector_scalar_seed_ref(bucket, 40, seed).tobytes()
 
     def test_determinism(self):
         cs = CaptionSet("u", {"audioset": "dog bark", "clotho": "a dog barking"})
