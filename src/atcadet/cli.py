@@ -30,9 +30,11 @@ from .errors import (
     OutputExists,
     UsageError,
     read_text,
+    temps_swept_on_error,
 )
 from .metrics import Trial, compute_eer, merge_with_protocol, read_scores, write_scores
 from .protocol import SPLITS, filter_split, read_protocol
+from .shares import run_shares
 
 PACKAGE_VERSION = "0.1.0"
 FORMAT_VERSIONS = (
@@ -119,6 +121,15 @@ def corpus_synth(config_path, out_dir, seed, force):
     click.echo(f"wrote {len(manifest.clips)} clips to {out_dir}")
 
 
+def _featurize_share(targets, stft_cfg) -> list:
+    """Write the features of each (WAV, feature file) pair in ``targets``."""
+    # small mel products keep each process on one BLAS thread, and taking
+    # them in every share keeps the features the same at any CPU count
+    return [dsp.write_features(path, dsp.stft_logmel(dsp.load_wav(wav), stft_cfg,
+                                                      mel_pieces=True))
+            for wav, path in targets]
+
+
 @cli.command(name="featurize")
 @click.option("--corpus", "corpus_dir", required=True,
               type=click.Path(exists=True, file_okay=False), help="Corpus directory.")
@@ -142,8 +153,8 @@ def featurize(corpus_dir, out_dir, n_fft, hop, n_mels, force):
             raise NotWav(f"{wav}: listed in the manifest but not found")
         _guard_output(path, force)
     os.makedirs(out_dir, exist_ok=True)
-    for wav, path in targets:
-        dsp.write_features(path, dsp.stft_logmel(dsp.load_wav(wav), stft_cfg))
+    with temps_swept_on_error(out_dir, [os.path.basename(path) for _, path in targets]):
+        run_shares(_featurize_share, targets, stft_cfg)
     click.echo(f"wrote {len(targets)} feature files to {out_dir}")
 
 

@@ -27,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
 from .errors import (
     BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, check_fields, read_text,
+    temps_swept_on_error,
 )
 from .protocol import ProtocolEntry, write_protocol
 from .shares import run_shares
@@ -59,6 +60,8 @@ class _Param(NamedTuple):
     draw: Optional[Callable] = None
 
 
+_BLACKBOX_MAX_LEVELS = 48.0  # the black box's largest quantization draw
+
 # per kind: the caption token correlated with the family (opt-in), and its
 # parameters; the black-box family draws the others' in this order
 _FAMILIES = {
@@ -70,7 +73,7 @@ _FAMILIES = {
     }),
     "fake_spectral_quantize": ("grainy", {
         "levels": _Param(10, lambda v: v >= 2, lambda v, s, nyq: max(2, int(round(v / s))),
-                         lambda rng: rng.uniform(8.0, 48.0)),
+                         lambda rng: rng.uniform(8.0, _BLACKBOX_MAX_LEVELS)),
     }),
     "fake_hum_phase": ("humming", {
         "hum_hz": _Param(50.0, lambda v: 40.0 <= v <= 70.0, lambda v, s, nyq: v,
@@ -409,6 +412,17 @@ class CorpusConfig:
         if len({g.id for g in gens}) != len(gens):
             raise BadConfig("duplicate generator ids")
         object.__setattr__(self, "fake_generators", gens)
+        # scale every family, and the black box's largest levels draw, here:
+        # a strength too small for them must fail before synthesis starts
+        levels = _FAMILIES["fake_spectral_quantize"][1]["levels"]
+        for g in gens:
+            try:
+                scaled = scaled_generator(g, self.artifact_strength, self.sample_rate)
+                if g.kind == "fake_blackbox":
+                    levels.scale(_BLACKBOX_MAX_LEVELS, scaled.params["strength"], None)
+            except (BadConfig, OverflowError) as exc:
+                raise BadConfig(f"artifact strength {self.artifact_strength} is too small "
+                                f"for generator {g.id!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -612,15 +626,8 @@ def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
 
     _load_sigtools()  # loaded once, here, so forked workers inherit it
 
-    try:
+    with temps_swept_on_error(wav_dir, [f"{utt}.wav" for utt, _ in plan]):
         tags_of = run_shares(_synth_share, range(len(plan)), cfg, plan, wav_dir)
-    except BaseException:
-        # a worker killed inside errors.atomic_write leaves ".<utt>.wav.<pid>.tmp"
-        prefixes = tuple(f".{utt}.wav." for utt, _ in plan)
-        for name in os.listdir(wav_dir):
-            if name.startswith(prefixes) and name.endswith(".tmp"):
-                os.remove(os.path.join(wav_dir, name))
-        raise
 
     clips = []
     captions = []

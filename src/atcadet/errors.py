@@ -39,6 +39,21 @@ def atomic_write(path, mode: str = "wb"):
             os.remove(tmp)
 
 
+@contextmanager
+def temps_swept_on_error(directory, names):
+    """Run the block; if it fails, remove from ``directory`` the temp files
+    ``atomic_write`` leaves for any of ``names`` when its process is killed
+    mid-write (a forked worker, say), then re-raise."""
+    try:
+        yield
+    except BaseException:
+        prefixes = tuple(f".{name}." for name in names)
+        for entry in os.listdir(directory):
+            if entry.startswith(prefixes) and entry.endswith(".tmp"):
+                os.remove(os.path.join(directory, entry))
+        raise
+
+
 class AtcadetError(Exception):
     code = "ERROR"
 

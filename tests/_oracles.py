@@ -287,6 +287,26 @@ def mel_filterbank_ref(sample_rate, n_fft, n_mels, fmin, fmax):
     return filters
 
 
+def _logmel_parts(wave, cfg):
+    filters = mel_filterbank_ref(wave.sample_rate, cfg.n_fft, cfg.n_mels, cfg.fmin,
+                                 min(cfg.fmax, wave.sample_rate / 2.0))
+    return stft_power_ref(wave, cfg), filters
+
+
+def logmel_one_call_ref(wave, cfg):
+    """The log mel spectrogram with the whole mel product in one matmul."""
+    power, filters = _logmel_parts(wave, cfg)
+    return np.log(power @ filters.T + cfg.log_floor)
+
+
+def logmel_rows_ref(wave, cfg, rows):
+    """The log mel spectrogram with the mel product taken ``rows`` frames at
+    a time, one matmul per slice."""
+    power, filters = _logmel_parts(wave, cfg)
+    mel = np.concatenate([power[i : i + rows] @ filters.T for i in range(0, len(power), rows)])
+    return np.log(mel + cfg.log_floor)
+
+
 # ---------------------------------------------------------------------------
 # Generic tape ops: the op-by-op engine the model ran on before each stage
 # became one hand-written op. The reference graphs below are built from

@@ -1,5 +1,5 @@
-"""Shared pytest wiring: the acceptance-criteria summary block and the
-Hypothesis profile.
+"""Shared pytest wiring: the acceptance-criteria summary block, the
+Hypothesis profile and the ``set_cpus`` fixture.
 
 Tests marked ``@pytest.mark.acceptance(num, title)`` are collected into a
 final terminal section with one PASS/FAIL line per criterion, so the
@@ -12,6 +12,7 @@ a temporary directory removed after the run, so no ``.hypothesis/``
 directory is left behind.
 """
 
+import os
 import shutil
 import tempfile
 
@@ -22,6 +23,15 @@ settings.register_profile("atcadet", derandomize=True, database=None)
 settings.load_profile("atcadet")
 
 _ACCEPTANCE = {}
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """``set_cpus(n)`` makes ``shares.run_shares`` see ``n`` CPUs in its
+    affinity mask."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus
 
 
 def pytest_configure(config):

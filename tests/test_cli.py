@@ -528,6 +528,29 @@ class TestErrorMapping:
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
         assert not (out / "manifest.json").exists()
 
+    # levels scale as 10 / strength, and the black box's draws as up to
+    # 48 / strength: 1e-310 overflows both, 1e-307 only the black box's
+    @pytest.mark.parametrize("strength", [1e-310, 1e-307])
+    def test_too_small_artifact_strength_exit_one_and_old_corpus_kept(self, tmp_path, capsys,
+                                                                       strength):
+        path, out = tmp_path / "run.json", tmp_path / "corpus"
+        corpus = {"n_clips": 12, "duration_s": 0.5, "sample_rate": 8000}
+        path.write_text(json.dumps({"corpus": corpus}))
+        argv = ["corpus", "synth", "--config", str(path), "--out", str(out)]
+        assert run(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        path.write_text(json.dumps({"corpus": {**corpus, "artifact_strength": strength}}))
+        assert run(argv + ["--force"]) == 1
+        assert capsys.readouterr().err.startswith(f"ERROR BAD_CONFIG: artifact strength {strength}")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_small_artifact_strength_that_stays_finite_synthesizes(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"corpus": {"n_clips": 12, "duration_s": 0.5,
+                                               "sample_rate": 8000, "artifact_strength": 1e-300}}))
+        assert run(["corpus", "synth", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+
     @pytest.mark.parametrize("section", [
         {"train": {"epochs": 1.5}}, {"train": {"epochs": "2"}}, {"train": {"batch_size": 2.5}},
         {"train": {"seed": 1.5}}, {"train": {"patience": True}},
@@ -573,7 +596,8 @@ class TestErrorMapping:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # and the process pools that corpus synth and ensemble fit import lazily
+        # and the process pools that corpus synth, featurize and ensemble fit
+        # import lazily
         src = os.path.dirname(os.path.dirname(cli.__file__))
         lazy = ("scipy", "multiprocessing", "concurrent.futures")
         out = subprocess.run(

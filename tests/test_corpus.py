@@ -342,11 +342,6 @@ def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def _cpus(monkeypatch, n):
-    """Make ``build_corpus`` see ``n`` CPUs in its affinity mask."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 class TestShares:
     """Clips dealt out over the CPUs: share 0 in this process, the others in
     forked workers."""
@@ -358,10 +353,10 @@ class TestShares:
         (_tiny_cfg(n_clips=3, bonafide_fraction=0.3,
                    fake_generators=cp.DEFAULT_FAKE_GENERATORS[:2]), (1, 3, 4)),
     ])
-    def test_same_tree_at_any_share_count(self, cfg, shares, tmp_path, monkeypatch):
+    def test_same_tree_at_any_share_count(self, cfg, shares, tmp_path, set_cpus):
         trees = []
         for n in shares:
-            _cpus(monkeypatch, n)
+            set_cpus(n)
             cp.build_corpus(cfg, tmp_path / str(n))
             assert multiprocessing.active_children() == []
             trees.append(_tree(tmp_path / str(n)))
@@ -376,7 +371,7 @@ class TestShares:
          "ERROR INTERNAL: [Errno 28] No space left on device: '{path}'"),
     ])
     def test_share_error_reaches_cli_as_in_serial_run(self, failing, error, code, line,
-                                                      tmp_path, monkeypatch, capsys):
+                                                      tmp_path, monkeypatch, capsys, set_cpus):
         write_wav = cp.write_wav
 
         def failing_write(path, wave):
@@ -392,17 +387,18 @@ class TestShares:
         argv = ["corpus", "synth", "--config", str(config), "--out", str(out)]
         expected = line.format(path=out / "wav" / f"{failing}.wav")
         for n in (1, 2):
-            _cpus(monkeypatch, n)
+            set_cpus(n)
             assert main(argv) == code
             assert capsys.readouterr().err.strip() == expected
             assert not (out / "manifest.json").exists()
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_forced_rerun_cut_off_leaves_no_manifest(self, n, tmp_path, monkeypatch, capsys):
+    def test_forced_rerun_cut_off_leaves_no_manifest(self, n, tmp_path, monkeypatch, capsys,
+                                                     set_cpus):
         # the manifest is the corpus's commit marker: the old one must not
         # sit over a mix of old and new WAVs
-        _cpus(monkeypatch, n)
+        set_cpus(n)
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"corpus": {"n_clips": 8, "duration_s": 0.5,
                                                  "sample_rate": 8000, "seed": 1}}))
@@ -424,8 +420,9 @@ class TestShares:
         assert not (out / "manifest.json").exists()
         assert multiprocessing.active_children() == []
 
-    def test_worker_killed_mid_write_leaves_no_wav_of_it(self, tmp_path, monkeypatch, capsys):
-        _cpus(monkeypatch, 2)
+    def test_worker_killed_mid_write_leaves_no_wav_of_it(self, tmp_path, monkeypatch, capsys,
+                                                         set_cpus):
+        set_cpus(2)
         cp.build_corpus(_tiny_cfg(n_clips=8), tmp_path / "ok")
         real_open = open
         runner = os.getpid()

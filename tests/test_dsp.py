@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet.dsp import FeatureMatrix, StftConfig, Waveform
 from atcadet.errors import (
@@ -18,7 +19,7 @@ from atcadet.errors import (
     UnsupportedFormat,
 )
 
-from _oracles import dft_power_spectrum
+from _oracles import dft_power_spectrum, logmel_one_call_ref, logmel_rows_ref
 
 
 def _write_pcm16(path, ints, sample_rate=44100, channels=1, bits=16, fmt=1):
@@ -194,6 +195,39 @@ class TestStft:
         cfg = StftConfig(n_fft=256, hop=128, n_mels=24)
         out = dsp.stft_logmel(Waveform(samples, 44100), cfg)
         assert np.all(np.isfinite(out.values))
+
+
+# |difference of ln mel| is the relative difference of the mel values
+# themselves; the 4-row and one-call products measured at most 3.6e-15
+MEL_REL_TOL = 1e-14
+
+
+class TestMelPieces:
+    """``featurize``'s mel product in 4-row pieces against a loop over
+    4-row slices and against the one-call product."""
+
+    @pytest.mark.parametrize("hop", [512, 2048])
+    @pytest.mark.parametrize("t_frames", [1, 3, 4, 5, 43, 169])
+    def test_matches_loop_over_slices(self, hop, t_frames):
+        cfg = StftConfig(hop=hop)
+        rng = np.random.default_rng(t_frames)
+        wave = Waveform(rng.uniform(-1, 1, size=2048 + (t_frames - 1) * hop + 5), 44100)
+        got = dsp.stft_logmel(wave, cfg, mel_pieces=True).values
+        assert got.shape == (t_frames, 64)
+        assert got.tobytes() == logmel_rows_ref(wave, cfg, 4).tobytes()
+
+    def test_stored_features_match_one_call_product(self, tmp_path):
+        cp.build_corpus(cp.CorpusConfig(n_clips=24, seed=0), tmp_path)
+        wavs = sorted((tmp_path / "wav").iterdir())
+        assert len(wavs) == 24
+        for hop in (512, 2048):
+            cfg = StftConfig(hop=hop)
+            for wav in wavs:
+                wave = dsp.load_wav(wav)
+                got = dsp.stft_logmel(wave, cfg, mel_pieces=True).values
+                want = logmel_one_call_ref(wave, cfg)
+                assert np.max(np.abs(got - want)) <= MEL_REL_TOL
+                assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes(), wav.name
 
 
 class TestFeatureFile:

@@ -849,11 +849,6 @@ class TestEnsembleFile:
             es.load_ensemble(bad)
 
 
-def _cpus(monkeypatch, n):
-    """Make ``run_shares`` see ``n`` CPUs in its affinity mask."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _fit_inputs(root, n=11):
     """Protocol, two score files and embeddings of an ``n``-utterance dev
     split, and the ``ensemble fit`` arguments that read them. At 11 rows
@@ -876,11 +871,11 @@ class TestShares:
     """The twelve GBM and forest fits dealt out over the CPUs: share 0 in
     this process, the others in forked workers; ridge in this process."""
 
-    def test_same_model_and_diagnostics_at_any_share_count(self, tmp_path, monkeypatch):
+    def test_same_model_and_diagnostics_at_any_share_count(self, tmp_path, set_cpus):
         examples = _toy_examples(23, seed=4)
         fits = []
         for n in (1, 2, 3, 13):  # 13: more shares than jobs
-            _cpus(monkeypatch, n)
+            set_cpus(n)
             model, diag = es.fit_stacked(examples, folds=5, cfg=SMALL_CFG, return_diagnostics=True)
             assert multiprocessing.active_children() == []
             es.save_ensemble(tmp_path / f"{n}.aten", model)
@@ -899,9 +894,9 @@ class TestShares:
         (2, (3, 3)),  # half the GBMs and half the forests
         (3, None), (4, None), (5, None), (6, None), (11, None),
     ])
-    def test_callers_share_holds_a_gbm_and_a_forest(self, cpus, counts, monkeypatch):
+    def test_callers_share_holds_a_gbm_and_a_forest(self, cpus, counts, monkeypatch, set_cpus):
         # a traced run times both kinds from spans in this process
-        _cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         here = []
         for kind in ("fit_gbm", "fit_forest"):
             def recording(*args, kind=kind, fit=getattr(es, kind)):
@@ -921,7 +916,7 @@ class TestShares:
         (OSError(28, "No space left on device"), 3, "ERROR INTERNAL: [Errno 28] No space left on device"),
     ])
     def test_fit_error_reaches_cli_as_in_serial_run(self, kind, rows, share, error, code, line,
-                                                    tmp_path, monkeypatch, capsys):
+                                                    tmp_path, monkeypatch, capsys, set_cpus):
         argv = _fit_inputs(tmp_path)
         runner = os.getpid()
         fit = getattr(es, kind)
@@ -934,7 +929,7 @@ class TestShares:
 
         monkeypatch.setattr(es, kind, failing_fit)
         for n in (1, 2):
-            _cpus(monkeypatch, n)
+            set_cpus(n)
             assert main(argv) == code
             assert capsys.readouterr().err.strip() == line
             assert not (tmp_path / "stack.aten").exists()
@@ -944,8 +939,8 @@ class TestShares:
             for p in tmp_path.glob("failed.*"):
                 p.unlink()
 
-    def test_worker_killed_gives_exit_3(self, tmp_path, monkeypatch, capsys):
-        _cpus(monkeypatch, 2)
+    def test_worker_killed_gives_exit_3(self, tmp_path, monkeypatch, capsys, set_cpus):
+        set_cpus(2)
         argv = _fit_inputs(tmp_path)
         runner = os.getpid()
         fit_forest = es.fit_forest
