@@ -22,14 +22,13 @@ from . import training as tr
 from .errors import (
     AtcadetError,
     BadConfig,
-    BadJson,
     DataError,
     DimMismatch,
     MissingFeature,
     NotWav,
     OutputExists,
     UsageError,
-    read_text,
+    read_json,
     temps_swept_on_error,
 )
 from .metrics import Trial, compute_eer, merge_with_protocol, read_scores, write_scores
@@ -50,10 +49,7 @@ def load_run_config(path) -> dict:
     """Read a run-config JSON file with sections for each pipeline stage."""
     if path is None:
         return {}
-    try:
-        cfg = json.loads(read_text(path, BadJson))
-    except json.JSONDecodeError as exc:
-        raise BadJson(f"{path}: unparseable run config: {exc}") from exc
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise BadConfig(f"{path}: run config must be a JSON object")
     unknown = sorted(set(cfg) - set(_RUN_CONFIG_SECTIONS))

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
 from .errors import (
-    BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, check_fields, read_text,
+    BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, check_fields, read_json,
     temps_swept_on_error,
 )
 from .protocol import ProtocolEntry, write_protocol
@@ -72,7 +72,9 @@ _FAMILIES = {
         "smear": _Param(0.5, lambda v: 0.0 <= v <= 1.0, draw=lambda rng: rng.uniform(0.2, 0.7)),
     }),
     "fake_spectral_quantize": ("grainy", {
-        "levels": _Param(10, lambda v: v >= 2, lambda v, s, nyq: max(2, int(round(v / s))),
+        # at most the largest float: synthesis divides by it as a float
+        "levels": _Param(10, lambda v: 2 <= v <= sys.float_info.max,
+                         lambda v, s, nyq: max(2, int(round(v / s))),
                          lambda rng: rng.uniform(8.0, _BLACKBOX_MAX_LEVELS)),
     }),
     "fake_hum_phase": ("humming", {
@@ -495,11 +497,7 @@ def write_manifest(path, manifest: CorpusManifest) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
-    try:
-        d = json.loads(read_text(path, BadJson))
-    except json.JSONDecodeError as exc:
-        raise BadJson(f"{path}: {exc}") from exc
-    return CorpusManifest.from_dict(d)
+    return CorpusManifest.from_dict(read_json(path))
 
 
 def _caption_events(tags) -> str:

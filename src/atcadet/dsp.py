@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    FEATURE_MAGIC,
     BadConfig,
     BadHeader,
     NonFinite,
@@ -25,9 +26,10 @@ from .errors import (
     TruncatedFile,
     UnsupportedFormat,
     atomic_write,
+    read_exact,
+    read_head,
 )
 
-FEATURE_MAGIC = b"ATFX"
 FEATURE_VERSION = 1
 
 _INT16_SCALE = 32768.0
@@ -102,13 +104,6 @@ class FeatureMatrix:
 # WAV I/O
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFile(f"unexpected end of file while reading {what}")
-    return data
-
-
 def load_wav(path) -> Waveform:
     """Read a RIFF/WAVE file holding 16-bit PCM mono samples.
 
@@ -127,7 +122,7 @@ def load_wav(path) -> Waveform:
             if len(head) < 8:
                 raise TruncatedFile(f"{path}: truncated chunk header")
             chunk_id, size = struct.unpack("<4sI", head)
-            payload = _read_exact(fh, size, f"{chunk_id!r} chunk")
+            payload = read_exact(fh, size, path, f"{chunk_id!r} chunk")
             if size % 2 == 1:  # RIFF chunks are word-aligned
                 fh.read(1)
             if chunk_id == b"fmt ":
@@ -273,37 +268,51 @@ def stft_logmel(wave: Waveform, cfg: StftConfig = StftConfig(),
 
 
 # ---------------------------------------------------------------------------
-# Feature file container
+# Feature blocks: a feature file holds one, an embedding payload a stack
+
+_BLOCK_HEAD = struct.Struct("<4sIII")  # magic, version, rows, dims
+
+
+def block_size(rows: int, dims: int) -> int:
+    """Bytes in the block :func:`write_block` writes for a rows x dims matrix."""
+    return _BLOCK_HEAD.size + 4 * rows * dims
+
+
+def write_block(fh, values: np.ndarray) -> None:
+    """One ATFX block: magic, u32 version, rows and dims, then the 2-D
+    ``values`` as row-major little-endian float32."""
+    values = values.astype("<f4", copy=False)
+    fh.write(_BLOCK_HEAD.pack(FEATURE_MAGIC, FEATURE_VERSION, *values.shape))
+    fh.write(values.tobytes(order="C"))
+
+
+def read_block(fh, path) -> np.ndarray:
+    """The matrix of the ATFX block at ``fh``'s position, as float64. A
+    payload shorter than its head declares is a ShapeMismatch."""
+    read_head(fh, path, FEATURE_MAGIC, FEATURE_VERSION, "a feature block")
+    rows, dims = struct.unpack("<II", read_exact(fh, 8, path, "block shape"))
+    if rows < 1 or dims < 1:
+        raise BadHeader(f"{path}: empty matrix {rows}x{dims}")
+    try:
+        payload = read_exact(fh, 4 * rows * dims, path, f"a {rows}x{dims} matrix")
+    except TruncatedFile as exc:
+        raise ShapeMismatch(exc.message) from exc
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dims)
 
 
 def write_features(path, matrix: FeatureMatrix) -> None:
     values = matrix.values.astype("<f4")
     if not np.all(np.isfinite(values)):
         raise NonFinite("feature matrix overflows float32")
-    t_frames, n_dims = values.shape
     with atomic_write(path) as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, t_frames, n_dims))
-        fh.write(values.tobytes(order="C"))
+        write_block(fh, values)
 
 
 def load_external_features(path) -> FeatureMatrix:
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16 or head[:4] != FEATURE_MAGIC:
-            raise BadHeader(f"{path}: not a feature file")
-        version, t_frames, n_dims = struct.unpack("<III", head[4:16])
-        if version != FEATURE_VERSION:
-            raise BadHeader(f"{path}: unsupported feature file version {version}")
-        if t_frames < 1 or n_dims < 1:
-            raise BadHeader(f"{path}: empty matrix {t_frames}x{n_dims}")
-        payload = fh.read()
-    expected = t_frames * n_dims * 4
-    if len(payload) != expected:
-        raise ShapeMismatch(
-            f"{path}: header declares {t_frames}x{n_dims} ({expected} bytes), payload holds {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(t_frames, n_dims)
+        values = read_block(fh, path)
+        if fh.read(1):
+            raise ShapeMismatch(f"{path}: trailing data after the matrix")
     if not np.all(np.isfinite(values)):
         raise NonFinite(f"{path}: payload contains non-finite values")
-    return FeatureMatrix(values.astype(np.float64))
+    return FeatureMatrix(values)

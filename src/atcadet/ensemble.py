@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    ENSEMBLE_MAGIC,
     BadConfig,
     BadHeader,
     BadJson,
@@ -27,17 +27,16 @@ from .errors import (
     NonFinite,
     SingularSystem,
     TooFewExamples,
-    TruncatedFile,
-    WrongKind,
     atomic_write,
     check_fields,
+    parse_json,
+    read_blob,
+    write_blob,
 )
 from .shares import run_shares
 from .text import pool_text_vector
 
-ENSEMBLE_MAGIC = b"ATEN"
 ENSEMBLE_VERSION = 1
-_OTHER_MAGICS = (b"ATCK", b"ATFX")
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,31 +649,12 @@ def predict_stacked(model: StackedModel, x) -> np.ndarray:
 def save_ensemble(path, model: StackedModel) -> None:
     blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as fh:
-        fh.write(ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<II", ENSEMBLE_VERSION, len(blob)))
-        fh.write(blob)
+        write_blob(fh, ENSEMBLE_MAGIC, ENSEMBLE_VERSION, blob)
 
 
 def load_ensemble(path) -> StackedModel:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != ENSEMBLE_MAGIC:
-            if magic in _OTHER_MAGICS:
-                raise WrongKind(f"{path}: this is a {magic.decode()} file, not an ensemble model")
-            raise BadHeader(f"{path}: not an ensemble model file")
-        head = fh.read(8)
-        if len(head) < 8:
-            raise TruncatedFile(f"{path}: truncated header")
-        version, blob_len = struct.unpack("<II", head)
-        if version != ENSEMBLE_VERSION:
-            raise BadHeader(f"{path}: unsupported ensemble version {version}")
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
-            raise TruncatedFile(f"{path}: truncated model body")
+        blob = read_blob(fh, path, ENSEMBLE_MAGIC, ENSEMBLE_VERSION, "an ensemble model")
         if fh.read(1):
             raise BadHeader(f"{path}: trailing data after model body")
-    try:
-        d = json.loads(blob.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise BadJson(f"{path}: {exc}") from exc
-    return StackedModel.from_dict(d)
+    return StackedModel.from_dict(parse_json(blob, path))

@@ -1,16 +1,28 @@
-"""Exception hierarchy shared by every subsystem.
+"""Exception hierarchy and shared readers for every subsystem.
 
 Each error carries a short machine-parsable ``code`` used by the CLI for
 its ``ERROR <CODE>:`` stderr lines. ``DataError`` subclasses map to exit
 code 2 (bad input files or content), ``UsageError`` to exit code 1, and
 anything else escaping to the CLI is treated as an internal invariant
 violation (exit code 3).
+
+The readers every format shares live here too, so each on-disk encoding
+is parsed in one place: the binary magics and heads, the bounded
+``read_exact``, the JSON parse, and the atomic writer.
 """
 
+import json
 import math
 import numbers
 import os
+import struct
 from contextlib import contextmanager
+
+# the binary formats, told apart by their first four bytes
+FEATURE_MAGIC = b"ATFX"
+CHECKPOINT_MAGIC = b"ATCK"
+ENSEMBLE_MAGIC = b"ATEN"
+MAGICS = (FEATURE_MAGIC, CHECKPOINT_MAGIC, ENSEMBLE_MAGIC)
 
 
 def read_text(path, error) -> str:
@@ -21,6 +33,61 @@ def read_text(path, error) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from exc
+
+
+def parse_json(text, where):
+    """The JSON value in ``text`` (a str, or UTF-8 bytes); text that does
+    not parse, however deeply it nests, raises BadJson naming ``where``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 faults
+        raise BadJson(f"{where}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 text file; any fault in it is BadJson."""
+    return parse_json(read_text(path, BadJson), path)
+
+
+_LARGE_READ = 1 << 20
+
+
+def read_exact(fh, n: int, path, what: str) -> bytes:
+    """The next ``n`` bytes of binary file ``fh``, or TruncatedFile. A read
+    over 1 MiB is checked against the bytes left first, since ``fh.read(n)``
+    allocates ``n`` bytes whatever a corrupt length field asks for."""
+    if n <= _LARGE_READ or n <= os.fstat(fh.fileno()).st_size - fh.tell():
+        data = fh.read(n)
+        if len(data) == n:
+            return data
+    raise TruncatedFile(f"{path}: unexpected end of file while reading {what}")
+
+
+def read_head(fh, path, magic: bytes, version: int, what: str) -> None:
+    """Check a binary file's magic and u32 version. Another format's magic
+    is WrongKind, any other BadHeader; ``what`` names the expected kind."""
+    found = fh.read(4)
+    if found != magic:
+        if found in MAGICS:
+            raise WrongKind(f"{path}: this is a {found.decode()} file, not {what}")
+        raise BadHeader(f"{path}: not {what}")
+    (found_version,) = struct.unpack("<I", read_exact(fh, 4, path, "version"))
+    if found_version != version:
+        raise BadHeader(f"{path}: unsupported {what} version {found_version}")
+
+
+def write_blob(fh, magic: bytes, version: int, blob: bytes) -> None:
+    """The head a checkpoint and an ensemble share: magic, u32 version and
+    u32 length, then the ``blob`` itself."""
+    fh.write(magic + struct.pack("<II", version, len(blob)))
+    fh.write(blob)
+
+
+def read_blob(fh, path, magic: bytes, version: int, what: str) -> bytes:
+    """The blob :func:`write_blob` wrote, its head checked."""
+    read_head(fh, path, magic, version, what)
+    (length,) = struct.unpack("<I", read_exact(fh, 4, path, "blob length"))
+    return read_exact(fh, length, path, f"{what} blob")
 
 
 @contextmanager

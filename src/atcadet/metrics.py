@@ -22,9 +22,8 @@ from .errors import (
     OneClassOnly,
     UnknownUtt,
     atomic_write,
-    read_text,
 )
-from .protocol import LABELS
+from .protocol import LABELS, read_tsv
 
 
 @dataclass(frozen=True)
@@ -100,21 +99,11 @@ def write_scores(path, trials) -> None:
 
 def read_scores(path) -> list:
     trials = []
-    seen = set()
-    for lineno, line in enumerate(read_text(path, BadProtocol).split("\n"), start=1):
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise BadProtocol(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-        utt_id, raw = cols
-        if utt_id in seen:
-            raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
-        seen.add(utt_id)
+    for where, (utt_id, raw) in read_tsv(path, 2):
         try:
             score = float(raw)
         except ValueError as exc:
-            raise BadProtocol(f"{path}:{lineno}: bad score {raw!r}") from exc
+            raise BadProtocol(f"{where}: bad score {raw!r}") from exc
         trials.append(Trial(utt_id, score))
     return trials
 

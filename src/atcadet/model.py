@@ -29,24 +29,25 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import FEATURE_MAGIC, FeatureMatrix
+from .dsp import FeatureMatrix
 from .errors import (
+    CHECKPOINT_MAGIC,
     BadConfig,
     BadHeader,
     BadJson,
     NonFinite,
     ShapeMismatch,
-    TruncatedFile,
-    WrongKind,
     atomic_write,
     check_fields,
     is_real,
+    parse_json,
+    read_blob,
+    read_exact,
+    write_blob,
 )
 from .text import TextEmbedding
 
-CHECKPOINT_MAGIC = b"ATCK"
 CHECKPOINT_VERSION = 1
-ENSEMBLE_MAGIC = b"ATEN"  # recognized here only to diagnose wrong-file mistakes
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,10 @@ class AtcaConfig:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, blob: str) -> "AtcaConfig":
-        """Parse a checkpoint's config; any fault in it is a data error."""
-        try:
-            d = json.loads(blob)
-        except json.JSONDecodeError as exc:
-            raise BadJson(f"unparseable model config: {exc}") from exc
+    def from_json(cls, blob) -> "AtcaConfig":
+        """Parse a checkpoint's config, a str or UTF-8 bytes; any fault in
+        it is a data error."""
+        d = parse_json(blob, "model config")
         try:
             return cls(**d)
         except (TypeError, ValueError, BadConfig) as exc:
@@ -535,9 +534,7 @@ def scores_from_logits(logits_matrix: np.ndarray) -> np.ndarray:
 def save_checkpoint(path, params: AtcaParams) -> None:
     blob = params.config.to_json().encode("utf-8")
     with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
+        write_blob(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, blob)
         for name, arr in params.named_arrays():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
@@ -547,41 +544,26 @@ def save_checkpoint(path, params: AtcaParams) -> None:
             fh.write(arr.astype("<f8").tobytes(order="C"))
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFile(f"{path}: unexpected end of file while reading {what}")
-    return data
-
-
 def load_checkpoint(path) -> AtcaParams:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            if magic in (ENSEMBLE_MAGIC, FEATURE_MAGIC):
-                raise WrongKind(f"{path}: this is a {magic.decode()} file, not a model checkpoint")
-            raise BadHeader(f"{path}: not a model checkpoint")
-        version, blob_len = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise BadHeader(f"{path}: unsupported checkpoint version {version}")
+        blob = read_blob(fh, path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "a model checkpoint")
         try:
-            blob = _read_exact(fh, blob_len, path, "config").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BadJson(f"{path}: model config is not UTF-8: {exc}") from exc
-        config = AtcaConfig.from_json(blob)
+            config = AtcaConfig.from_json(blob)
+        except BadJson as exc:
+            raise BadJson(f"{path}: {exc.message}") from exc
         expected = [(n, s) for n, s, _ in _tensor_specs(config)] + list(_buffer_specs(config))
         arrays = {}
         for name, want_shape in expected:
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "tensor name length"))
-            found = _read_exact(fh, name_len, path, "tensor name")
+            (name_len,) = struct.unpack("<I", read_exact(fh, 4, path, "tensor name length"))
+            found = read_exact(fh, name_len, path, "tensor name")
             if found != name.encode("utf-8"):
                 raise BadHeader(f"{path}: expected tensor {name!r}, found {found!r}")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "tensor rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "tensor dims"))
+            (rank,) = struct.unpack("<I", read_exact(fh, 4, path, "tensor rank"))
+            dims = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, path, "tensor dims"))
             if dims != want_shape:
                 raise ShapeMismatch(f"{path}: tensor {name!r} has shape {dims}, config wants {want_shape}")
             count = int(np.prod(dims)) if dims else 1
-            payload = _read_exact(fh, 8 * count, path, f"tensor {name!r} payload")
+            payload = read_exact(fh, 8 * count, path, f"tensor {name!r} payload")
             values = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
             if not np.all(np.isfinite(values)):
                 raise NonFinite(f"{path}: tensor {name!r} contains non-finite values")

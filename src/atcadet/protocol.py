@@ -31,21 +31,26 @@ class ProtocolEntry:
             raise BadProtocol(f"{self.utt_id}: split must be train, dev or eval, got {self.split!r}")
 
 
-def read_protocol(path) -> list:
-    entries = []
+def read_tsv(path, n_cols: int):
+    """Yield ``(where, cols)`` for each non-empty line of a headerless
+    UTF-8 TSV file, ``where`` being ``path:lineno``. Each line must hold
+    ``n_cols`` columns, the first an utt_id no earlier line holds."""
     seen = set()
     for lineno, line in enumerate(read_text(path, BadProtocol).split("\n"), start=1):
         if not line:
             continue
+        where = f"{path}:{lineno}"
         cols = line.split("\t")
-        if len(cols) != 5:
-            raise BadProtocol(f"{path}:{lineno}: expected 5 tab-separated columns, got {len(cols)}")
-        entry = ProtocolEntry(*cols)
-        if entry.utt_id in seen:
-            raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {entry.utt_id!r}")
-        seen.add(entry.utt_id)
-        entries.append(entry)
-    return entries
+        if len(cols) != n_cols:
+            raise BadProtocol(f"{where}: expected {n_cols} tab-separated columns, got {len(cols)}")
+        if cols[0] in seen:
+            raise DuplicateUtt(f"{where}: duplicate utt_id {cols[0]!r}")
+        seen.add(cols[0])
+        yield where, cols
+
+
+def read_protocol(path) -> list:
+    return [ProtocolEntry(*cols) for _, cols in read_tsv(path, 5)]
 
 
 def write_protocol(path, entries) -> None:

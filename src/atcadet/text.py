@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dsp import FEATURE_MAGIC, FEATURE_VERSION
+from .dsp import block_size, read_block, write_block
 from .errors import (
     BadConfig,
     BadHeader,
@@ -29,6 +28,7 @@ from .errors import (
     ShapeMismatch,
     UnknownStyle,
     atomic_write,
+    parse_json,
     read_text,
 )
 
@@ -116,10 +116,7 @@ def load_captions(path) -> list:
     for lineno, line in enumerate(read_text(path, BadJson).split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BadJson(f"{path}:{lineno}: {exc}") from exc
+        obj = parse_json(line, f"{path}:{lineno}")
         if not isinstance(obj, dict) or "utt_id" not in obj or "captions" not in obj:
             raise BadJson(f"{path}:{lineno}: expected utt_id and captions keys")
         if not isinstance(obj["captions"], dict):
@@ -212,17 +209,11 @@ def index_path_for(path) -> str:
     return f"{path}.index.jsonl"
 
 
-_BLOCK_HEAD = 16  # FEATURE_MAGIC, then version, rows and dims as <III
-
-
 def write_embedding_payload(path, embeddings) -> None:
     """The stacked feature blocks of ``embeddings``, in order."""
     with atomic_write(path) as fh:
         for emb in embeddings:
-            values = emb.matrix.astype("<f4")
-            fh.write(FEATURE_MAGIC)
-            fh.write(struct.pack("<III", FEATURE_VERSION, *values.shape))
-            fh.write(values.tobytes(order="C"))
+            write_block(fh, emb.matrix)
 
 
 def write_embedding_index(path, embeddings) -> None:
@@ -241,7 +232,7 @@ def write_embedding_index(path, embeddings) -> None:
             }
             fh.write(json.dumps(line))
             fh.write("\n")
-            offset += _BLOCK_HEAD + 4 * rows * dims
+            offset += block_size(rows, dims)
 
 
 def write_embeddings(path, embeddings) -> None:
@@ -289,10 +280,7 @@ def _read_index(path) -> list:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BadJson(f"{where}:{lineno}: {exc}") from exc
+        obj = parse_json(line, f"{where}:{lineno}")
         if not _is_index_entry(obj):
             raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L, Dt and spans fields")
         if obj["offset"] >= payload_size:
@@ -305,30 +293,16 @@ def _read_index(path) -> list:
     return entries
 
 
-def _read_block(fh, path, entry) -> TextEmbedding:
-    fh.seek(entry["offset"])
-    head = fh.read(_BLOCK_HEAD)
-    if len(head) < _BLOCK_HEAD or head[:4] != FEATURE_MAGIC:
-        raise BadHeader(f"{path}: no feature block at offset {entry['offset']}")
-    version, rows, dims = struct.unpack("<III", head[4:])
-    if version != FEATURE_VERSION:
-        raise BadHeader(f"{path}: unsupported feature block version {version}")
-    if rows != entry["L"] or dims != entry["Dt"]:
-        raise ShapeMismatch(
-            f"{path}: index declares {entry['L']}x{entry['Dt']} for {entry['utt_id']!r}, block is {rows}x{dims}"
-        )
-    payload = fh.read(rows * dims * 4)
-    if len(payload) != rows * dims * 4:
-        raise ShapeMismatch(f"{path}: truncated block for {entry['utt_id']!r}")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dims)
-    spans = tuple((s, a, b) for s, a, b in entry["spans"])
-    return TextEmbedding(entry["utt_id"], values, spans)
-
-
 def load_embeddings(path) -> list:
     entries = _read_index(path)
     out = []
     with open(path, "rb") as fh:
         for entry in entries:
-            out.append(_read_block(fh, path, entry))
+            utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
+            fh.seek(entry["offset"])
+            values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})")
+            if values.shape != (rows, dims):
+                raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
+                                    f"block is {values.shape[0]}x{values.shape[1]}")
+            out.append(TextEmbedding(utt, values, entry["spans"]))
     return out

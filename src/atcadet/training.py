@@ -29,6 +29,7 @@ from .errors import (
     atomic_write,
     check_fields,
     is_real,
+    read_json,
 )
 from .metrics import Trial, compute_eer
 from .protocol import filter_split
@@ -109,11 +110,7 @@ def write_report(path, report: TrainReport) -> None:
 
 
 def load_report(path) -> TrainReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return TrainReport.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise BadJson(f"{path}: {exc}") from exc
+    return TrainReport.from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,21 @@ class TestErrorMapping:
         assert capsys.readouterr().err.startswith(f"ERROR BAD_CONFIG: artifact strength {strength}")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_levels_too_large_for_a_float_exit_one_and_old_corpus_kept(self, tmp_path, capsys):
+        path, out = tmp_path / "run.json", tmp_path / "corpus"
+        corpus = {"n_clips": 12, "duration_s": 0.5, "sample_rate": 8000}
+        path.write_text(json.dumps({"corpus": corpus}))
+        argv = ["corpus", "synth", "--config", str(path), "--out", str(out)]
+        assert run(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        gens = [{"id": "q", "kind": "fake_spectral_quantize", "params": {"levels": 10**400}},
+                {"id": "b", "kind": "fake_blackbox"}]
+        path.write_text(json.dumps({"corpus": {**corpus, "fake_generators": gens}}))
+        assert run(argv + ["--force"]) == 1
+        assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_small_artifact_strength_that_stays_finite_synthesizes(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"corpus": {"n_clips": 12, "duration_s": 0.5,
@@ -591,6 +606,117 @@ class TestErrorMapping:
                     "--protocol", pipeline["protocol"], "--split", "eval",
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("ERROR DIM_MISMATCH:")
+        assert not out.exists()
+
+
+# nested far deeper than the JSON parser's recursion limit
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def _score_argv(pipeline, emb, out):
+    return ["score", "--ckpt", str(pipeline["ckpt"]), "--protocol", pipeline["protocol"],
+            "--features", str(pipeline["feats"]), "--embeddings", str(emb),
+            "--split", "eval", "--out", str(out)]
+
+
+def _ensemble_score_argv(pipeline, model, out):
+    return ["ensemble", "score", "--model", str(model),
+            "--scores", f"{pipeline['eval']},{pipeline['eval_abl']}",
+            "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+            "--split", "eval", "--out", str(out)]
+
+
+_BINARY = ("features", "checkpoint", "ensemble")
+
+
+class TestHostileInput:
+    """Inputs that once escaped as a bare exception (exit 3) reach the CLI
+    as a typed data error (exit 2)."""
+
+    def test_deep_run_config_exit_two(self, tmp_path, capsys):
+        path, out = tmp_path / "run.json", tmp_path / "corpus"
+        path.write_text('{"corpus": ' + _DEEP_JSON + "}")
+        assert run(["corpus", "synth", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["captions", "manifest", "index", "checkpoint", "ensemble"])
+    def test_deep_json_exit_two(self, pipeline, tmp_path, capsys, reader):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        corpus.mkdir()
+        blob = _DEEP_JSON.encode()
+        if reader == "captions":
+            bad = corpus / "captions.jsonl"
+            lines = (pipeline["corpus"] / "captions.jsonl").read_text().splitlines()
+            bad.write_text("\n".join([lines[0], _DEEP_JSON]) + "\n")
+            argv = ["embed", "--corpus", str(corpus), "--out", str(out)]
+        elif reader == "manifest":
+            bad = corpus / "manifest.json"
+            bad.write_text(_DEEP_JSON)
+            argv = ["featurize", "--corpus", str(corpus), "--out", str(out)]
+        elif reader == "index":
+            emb, bad = tmp_path / "emb.bin", tmp_path / "emb.bin.index.jsonl"
+            emb.write_bytes(pipeline["emb"].read_bytes())
+            bad.write_text(_DEEP_JSON + "\n")
+            argv = _score_argv(pipeline, emb, out)
+        elif reader == "checkpoint":
+            bad = tmp_path / "m.atck"
+            bad.write_bytes(b"ATCK" + struct.pack("<II", 1, len(blob)) + blob)
+            argv = ["params", "--ckpt", str(bad)]
+        else:
+            bad = tmp_path / "m.aten"
+            bad.write_bytes(b"ATEN" + struct.pack("<II", 1, len(blob)) + blob)
+            argv = _ensemble_score_argv(pipeline, bad, out)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_JSON:")
+        assert str(bad) in err
+        assert not out.exists()
+
+    def test_checkpoint_length_flip_exit_two(self, tmp_path, capsys):
+        # one of the single-byte flips that made a tensor's dims length ask
+        # for more bytes than memory holds
+        cfg = AtcaConfig(d_spec=3, d_model=4, d_k=4, n_heads=1, gru_layers=1, gru_hidden=2,
+                         d_text=5)
+        path = tmp_path / "m.atck"
+        md.save_checkpoint(str(path), AtcaParams.init(cfg, seed=0))
+        data = bytearray(path.read_bytes())
+        assert len(data) == 1683
+        data[140] ^= 0x80
+        path.write_bytes(bytes(data))
+        assert run(["params", "--ckpt", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR TRUNCATED_FILE:")
+        assert str(path) in err
+
+    def test_embedding_block_past_any_size_exit_two(self, pipeline, tmp_path, capsys):
+        emb, out = tmp_path / "emb.bin", tmp_path / "s.tsv"
+        data = bytearray(pipeline["emb"].read_bytes())
+        data[8:16] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+        emb.write_bytes(bytes(data))
+        lines = (pipeline["root"] / "emb.bin.index.jsonl").read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "L": 0xFFFFFFFF, "Dt": 0xFFFFFFFF})
+        (tmp_path / "emb.bin.index.jsonl").write_text("\n".join(lines) + "\n")
+        assert run(_score_argv(pipeline, emb, out)) == 2
+        assert capsys.readouterr().err.startswith("ERROR SHAPE_MISMATCH:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loader,given", [
+        (loader, given) for loader in _BINARY for given in _BINARY if given != loader])
+    def test_other_format_is_wrong_kind(self, pipeline, tmp_path, capsys, loader, given):
+        source = {"features": sorted(pipeline["feats"].glob("*.atfx"))[0],
+                  "checkpoint": pipeline["ckpt"], "ensemble": pipeline["stack"]}[given]
+        out = tmp_path / "out"
+        if loader == "features":
+            (tmp_path / "ext").mkdir()
+            (tmp_path / "ext" / "u0000.atfx").write_bytes(source.read_bytes())
+            argv = ["embed", "import", "--from", str(tmp_path / "ext"), "--out", str(out)]
+        elif loader == "checkpoint":
+            argv = ["params", "--ckpt", str(source)]
+        else:
+            argv = _ensemble_score_argv(pipeline, source, out)
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("ERROR WRONG_KIND:")
         assert not out.exists()
 
 

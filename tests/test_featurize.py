@@ -73,6 +73,7 @@ def test_bad_wav_reaches_cli_as_in_serial_run(corpus, tmp_path, set_cpus, capsys
         assert not (out / f"{bad}.atfx").exists()
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
     assert lines[0].startswith(f"ERROR {code}:")
+    assert str(wav) in lines[0]
     assert lines[1] == lines[0]
 
 

@@ -1,0 +1,124 @@
+"""One reader per on-disk encoding.
+
+Every binary format and the embedding index, read back after each
+truncation and after flipping bit 0 or bit 7 of each byte, loads or
+raises an ``AtcadetError``: no corrupt file escapes as a bare exception.
+And the JSON parse and the binary magics are named in ``errors.py`` only,
+so a hardening fix to a shared reader reaches every format.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import atcadet
+from atcadet import dsp
+from atcadet import ensemble as es
+from atcadet import model as md
+from atcadet import text as tx
+from atcadet import training as tr
+from atcadet.errors import AtcadetError, BadJson
+
+
+def _wav(path):
+    dsp.write_wav(path, dsp.Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 40), 8000))
+
+
+def _features(path):
+    dsp.write_features(path, dsp.FeatureMatrix(np.random.default_rng(1).normal(size=(3, 4))))
+
+
+def _checkpoint(path):
+    cfg = md.AtcaConfig(d_spec=3, d_model=4, d_k=4, n_heads=1, gru_layers=1, gru_hidden=2, d_text=5)
+    md.save_checkpoint(path, md.AtcaParams.init(cfg, seed=0))
+
+
+def _ensemble(path):
+    rng = np.random.default_rng(2)
+    examples = [es.MetaExample(f"u{i}", float(i % 2) + 0.3 * rng.normal(size=2), rng.normal(size=2),
+                               float(i % 2)) for i in range(8)]
+    cfg = es.StackConfig(gbm_rounds=1, gbm_depth=1, forest_trees=1, forest_depth=1)
+    es.save_ensemble(path, es.fit_stacked(examples, folds=2, cfg=cfg))
+
+
+def _embeddings(path):
+    rng = np.random.default_rng(3)
+    tx.write_embeddings(path, [
+        tx.TextEmbedding("u0", rng.normal(size=(2, 3)), (("audioset", 0, 1), ("clotho", 1, 2))),
+        tx.TextEmbedding("u1", rng.normal(size=(1, 3)), ()),
+    ])
+
+
+# format -> (writer of one small valid file, the file it corrupts, loader)
+FORMATS = {
+    "wav": (_wav, "f", dsp.load_wav),
+    "atfx": (_features, "f", dsp.load_external_features),
+    "atck": (_checkpoint, "f", md.load_checkpoint),
+    "aten": (_ensemble, "f", es.load_ensemble),
+    "embedding_payload": (_embeddings, "f", tx.load_embeddings),
+    "embedding_index": (_embeddings, "f.index.jsonl", tx.load_embeddings),
+}
+
+
+def _damaged(data: bytes):
+    """(label, bytes) for every proper prefix and every bit-0 and bit-7 flip."""
+    for n in range(len(data)):
+        yield f"first {n} bytes", data[:n]
+    for i in range(len(data)):
+        for bit in (0, 7):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << bit
+            yield f"byte {i} bit {bit}", bytes(flipped)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_truncated_or_flipped_file_loads_or_raises_a_typed_error(tmp_path, fmt):
+    write, target, load = FORMATS[fmt]
+    write(tmp_path / "f")
+    load(tmp_path / "f")
+    damaged = tmp_path / target
+    escaped = []
+    for label, data in _damaged(damaged.read_bytes()):
+        damaged.write_bytes(data)
+        try:
+            load(tmp_path / "f")
+        except AtcadetError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escapes are the finding
+            escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+@pytest.mark.parametrize("damage", [b"\xff", b"[" * 200_000], ids=["not_utf8", "deep"])
+def test_report_that_does_not_parse_is_bad_json(tmp_path, damage):
+    path = tmp_path / "report.json"
+    tr.write_report(path, tr.TrainReport([0.5], [0.25], 0, 1.0, (1.0, 1.0)))
+    path.write_bytes(damage + path.read_bytes())
+    with pytest.raises(BadJson):
+        tr.load_report(path)
+
+
+def _uses_of_shared_encodings(path):
+    """(kind, line) for each json.load/json.loads call or import and each
+    binary magic literal in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append((f"json.{node.attr}", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(f"json.{a.name}", node.lineno) for a in node.names if a.name in ("load", "loads")]
+        elif isinstance(node, ast.Constant) and node.value in (b"ATFX", b"ATCK", b"ATEN"):
+            found.append((node.value.decode(), node.lineno))
+    return found
+
+
+def test_json_parse_and_magics_are_named_in_errors_only():
+    uses = {path.name: _uses_of_shared_encodings(path)
+            for path in sorted(Path(atcadet.__file__).parent.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found and name != "errors.py"} == {}
+    kinds = [kind for kind, _ in uses["errors.py"]]
+    assert sorted(kind for kind in kinds if not kind.startswith("json.")) == ["ATCK", "ATEN", "ATFX"]
+    assert "json.loads" in kinds
