@@ -1,6 +1,8 @@
 """Minimal dense-tensor engine with tape-based reverse-mode differentiation.
 
-Everything is float64. Tensors are at most 2-D here (scalars are 0-d).
+Every tensor is float64; the float32 feature and caption matrices the
+loaders keep are data, widened where they enter a tensor op. Tensors are
+at most 2-D here (scalars are 0-d).
 Ops record onto the active :class:`Tape` (a ``with Tape() as tape:``
 block) whenever any input has ``requires_grad``; outside a tape, or
 under :func:`no_grad`, they just compute values.

@@ -154,6 +154,12 @@ def featurize(corpus_dir, out_dir, n_fft, hop, n_mels, force):
     click.echo(f"wrote {len(targets)} feature files to {out_dir}")
 
 
+def _float32_embedding(emb):
+    """``emb`` narrowed to the float32 its file stores, so the embeddings of a
+    corpus are held at half size until they are written."""
+    return tx.TextEmbedding(emb.utt_id, emb.matrix.astype(np.float32), emb.style_spans)
+
+
 @cli.group(name="embed", invoke_without_command=True)
 @click.option("--corpus", "corpus_dir", type=click.Path(exists=True, file_okay=False),
               default=None, help="Corpus directory holding captions.jsonl.")
@@ -174,7 +180,7 @@ def embed(ctx, corpus_dir, out_path, dim, seed, force):
     captions = tx.load_captions(os.path.join(corpus_dir, "captions.jsonl"))
     cfg = tx.ToyEmbedderConfig(dim=dim, seed=seed)
     _guard_output(out_path, force)
-    tx.write_embeddings(out_path, [tx.toy_embed(cs, cfg) for cs in captions])
+    tx.write_embeddings(out_path, [_float32_embedding(tx.toy_embed(cs, cfg)) for cs in captions])
     click.echo(f"wrote {len(captions)} embeddings to {out_path}")
 
 

@@ -78,12 +78,22 @@ class StftConfig:
             raise BadConfig("log_floor must be positive")
 
 
+def held_values(values) -> np.ndarray:
+    """``values`` as a feature or caption matrix holds them: a float32 array,
+    what feature and embedding files store, as is; anything else widened to
+    float64. Arithmetic widens float32 where it reads it, so either gives
+    the same results."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float32:
+        return values
+    return np.asarray(values, dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = held_values(self.values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ShapeMismatch(f"feature matrix must be 2-D and non-empty, got {values.shape}")
         if not np.all(np.isfinite(values)):
@@ -287,8 +297,9 @@ def write_block(fh, values: np.ndarray) -> None:
 
 
 def read_block(fh, path) -> np.ndarray:
-    """The matrix of the ATFX block at ``fh``'s position, as float64. A
-    payload shorter than its head declares is a ShapeMismatch."""
+    """The matrix of the ATFX block at ``fh``'s position, as the read-only
+    little-endian float32 it stores. A payload shorter than its head
+    declares is a ShapeMismatch."""
     read_head(fh, path, FEATURE_MAGIC, FEATURE_VERSION, "a feature block")
     rows, dims = struct.unpack("<II", read_exact(fh, 8, path, "block shape"))
     if rows < 1 or dims < 1:
@@ -297,7 +308,7 @@ def read_block(fh, path) -> np.ndarray:
         payload = read_exact(fh, 4 * rows * dims, path, f"a {rows}x{dims} matrix")
     except TruncatedFile as exc:
         raise ShapeMismatch(exc.message) from exc
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dims)
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, dims)
 
 
 def write_features(path, matrix: FeatureMatrix) -> None:
@@ -313,6 +324,7 @@ def load_external_features(path) -> FeatureMatrix:
         values = read_block(fh, path)
         if fh.read(1):
             raise ShapeMismatch(f"{path}: trailing data after the matrix")
-    if not np.all(np.isfinite(values)):
-        raise NonFinite(f"{path}: payload contains non-finite values")
-    return FeatureMatrix(values)
+    try:
+        return FeatureMatrix(values)
+    except NonFinite as exc:
+        raise NonFinite(f"{path}: {exc.message}") from exc

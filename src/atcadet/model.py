@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import FeatureMatrix
+from .dsp import FeatureMatrix, held_values
 from .errors import (
     CHECKPOINT_MAGIC,
     BadConfig,
@@ -183,7 +183,7 @@ def count_params_for(config: AtcaConfig) -> int:
 def _as_matrix(x, what: str) -> np.ndarray:
     if isinstance(x, FeatureMatrix):
         return x.values
-    values = np.asarray(x, dtype=np.float64)
+    values = held_values(x)
     if values.ndim != 2:
         raise ShapeMismatch(f"{what} must be 2-D, got shape {values.shape}")
     return values
@@ -340,13 +340,16 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
 
     Samples run one at a time, which keeps their arrays small; the
     backward sums the six weight gradients over them. Texts are data: no
-    gradient flows into them.
+    gradient flows into them. Caption matrices may be float32, as loaded:
+    the batch's rows are widened once, into one float64 buffer that the
+    forward and the backward both read, not cast again by each product.
     """
     cfg = params.config
     if not len(specs) == len(raws) == len(texts):
         raise ShapeMismatch(f"batch has {len(specs)} specs, {len(raws)} raws and {len(texts)} texts")
     xs = [_spec_input(spec, raw, params) for spec, raw in zip(specs, raws)]
     ts = [_text_input(text, cfg) for text in texts]
+    ts = np.split(np.concatenate(ts, dtype=np.float64), np.cumsum([len(t) for t in ts])[:-1])
     steps = xs[0].shape[0]
     if any(x.shape[0] != steps for x in xs):
         raise ShapeMismatch("forward_batch requires equal-length sequences")

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import block_size, read_block, write_block
+from .dsp import block_size, held_values, read_block, write_block
 from .errors import (
     BadConfig,
     BadHeader,
@@ -66,7 +66,7 @@ class TextEmbedding:
     style_spans: tuple
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = held_values(self.matrix)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ShapeMismatch(f"{self.utt_id}: embedding must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(matrix)):
@@ -197,8 +197,8 @@ def toy_embed(caption_set: CaptionSet, cfg: ToyEmbedderConfig = ToyEmbedderConfi
 
 
 def pool_text_vector(embedding: TextEmbedding) -> np.ndarray:
-    """Mean over token rows; the per-utterance text summary."""
-    return embedding.matrix.mean(axis=0)
+    """Mean over token rows, in float64; the per-utterance text summary."""
+    return np.asarray(embedding.matrix, dtype=np.float64).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class _Adam:
 
 
 def _fit_normalizers(params: md.AtcaParams, spec_mats) -> None:
-    stacked = np.concatenate(spec_mats, axis=0)
+    stacked = np.concatenate(spec_mats, axis=0, dtype=np.float64)
     mu = stacked.mean(axis=0, keepdims=True)
     sigma = np.maximum(stacked.std(axis=0, keepdims=True), 1e-6)
     params.buffers["norm_mu"][:] = mu
@@ -325,8 +325,8 @@ def _check_coverage_features_only(entries, features):
 
 
 def logmel_stats(feat) -> np.ndarray:
-    """Per-dim mean and standard deviation over frames, concatenated."""
-    m = _spec_matrix(feat)
+    """Per-dim mean and standard deviation over frames in float64, concatenated."""
+    m = np.asarray(_spec_matrix(feat), dtype=np.float64)
     return np.concatenate([m.mean(axis=0), m.std(axis=0)])
 
 

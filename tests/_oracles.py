@@ -4,8 +4,9 @@ These deliberately avoid the library's own computation paths: finite
 differences instead of the tape, direct DFT sums instead of the FFT
 frontend, exhaustive threshold sweeps instead of the sorted EER sweep,
 op-by-op graphs of generic tape ops instead of the model's hand-written
-ones, and the fake families written out one kind at a time instead of
-the corpus's parameter table.
+ones, the fake families written out one kind at a time instead of
+the corpus's parameter table, and a feature-block reader that widens to
+float64 instead of keeping the float32 the block stores.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 
 from atcadet import autodiff as ad
 from atcadet import corpus as cp
+from atcadet import dsp
 from atcadet import model as md
 from atcadet.autodiff import Tensor
 from atcadet.errors import ShapeMismatch
@@ -713,3 +715,12 @@ def apply_fake_ref(wave, kind, params, seed):
     if peak > 0.99:
         y *= 0.99 / peak
     return quantize_pcm16_ref(y)
+
+
+_read_block = dsp.read_block  # the reader as imported, whatever a test patches in later
+
+
+def read_block_f64_ref(fh, path):
+    """The ATFX block reader as it was before loaded matrices stayed
+    float32: the block's matrix widened to a float64 copy."""
+    return _read_block(fh, path).astype(np.float64)

@@ -271,3 +271,10 @@ class TestFeatureFile:
         p.write_bytes(b"ATFX" + struct.pack("<III", 1, 1, 1) + struct.pack("<f", math.inf))
         with pytest.raises(NonFinite):
             dsp.load_external_features(p)
+
+    def test_nonfinite_payload_names_the_file(self, tmp_path):
+        p = tmp_path / "f.atfx"
+        p.write_bytes(b"ATFX" + struct.pack("<III", 1, 2, 1) + struct.pack("<2f", 0.0, math.nan))
+        with pytest.raises(NonFinite) as info:
+            dsp.load_external_features(p)
+        assert str(p) in info.value.message
