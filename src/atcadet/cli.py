@@ -119,10 +119,7 @@ def corpus_synth(config_path, out_dir, seed, force):
 
 def _featurize_share(targets, stft_cfg) -> list:
     """Write the features of each (WAV, feature file) pair in ``targets``."""
-    # small mel products keep each process on one BLAS thread, and taking
-    # them in every share keeps the features the same at any CPU count
-    return [dsp.write_features(path, dsp.stft_logmel(dsp.load_wav(wav), stft_cfg,
-                                                      mel_pieces=True))
+    return [dsp.write_features(path, dsp.stft_logmel(dsp.load_wav(wav), stft_cfg))
             for wav, path in targets]
 
 

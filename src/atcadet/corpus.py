@@ -480,11 +480,13 @@ class CorpusManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusManifest":
+        """Parse a manifest file's JSON. Any fault in it is a data error,
+        a split map that does not partition the clips included."""
         try:
             clips = [ClipRecord(c["utt_id"], c["generator_id"], c["label"], tuple(c["tags"]),
                                 float(c["duration_s"]), tuple(c["seed"])) for c in d["clips"]]
             return cls(clips, d["splits"], float(d["blackbox_fraction"]), d.get("config"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, BadConfig) as exc:
             raise BadJson(f"malformed manifest: {exc}") from exc
 
 

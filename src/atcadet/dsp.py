@@ -51,10 +51,6 @@ class Waveform:
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -244,19 +240,16 @@ def stft_power(wave: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     return np.abs(spectrum) ** 2
 
 
-# frames per mel product with ``mel_pieces``: a product this small runs on
-# one BLAS thread, so processes featurizing side by side do not contend
-MEL_ROWS = 4
+MEL_ROWS = 4  # frames per mel product
 
 
-def stft_logmel(wave: Waveform, cfg: StftConfig = StftConfig(),
-                mel_pieces: bool = False) -> FeatureMatrix:
+def stft_logmel(wave: Waveform, cfg: StftConfig = StftConfig()) -> FeatureMatrix:
     """Log mel spectrogram: ln(mel-pooled power + log_floor).
 
-    The mel product is one matmul, or with ``mel_pieces`` one stacked matmul
-    over ``MEL_ROWS``-frame pieces and one over the leftover frames. BLAS
-    rounds a product by its row count, so the two differ in the last bits of
-    float64; each is the same at any BLAS thread count.
+    The mel product is one stacked matmul over ``MEL_ROWS``-frame pieces and
+    one over the leftover frames. A product that small runs on one BLAS
+    thread, so processes featurizing side by side do not contend, and its
+    bytes do not depend on the thread count.
     """
     if wave.sample_rate != 44100:
         warnings.warn(
@@ -266,14 +259,11 @@ def stft_logmel(wave: Waveform, cfg: StftConfig = StftConfig(),
     power = stft_power(wave, cfg)
     fmax = min(cfg.fmax, wave.sample_rate / 2.0)
     filters = mel_filterbank(wave.sample_rate, cfg.n_fft, cfg.n_mels, cfg.fmin, fmax)
-    if not mel_pieces:
-        mel = power @ filters.T
-    else:
-        mel = np.empty((len(power), cfg.n_mels))
-        n = len(power) - len(power) % MEL_ROWS
-        np.matmul(power[:n].reshape(-1, MEL_ROWS, power.shape[1]), filters.T,
-                  out=mel[:n].reshape(-1, MEL_ROWS, cfg.n_mels))
-        np.matmul(power[n:], filters.T, out=mel[n:])
+    mel = np.empty((len(power), cfg.n_mels))
+    n = len(power) - len(power) % MEL_ROWS
+    np.matmul(power[:n].reshape(-1, MEL_ROWS, power.shape[1]), filters.T,
+              out=mel[:n].reshape(-1, MEL_ROWS, cfg.n_mels))
+    np.matmul(power[n:], filters.T, out=mel[n:])
     return FeatureMatrix(np.log(mel + cfg.log_floor))
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .ensemble import RidgeModel, fit_ridge, predict_ridge
 from .errors import (
     BadConfig,
     BadJson,
@@ -128,11 +127,12 @@ def inverse_frequency_weights(entries) -> tuple:
     return (float(w[0]), float(w[1]))
 
 
-def _check_coverage(entries, features, embeddings):
+def _check_coverage(entries, features, embeddings=None):
+    """Every entry has features and, unless ``embeddings`` is None, an embedding."""
     for e in entries:
         if e.utt_id not in features:
             raise MissingFeature(f"no features for {e.utt_id!r}")
-        if e.utt_id not in embeddings:
+        if embeddings is not None and e.utt_id not in embeddings:
             raise MissingEmbedding(f"no embedding for {e.utt_id!r}")
 
 
@@ -288,7 +288,7 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
     if not entries:
         return []
     if ablate_text_branch:
-        _check_coverage_features_only(entries, features)
+        _check_coverage(entries, features)
         texts = [np.zeros((1, params.config.d_text))] * len(entries)
     else:
         _check_coverage(entries, features, embeddings)
@@ -312,44 +312,3 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
 def ablate_text(params, entries, features):
     """Score with captions replaced by one zero token (audio-only path)."""
     return score_protocol(params, entries, features, {}, ablate_text_branch=True)
-
-
-def _check_coverage_features_only(entries, features):
-    for e in entries:
-        if e.utt_id not in features:
-            raise MissingFeature(f"no features for {e.utt_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# Log-mel linear baseline (third base system for the ensemble)
-
-
-def logmel_stats(feat) -> np.ndarray:
-    """Per-dim mean and standard deviation over frames in float64, concatenated."""
-    m = np.asarray(_spec_matrix(feat), dtype=np.float64)
-    return np.concatenate([m.mean(axis=0), m.std(axis=0)])
-
-
-@dataclass
-class LinearBaseline:
-    ridge: RidgeModel
-
-
-def fit_linear_baseline(entries, features, lam: float = 1.0) -> LinearBaseline:
-    entries = list(entries)
-    if not entries:
-        raise EmptySplit("cannot fit a baseline on an empty protocol")
-    _check_coverage_features_only(entries, features)
-    x = np.stack([logmel_stats(features[e.utt_id]) for e in entries])
-    y = np.array([1.0 if e.label == "bonafide" else 0.0 for e in entries])
-    return LinearBaseline(fit_ridge(x, y, lam))
-
-
-def score_linear_baseline(baseline: LinearBaseline, entries, features):
-    entries = list(entries)
-    if not entries:
-        return []
-    _check_coverage_features_only(entries, features)
-    x = np.stack([logmel_stats(features[e.utt_id]) for e in entries])
-    preds = predict_ridge(baseline.ridge, x)
-    return [Trial(e.utt_id, float(p), e.label) for e, p in zip(entries, preds)]

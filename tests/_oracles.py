@@ -7,9 +7,14 @@ op-by-op graphs of generic tape ops instead of the model's hand-written
 ones, the fake families written out one kind at a time instead of
 the corpus's parameter table, and a feature-block reader that widens to
 float64 instead of keeping the float32 the block stores.
+
+It also holds the log-mel linear baseline, a ridge fit on per-clip log-mel
+statistics that no CLI stage produces: the stacking criteria compare the
+detector and the ensemble against it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +23,9 @@ from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet import model as md
 from atcadet.autodiff import Tensor
-from atcadet.errors import ShapeMismatch
+from atcadet.ensemble import RidgeModel, fit_ridge, predict_ridge
+from atcadet.errors import EmptySplit, MissingFeature, ShapeMismatch
+from atcadet.metrics import Trial
 
 
 def fd_gradients(loss_fn, tensors, h=1e-5):
@@ -724,3 +731,41 @@ def read_block_f64_ref(fh, path):
     """The ATFX block reader as it was before loaded matrices stayed
     float32: the block's matrix widened to a float64 copy."""
     return _read_block(fh, path).astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Log-mel linear baseline
+
+
+def logmel_stats(feat) -> np.ndarray:
+    """Per-dim mean and standard deviation over frames in float64, concatenated."""
+    m = np.asarray(getattr(feat, "values", feat), dtype=np.float64)
+    return np.concatenate([m.mean(axis=0), m.std(axis=0)])
+
+
+@dataclass
+class LinearBaseline:
+    ridge: RidgeModel
+
+
+def _stats_matrix(entries, features) -> np.ndarray:
+    for e in entries:
+        if e.utt_id not in features:
+            raise MissingFeature(f"no features for {e.utt_id!r}")
+    return np.stack([logmel_stats(features[e.utt_id]) for e in entries])
+
+
+def fit_linear_baseline(entries, features, lam: float = 1.0) -> LinearBaseline:
+    entries = list(entries)
+    if not entries:
+        raise EmptySplit("cannot fit a baseline on an empty protocol")
+    y = np.array([1.0 if e.label == "bonafide" else 0.0 for e in entries])
+    return LinearBaseline(fit_ridge(_stats_matrix(entries, features), y, lam))
+
+
+def score_linear_baseline(baseline: LinearBaseline, entries, features):
+    entries = list(entries)
+    if not entries:
+        return []
+    preds = predict_ridge(baseline.ridge, _stats_matrix(entries, features))
+    return [Trial(e.utt_id, float(p), e.label) for e, p in zip(entries, preds)]

@@ -29,10 +29,12 @@ from atcadet.training import TrainConfig
 from _oracles import (
     eer_bruteforce,
     fd_gradients,
+    fit_linear_baseline,
     gru_scalar_oracle,
     gru_weights_from_params,
     rel_errors,
     ridge_gd_oracle,
+    score_linear_baseline,
     simplex_bruteforce_oracle,
 )
 
@@ -122,7 +124,7 @@ def hinted_runs(tmp_path_factory):
     entries, features, embeddings = _prepare_corpus(corpus_cfg, out)
     dev_entries = filter_split(entries, "dev")
     eval_entries = filter_split(entries, "eval")
-    baseline = tr.fit_linear_baseline(filter_split(entries, "train"), features)
+    baseline = fit_linear_baseline(filter_split(entries, "train"), features)
     runs = {}
     for seed in SEEDS:
         params, _ = tr.train(entries, features, embeddings, _train_cfg(seed), RUN_CFG)
@@ -134,8 +136,8 @@ def hinted_runs(tmp_path_factory):
         }
     return {
         "runs": runs,
-        "base_dev": tr.score_linear_baseline(baseline, dev_entries, features),
-        "base_eval": tr.score_linear_baseline(baseline, eval_entries, features),
+        "base_dev": score_linear_baseline(baseline, dev_entries, features),
+        "base_eval": score_linear_baseline(baseline, eval_entries, features),
         "dev_entries": dev_entries,
         "eval_entries": eval_entries,
         "embeddings": embeddings,

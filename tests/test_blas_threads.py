@@ -1,12 +1,14 @@
-"""Score TSVs from one checkpoint do not depend on the BLAS thread count.
+"""Trained checkpoints, and the score TSVs from one checkpoint, do not
+depend on the BLAS thread count.
 
-The test writes fixed inputs, then runs the same ``score`` calls in two
-fresh processes, one with ``OPENBLAS_NUM_THREADS=1`` and one with it unset,
-and compares the bytes each wrote. The program itself sets no thread
-variable. ``.aten`` files are not pinned this way: their ridge weights move
-in the last bits with the thread count (README).
+Each test writes fixed inputs, then runs the same ``train`` or ``score``
+calls in two fresh processes, one with ``OPENBLAS_NUM_THREADS=1`` and one
+with it unset, and compares the bytes each wrote. The program itself sets
+no thread variable. ``.aten`` files are not pinned this way: their ridge
+weights move in the last bits with the thread count (README).
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -18,7 +20,7 @@ from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet import model as md
 from atcadet import text as tx
-from atcadet.protocol import ProtocolEntry, write_protocol
+from atcadet.protocol import ProtocolEntry, read_protocol, write_protocol
 
 SRC = os.path.dirname(os.path.dirname(dsp.__file__))
 
@@ -33,6 +35,16 @@ SCORE_SCRIPT = (
     "                     '--protocol', inputs + '/protocol.tsv', '--features', inputs + '/feats',\n"
     "                     '--embeddings', inputs + '/emb.bin', '--split', split, *ablate,\n"
     "                     '--out', f'{out}/{split}{len(ablate)}.tsv']) == 0\n"
+)
+
+# trains on sys.argv[1]'s track-1 protocol, writing sys.argv[2]/model.atck
+TRAIN_SCRIPT = (
+    "import sys\n"
+    "from atcadet.cli import main\n"
+    "inputs, out = sys.argv[1], sys.argv[2]\n"
+    "assert main(['train', '--corpus', inputs, '--features', inputs + '/feats',\n"
+    "             '--embeddings', inputs + '/emb.bin', '--track', '1', '--epochs', '3',\n"
+    "             '--out-ckpt', out + '/model.atck']) == 0\n"
 )
 
 
@@ -74,3 +86,23 @@ def test_scores_from_one_checkpoint_independent_of_blas_threads(tmp_path):
                        for p in out.iterdir()}
     assert sorted(trees["one"]) == ["dev0.tsv", "dev1.tsv", "eval0.tsv", "eval1.tsv"]
     assert trees["one"] == trees["unset"]
+
+
+def test_trained_checkpoint_independent_of_blas_threads(tmp_path):
+    inputs = _inputs(tmp_path / "inputs")
+    # the score protocol trains on bonafide clips only: pair the labels in
+    # train and dev instead
+    entries = read_protocol(inputs / "protocol.tsv")
+    write_protocol(inputs / "protocol_track1.tsv", [
+        dataclasses.replace(e, split=("train", "dev")[(i // 2) % 2]) for i, e in enumerate(entries)
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    digests = {}
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
+        out = tmp_path / name
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(inputs), str(out)],
+                       env={**env, **extra}, check=True, timeout=300, capture_output=True)
+        digests[name] = hashlib.sha256((out / "model.atck").read_bytes()).hexdigest()
+    assert digests["one"] == digests["unset"]

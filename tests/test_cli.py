@@ -673,6 +673,22 @@ class TestHostileInput:
         assert str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["clip_in_two_splits", "splits_not_a_map"])
+    def test_manifest_that_breaks_validation_exit_two(self, pipeline, tmp_path, capsys, fault):
+        # the same faults in a manifest built in memory are a BadConfig
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        corpus.mkdir()
+        d = json.loads((pipeline["corpus"] / "manifest.json").read_text())
+        track1 = d["splits"]["track1"]
+        if fault == "clip_in_two_splits":
+            track1["dev"].append(track1["train"][0])
+        else:
+            d["splits"] = [track1]
+        (corpus / "manifest.json").write_text(json.dumps(d))
+        assert run(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON: malformed manifest:")
+        assert not out.exists()
+
     def test_checkpoint_length_flip_exit_two(self, tmp_path, capsys):
         # one of the single-byte flips that made a tensor's dims length ask
         # for more bytes than memory holds

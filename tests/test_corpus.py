@@ -244,6 +244,15 @@ class TestPlanCorpus:
         assert len(in_train) == math.floor(0.01 * len(held_ids))
         assert not held_ids & set(splits["track2"]["dev"])
 
+    @pytest.mark.parametrize("n_clips,n_leaked", [(500, 0), (1000, 1)])
+    def test_track2_is_track1_until_one_clip_leaks(self, n_clips, n_leaked):
+        # at the default 1 % the leak is 0 until the black-box family holds
+        # 100 clips, which it first does at 800 clips
+        plan, splits, held = cp.plan_corpus(cp.CorpusConfig(n_clips=n_clips))
+        held_ids = {u for u, g in plan if g.id == held}
+        assert len(held_ids & set(splits["track2"]["train"])) == n_leaked
+        assert (splits["track2"] == splits["track1"]) == (n_leaked == 0)
+
     def test_splits_partition_each_track(self):
         cfg = _tiny_cfg()
         plan, splits, _ = cp.plan_corpus(cfg)

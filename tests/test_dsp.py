@@ -203,16 +203,17 @@ MEL_REL_TOL = 1e-14
 
 
 class TestMelPieces:
-    """``featurize``'s mel product in 4-row pieces against a loop over
+    """``stft_logmel``'s mel product in 4-row pieces against a loop over
     4-row slices and against the one-call product."""
 
-    @pytest.mark.parametrize("hop", [512, 2048])
+    @pytest.mark.parametrize("n_fft,hop", [(2048, 512), (2048, 2048), (256, 7), (1024, 7)],
+                             ids=["512", "2048", "256-7", "1024-7"])
     @pytest.mark.parametrize("t_frames", [1, 3, 4, 5, 43, 169])
-    def test_matches_loop_over_slices(self, hop, t_frames):
-        cfg = StftConfig(hop=hop)
+    def test_matches_loop_over_slices(self, n_fft, hop, t_frames):
+        cfg = StftConfig(n_fft=n_fft, hop=hop)
         rng = np.random.default_rng(t_frames)
-        wave = Waveform(rng.uniform(-1, 1, size=2048 + (t_frames - 1) * hop + 5), 44100)
-        got = dsp.stft_logmel(wave, cfg, mel_pieces=True).values
+        wave = Waveform(rng.uniform(-1, 1, size=n_fft + (t_frames - 1) * hop + 5), 44100)
+        got = dsp.stft_logmel(wave, cfg).values
         assert got.shape == (t_frames, 64)
         assert got.tobytes() == logmel_rows_ref(wave, cfg, 4).tobytes()
 
@@ -224,7 +225,7 @@ class TestMelPieces:
             cfg = StftConfig(hop=hop)
             for wav in wavs:
                 wave = dsp.load_wav(wav)
-                got = dsp.stft_logmel(wave, cfg, mel_pieces=True).values
+                got = dsp.stft_logmel(wave, cfg).values
                 want = logmel_one_call_ref(wave, cfg)
                 assert np.max(np.abs(got - want)) <= MEL_REL_TOL
                 assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes(), wav.name

@@ -1,10 +1,13 @@
 """One reader per on-disk encoding.
 
-Every binary format and the embedding index, read back after each
-truncation and after flipping bit 0 or bit 7 of each byte, loads or
-raises an ``AtcadetError``: no corrupt file escapes as a bare exception.
-And the JSON parse and the binary magics are named in ``errors.py`` only,
-so a hardening fix to a shared reader reaches every format.
+Every on-disk format, read back after each truncation and after flipping
+bit 0 or bit 7 of each byte, loads or raises a typed error: no corrupt
+file escapes as a bare exception. The binary formats and the embedding
+index raise an ``AtcadetError``; the text formats (protocols, score
+files, captions, the corpus manifest and the train report) a
+``DataError``, so the CLI exits 2 on each. And the JSON parse and the
+binary magics are named in ``errors.py`` only, so a hardening fix to a
+shared reader reaches every format.
 """
 
 import ast
@@ -14,12 +17,15 @@ import numpy as np
 import pytest
 
 import atcadet
+from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet import ensemble as es
 from atcadet import model as md
 from atcadet import text as tx
 from atcadet import training as tr
-from atcadet.errors import AtcadetError, BadJson
+from atcadet.errors import AtcadetError, BadJson, DataError
+from atcadet.metrics import Trial, read_scores, write_scores
+from atcadet.protocol import ProtocolEntry, read_protocol, write_protocol
 
 
 def _wav(path):
@@ -51,14 +57,50 @@ def _embeddings(path):
     ])
 
 
-# format -> (writer of one small valid file, the file it corrupts, loader)
+def _protocol(path):
+    write_protocol(path, [
+        ProtocolEntry("u0", "wav/u0.wav", "bonafide", "real", "train"),
+        ProtocolEntry("u1", "wav/u1.wav", "spoof", "blackbox", "dev"),
+        ProtocolEntry("u2", "wav/u2.wav", "spoof", "hum_phase", "eval"),
+    ])
+
+
+def _scores(path):
+    write_scores(path, [Trial("u0", 0.25), Trial("u1", -1.5), Trial("u2", 3.0)])
+
+
+def _captions(path):
+    tx.write_captions(path, [cp.make_captions("u0", ("dog", "rain")),
+                             cp.make_captions("u1", ("siren",), hint="muffled")])
+
+
+def _manifest(path):
+    cfg = cp.CorpusConfig(n_clips=16, seed=0)
+    plan, splits, _ = cp.plan_corpus(cfg)
+    clips = [cp.ClipRecord(utt, gen.id, "bonafide" if gen.kind == "real" else "spoof",
+                           ("dog", "rain"), cfg.duration_s, (cfg.seed, i))
+             for i, (utt, gen) in enumerate(plan)]
+    cp.write_manifest(path, cp.CorpusManifest(clips, splits, cfg.blackbox_fraction, cfg.to_dict()))
+
+
+def _report(path):
+    tr.write_report(path, tr.TrainReport([0.7, 0.5], [0.3, 0.25], 1, 1.5, (1.25, 0.75)))
+
+
+# format -> (writer of one small valid file, the file it corrupts, loader,
+# the error class a damaged file may raise)
 FORMATS = {
-    "wav": (_wav, "f", dsp.load_wav),
-    "atfx": (_features, "f", dsp.load_external_features),
-    "atck": (_checkpoint, "f", md.load_checkpoint),
-    "aten": (_ensemble, "f", es.load_ensemble),
-    "embedding_payload": (_embeddings, "f", tx.load_embeddings),
-    "embedding_index": (_embeddings, "f.index.jsonl", tx.load_embeddings),
+    "wav": (_wav, "f", dsp.load_wav, AtcadetError),
+    "atfx": (_features, "f", dsp.load_external_features, AtcadetError),
+    "atck": (_checkpoint, "f", md.load_checkpoint, AtcadetError),
+    "aten": (_ensemble, "f", es.load_ensemble, AtcadetError),
+    "embedding_payload": (_embeddings, "f", tx.load_embeddings, AtcadetError),
+    "embedding_index": (_embeddings, "f.index.jsonl", tx.load_embeddings, AtcadetError),
+    "protocol": (_protocol, "f", read_protocol, DataError),
+    "scores": (_scores, "f", read_scores, DataError),
+    "captions": (_captions, "f", tx.load_captions, DataError),
+    "manifest": (_manifest, "f", cp.load_manifest, DataError),
+    "train_report": (_report, "f", tr.load_report, DataError),
 }
 
 
@@ -75,7 +117,7 @@ def _damaged(data: bytes):
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_truncated_or_flipped_file_loads_or_raises_a_typed_error(tmp_path, fmt):
-    write, target, load = FORMATS[fmt]
+    write, target, load, typed = FORMATS[fmt]
     write(tmp_path / "f")
     load(tmp_path / "f")
     damaged = tmp_path / target
@@ -84,7 +126,7 @@ def test_truncated_or_flipped_file_loads_or_raises_a_typed_error(tmp_path, fmt):
         damaged.write_bytes(data)
         try:
             load(tmp_path / "f")
-        except AtcadetError:
+        except typed:
             pass
         except Exception as exc:  # noqa: BLE001 - the escapes are the finding
             escaped.append(f"{label}: {type(exc).__name__}: {exc}")

