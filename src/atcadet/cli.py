@@ -84,8 +84,9 @@ def _load_features(features_dir, entries) -> dict:
     return feats
 
 
-def _load_embedding_map(path) -> dict:
-    return {emb.utt_id: emb for emb in tx.load_embeddings(path)}
+def _load_embedding_map(path, entries) -> dict:
+    """The embeddings of the clips of the protocol rows ``entries``, by utt_id."""
+    return {emb.utt_id: emb for emb in tx.load_embeddings(path, {e.utt_id for e in entries})}
 
 
 @click.group(name="atcadet")
@@ -260,10 +261,13 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
         entries = _subsample_train(entries, fraction, tcfg.seed)
     needed = [e for e in entries if e.split in ("train", "dev")]
     features = _load_features(features_dir, needed)
-    embeddings = _load_embedding_map(embeddings_path)
+    embeddings = _load_embedding_map(embeddings_path, needed)
 
     feat_dim = next(iter(features.values())).values.shape[1]
-    emb_dim = next(iter(embeddings.values())).matrix.shape[1] if embeddings else 768
+    # a file that covers none of the clips has the width its index declares,
+    # so it fails on the missing embedding and not on the model's d_text
+    emb_dim = (next(iter(embeddings.values())).matrix.shape[1] if embeddings
+               else tx.embedding_width(embeddings_path, 768))
     model_dict = {"d_spec": feat_dim, "d_text": emb_dim}
     model_dict.update(run.get("model", {}))
     model_cfg = _section_config(md.AtcaConfig, model_dict)
@@ -311,7 +315,8 @@ def score_cmd(ckpt_path, protocol_path, features_dir, embeddings_path, split,
     else:
         if embeddings_path is None:
             raise UsageError("score requires --embeddings unless --ablate-text is set")
-        trials = tr.score_protocol(params, entries, features, _load_embedding_map(embeddings_path))
+        embeddings = _load_embedding_map(embeddings_path, entries)
+        trials = tr.score_protocol(params, entries, features, embeddings)
     _guard_output(out_path, force)
     write_scores(out_path, trials)
     click.echo(f"wrote {len(trials)} scores to {out_path}")
@@ -388,7 +393,7 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
     _guard_output(out_path, force)
     entries = filter_split(read_protocol(protocol_path), split)
     score_sets = _read_score_sets(scores_spec)
-    embeddings = _load_embedding_map(embeddings_path)
+    embeddings = _load_embedding_map(embeddings_path, entries)
     examples = es.build_meta_examples(score_sets, embeddings, entries)
     model = es.fit_stacked(examples, folds=folds, cfg=cfg)
     es.save_ensemble(out_path, model)
@@ -416,7 +421,7 @@ def ensemble_score(model_path, scores_spec, embeddings_path, protocol_path, spli
     model = es.load_ensemble(model_path)
     entries = filter_split(read_protocol(protocol_path), split)
     score_sets = _read_score_sets(scores_spec)
-    embeddings = _load_embedding_map(embeddings_path)
+    embeddings = _load_embedding_map(embeddings_path, entries)
     examples = es.build_meta_examples(score_sets, embeddings, entries)
     preds = es.predict_stacked(model, np.stack([es.feature_vector(ex) for ex in examples]))
     trials = [Trial(ex.utt_id, float(p)) for ex, p in zip(examples, preds)]

@@ -479,15 +479,16 @@ class CorpusManifest:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CorpusManifest":
-        """Parse a manifest file's JSON. Any fault in it is a data error,
-        a split map that does not partition the clips included."""
+    def from_dict(cls, d: dict, path) -> "CorpusManifest":
+        """Parse the JSON of the manifest file ``path``. Any fault in it is
+        a data error naming the file, a split map that does not partition
+        the clips included."""
         try:
             clips = [ClipRecord(c["utt_id"], c["generator_id"], c["label"], tuple(c["tags"]),
                                 float(c["duration_s"]), tuple(c["seed"])) for c in d["clips"]]
             return cls(clips, d["splits"], float(d["blackbox_fraction"]), d.get("config"))
         except (KeyError, TypeError, ValueError, AttributeError, BadConfig) as exc:
-            raise BadJson(f"malformed manifest: {exc}") from exc
+            raise BadJson(f"malformed manifest: {path}: {exc}") from exc
 
 
 def write_manifest(path, manifest: CorpusManifest) -> None:
@@ -499,7 +500,7 @@ def write_manifest(path, manifest: CorpusManifest) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
-    return CorpusManifest.from_dict(read_json(path))
+    return CorpusManifest.from_dict(read_json(path), path)
 
 
 def _caption_events(tags) -> str:

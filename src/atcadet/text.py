@@ -293,8 +293,13 @@ def _read_index(path) -> list:
     return entries
 
 
-def load_embeddings(path) -> list:
+def load_embeddings(path, utt_ids=None) -> list:
+    """The embeddings of ``path`` in index order. Every index line is
+    checked; only the blocks of ``utt_ids`` are read and returned, or every
+    block when ``utt_ids`` is None."""
     entries = _read_index(path)
+    if utt_ids is not None:
+        entries = [e for e in entries if e["utt_id"] in utt_ids]
     out = []
     with open(path, "rb") as fh:
         for entry in entries:
@@ -306,3 +311,10 @@ def load_embeddings(path) -> list:
                                     f"block is {values.shape[0]}x{values.shape[1]}")
             out.append(TextEmbedding(utt, values, entry["spans"]))
     return out
+
+
+def embedding_width(path, default: int) -> int:
+    """``Dt`` of the first block the index of ``path`` lists, or ``default``
+    when it lists none."""
+    entries = _read_index(path)
+    return entries[0]["Dt"] if entries else default

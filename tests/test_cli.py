@@ -629,6 +629,27 @@ def _ensemble_score_argv(pipeline, model, out):
 _BINARY = ("features", "checkpoint", "ensemble")
 
 
+def _damaged_embedding_copy(pipeline, tmp_path, split, damage=None, index_line=None):
+    """A copy of the pipeline's embedding file in which the first clip of
+    ``split`` has its block damaged (``magic``: a bad block magic; ``nan``:
+    a NaN first value) or its index line replaced; and the score path."""
+    entries = filter_split(read_protocol(pipeline["protocol"]), split)
+    lines = (pipeline["root"] / "emb.bin.index.jsonl").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["utt_id"] == entries[0].utt_id)
+    data = bytearray(pipeline["emb"].read_bytes())
+    offset = json.loads(lines[at])["offset"]
+    if damage == "magic":
+        data[offset : offset + 4] = b"XXXX"
+    elif damage == "nan":
+        data[offset + 16 : offset + 20] = struct.pack("<f", float("nan"))
+    if index_line is not None:
+        lines[at] = index_line
+    emb = tmp_path / "emb.bin"
+    emb.write_bytes(bytes(data))
+    (tmp_path / "emb.bin.index.jsonl").write_text("\n".join(lines) + "\n")
+    return emb, tmp_path / "s.tsv"
+
+
 class TestHostileInput:
     """Inputs that once escaped as a bare exception (exit 3) reach the CLI
     as a typed data error (exit 2)."""
@@ -686,7 +707,9 @@ class TestHostileInput:
             d["splits"] = [track1]
         (corpus / "manifest.json").write_text(json.dumps(d))
         assert run(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("ERROR BAD_JSON: malformed manifest:")
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_JSON: malformed manifest:")
+        assert str(corpus / "manifest.json") in err
         assert not out.exists()
 
     def test_checkpoint_length_flip_exit_two(self, tmp_path, capsys):
@@ -717,6 +740,27 @@ class TestHostileInput:
         assert capsys.readouterr().err.startswith("ERROR SHAPE_MISMATCH:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage,code", [("magic", "BAD_HEADER"), ("nan", "NON_FINITE")])
+    def test_damaged_block_of_a_scored_clip_exit_two(self, pipeline, tmp_path, capsys,
+                                                     damage, code):
+        emb, out = _damaged_embedding_copy(pipeline, tmp_path, "eval", damage=damage)
+        assert run(_score_argv(pipeline, emb, out)) == 2
+        assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["eval", "train"])
+    def test_damaged_index_line_of_any_clip_exit_two(self, pipeline, tmp_path, capsys, split):
+        emb, out = _damaged_embedding_copy(pipeline, tmp_path, split, index_line="{not json")
+        assert run(_score_argv(pipeline, emb, out)) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["magic", "nan"])
+    def test_damaged_block_of_an_unscored_clip_is_not_read(self, pipeline, tmp_path, damage):
+        emb, out = _damaged_embedding_copy(pipeline, tmp_path, "train", damage=damage)
+        assert run(_score_argv(pipeline, emb, out)) == 0
+        assert out.read_bytes() == pipeline["eval"].read_bytes()
+
     @pytest.mark.parametrize("loader,given", [
         (loader, given) for loader in _BINARY for given in _BINARY if given != loader])
     def test_other_format_is_wrong_kind(self, pipeline, tmp_path, capsys, loader, given):
@@ -734,6 +778,82 @@ class TestHostileInput:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("ERROR WRONG_KIND:")
         assert not out.exists()
+
+
+class TestSubsetReads:
+    """Each command reads the embedding blocks of the protocol rows it uses,
+    and no others; the whole index is still checked."""
+
+    @pytest.fixture
+    def blocks_read(self, monkeypatch):
+        count = [0]
+        read_block = tx.read_block
+
+        def counting(fh, path):
+            count[0] += 1
+            return read_block(fh, path)
+
+        monkeypatch.setattr(tx, "read_block", counting)
+        return count
+
+    @pytest.mark.parametrize("command", ["score", "ensemble_fit", "ensemble_score", "train"])
+    def test_each_command_reads_only_its_clips(self, pipeline, tmp_path, blocks_read, command):
+        entries = read_protocol(pipeline["protocol"])
+        emb, out = str(pipeline["emb"]), str(tmp_path / "out")
+        if command == "score":
+            argv, used = _score_argv(pipeline, emb, out), filter_split(entries, "eval")
+        elif command == "ensemble_fit":
+            argv = ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", emb, "--protocol", pipeline["protocol"], "--split", "dev",
+                    "--folds", "3", "--seed", "0", "--out", out]
+            used = filter_split(entries, "dev")
+        elif command == "ensemble_score":
+            argv = _ensemble_score_argv(pipeline, pipeline["stack"], out)
+            used = filter_split(entries, "eval")
+        else:
+            argv = ["train", "--corpus", str(pipeline["corpus"]),
+                    "--features", str(pipeline["feats"]), "--embeddings", emb, "--track", "1",
+                    "--config", str(pipeline["config"]), "--epochs", "1", "--out-ckpt", out]
+            used = [e for e in entries if e.split in ("train", "dev")]
+        assert run(argv) == 0
+        assert 0 < blocks_read[0] == len(used) < len(tx.load_embeddings(emb))
+
+    def test_train_takes_its_width_from_a_block_it_reads(self, pipeline, tmp_path):
+        # the first index line is an eval clip's; its declared width is not checked
+        # against a block, so train does not take it
+        needed = {e.utt_id for e in read_protocol(pipeline["protocol"])
+                  if e.split in ("train", "dev")}
+        lines = (pipeline["root"] / "emb.bin.index.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        assert first["utt_id"] not in needed
+        lines[0] = json.dumps({**first, "Dt": first["Dt"] - 1})
+        emb, ckpt = tmp_path / "emb.bin", tmp_path / "m.atck"
+        emb.write_bytes(pipeline["emb"].read_bytes())
+        (tmp_path / "emb.bin.index.jsonl").write_text("\n".join(lines) + "\n")
+        assert run(["train", "--corpus", str(pipeline["corpus"]),
+                    "--features", str(pipeline["feats"]), "--embeddings", str(emb),
+                    "--track", "1", "--config", str(pipeline["config"]),
+                    "--out-ckpt", str(ckpt)]) == 0
+        assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
+
+    @pytest.mark.parametrize("d_text", [None, 32], ids=["width_from_file", "width_in_config"])
+    def test_train_on_a_file_without_its_clips_exit_two(self, pipeline, tmp_path, capsys,
+                                                        d_text):
+        # the file holds only the eval clips, 32 wide
+        eval_ids = {e.utt_id for e in filter_split(read_protocol(pipeline["protocol"]), "eval")}
+        emb = tmp_path / "eval_only.bin"
+        tx.write_embeddings(str(emb), [e for e in tx.load_embeddings(str(pipeline["emb"]))
+                                       if e.utt_id in eval_ids])
+        config = json.loads(pipeline["config"].read_text())
+        if d_text is not None:
+            config["model"]["d_text"] = d_text
+        path, ckpt = tmp_path / "run.json", tmp_path / "m.atck"
+        path.write_text(json.dumps(config))
+        assert run(["train", "--corpus", str(pipeline["corpus"]),
+                    "--features", str(pipeline["feats"]), "--embeddings", str(emb),
+                    "--track", "1", "--config", str(path), "--out-ckpt", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR MISSING_EMBEDDING:")
+        assert not ckpt.exists()
 
 
 class TestStartup:

@@ -3,27 +3,31 @@
 Every on-disk format, read back after each truncation and after flipping
 bit 0 or bit 7 of each byte, loads or raises a typed error: no corrupt
 file escapes as a bare exception. The binary formats and the embedding
-index raise an ``AtcadetError``; the text formats (protocols, score
-files, captions, the corpus manifest and the train report) a
-``DataError``, so the CLI exits 2 on each. And the JSON parse and the
-binary magics are named in ``errors.py`` only, so a hardening fix to a
-shared reader reaches every format.
+index raise an ``AtcadetError``, read whole or for one clip; the text
+formats (protocols, score files, captions, the corpus manifest and the
+train report) a ``DataError``, so the CLI exits 2 on each; a run config,
+with the section configs built from it, a ``UsageError`` (exit 1) or a
+``DataError``. And the JSON parse and the binary magics are named in
+``errors.py`` only, so a hardening fix to a shared reader reaches every
+format.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import atcadet
+from atcadet import cli
 from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet import ensemble as es
 from atcadet import model as md
 from atcadet import text as tx
 from atcadet import training as tr
-from atcadet.errors import AtcadetError, BadJson, DataError
+from atcadet.errors import AtcadetError, BadJson, DataError, UsageError
 from atcadet.metrics import Trial, read_scores, write_scores
 from atcadet.protocol import ProtocolEntry, read_protocol, write_protocol
 
@@ -87,6 +91,38 @@ def _report(path):
     tr.write_report(path, tr.TrainReport([0.7, 0.5], [0.3, 0.25], 1, 1.5, (1.25, 0.75)))
 
 
+def _run_config(path):
+    path.write_text(json.dumps({
+        "corpus": {"n_clips": 40, "duration_s": 0.5, "sample_rate": 8000, "seed": 3,
+                   "bonafide_fraction": 0.5, "blackbox_fraction": 0.25, "train_fraction": 0.6,
+                   "dev_fraction": 0.2, "caption_generator_hints": True,
+                   "artifact_strength": 0.5, "fake_generators": [
+                       {"id": "q", "kind": "fake_spectral_quantize", "params": {"levels": 12}},
+                       {"id": "b", "kind": "fake_blackbox"}]},
+        "model": {"d_model": 8, "d_k": 8, "n_heads": 1, "gru_layers": 1, "gru_hidden": 8,
+                  "class_weights": [1.0, 2.5]},
+        "train": {"epochs": 2, "batch_size": 8, "lr": 1e-3, "adam_beta1": 0.9, "seed": 0,
+                  "patience": 5, "grad_clip": 5.0, "auto_class_weights": False},
+        "ensemble": {"ridge_lambda": 1.0, "gbm_rounds": 2, "gbm_depth": 3, "gbm_shrinkage": 0.1,
+                     "forest_trees": 2, "forest_depth": 6, "feature_frac": 0.5,
+                     "bootstrap": True, "seed": 0, "grid_step": 0.05},
+    }))
+
+
+def _load_run_config(path):
+    """What the subcommands build from a run config: each section's config."""
+    run = cli.load_run_config(path)
+    cp.CorpusConfig.from_dict(run.get("corpus", {}))
+    cli._section_config(md.AtcaConfig, {"d_spec": 16, "d_text": 32, **run.get("model", {})})
+    tr.TrainConfig.from_dict(run.get("train", {}))
+    cli._section_config(es.StackConfig, run.get("ensemble", {}))
+
+
+def _embedding_subset(path):
+    """The subset read of one clip, ``u1``, whose block follows ``u0``'s."""
+    return tx.load_embeddings(path, {"u1"})
+
+
 # format -> (writer of one small valid file, the file it corrupts, loader,
 # the error class a damaged file may raise)
 FORMATS = {
@@ -96,11 +132,14 @@ FORMATS = {
     "aten": (_ensemble, "f", es.load_ensemble, AtcadetError),
     "embedding_payload": (_embeddings, "f", tx.load_embeddings, AtcadetError),
     "embedding_index": (_embeddings, "f.index.jsonl", tx.load_embeddings, AtcadetError),
+    "embedding_payload_subset": (_embeddings, "f", _embedding_subset, AtcadetError),
+    "embedding_index_subset": (_embeddings, "f.index.jsonl", _embedding_subset, AtcadetError),
     "protocol": (_protocol, "f", read_protocol, DataError),
     "scores": (_scores, "f", read_scores, DataError),
     "captions": (_captions, "f", tx.load_captions, DataError),
     "manifest": (_manifest, "f", cp.load_manifest, DataError),
     "train_report": (_report, "f", tr.load_report, DataError),
+    "run_config": (_run_config, "f", _load_run_config, (UsageError, DataError)),
 }
 
 
