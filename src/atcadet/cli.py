@@ -24,6 +24,7 @@ from .errors import (
     BadConfig,
     DataError,
     DimMismatch,
+    EmptySplit,
     MissingFeature,
     NotWav,
     OutputExists,
@@ -260,6 +261,8 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
     if fraction is not None:
         entries = _subsample_train(entries, fraction, tcfg.seed)
     needed = [e for e in entries if e.split in ("train", "dev")]
+    if not needed:
+        raise EmptySplit("protocol has no train entries")
     features = _load_features(features_dir, needed)
     embeddings = _load_embedding_map(embeddings_path, needed)
 
@@ -307,6 +310,7 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
 def score_cmd(ckpt_path, protocol_path, features_dir, embeddings_path, split,
               ablate_text, out_path, force):
     """Score one protocol split with a trained checkpoint."""
+    _guard_output(out_path, force)
     params = md.load_checkpoint(ckpt_path)
     entries = filter_split(read_protocol(protocol_path), split)
     features = _load_features(features_dir, entries)
@@ -317,7 +321,6 @@ def score_cmd(ckpt_path, protocol_path, features_dir, embeddings_path, split,
             raise UsageError("score requires --embeddings unless --ablate-text is set")
         embeddings = _load_embedding_map(embeddings_path, entries)
         trials = tr.score_protocol(params, entries, features, embeddings)
-    _guard_output(out_path, force)
     write_scores(out_path, trials)
     click.echo(f"wrote {len(trials)} scores to {out_path}")
 
@@ -418,6 +421,7 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
 def ensemble_score(model_path, scores_spec, embeddings_path, protocol_path, split,
                    out_path, force):
     """Score a split with a fitted ensemble over base score files."""
+    _guard_output(out_path, force)
     model = es.load_ensemble(model_path)
     entries = filter_split(read_protocol(protocol_path), split)
     score_sets = _read_score_sets(scores_spec)
@@ -425,7 +429,6 @@ def ensemble_score(model_path, scores_spec, embeddings_path, protocol_path, spli
     examples = es.build_meta_examples(score_sets, embeddings, entries)
     preds = es.predict_stacked(model, np.stack([es.feature_vector(ex) for ex in examples]))
     trials = [Trial(ex.utt_id, float(p)) for ex, p in zip(examples, preds)]
-    _guard_output(out_path, force)
     write_scores(out_path, trials)
     click.echo(f"wrote {len(trials)} ensemble scores to {out_path}")
 

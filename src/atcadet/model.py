@@ -341,42 +341,44 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     Samples run one at a time, which keeps their arrays small; the
     backward sums the six weight gradients over them. Texts are data: no
     gradient flows into them. Caption matrices may be float32, as loaded:
-    the batch's rows are widened once, into one float64 buffer that the
-    forward and the backward both read, not cast again by each product.
+    each sample is standardized and its caption widened to float64 inside
+    the loop. Only while a tape records does a sample keep its frames, its
+    caption as loaded and its attention arrays, and the backward widens
+    the caption again where it reads it; otherwise nothing outlives its
+    sample.
     """
     cfg = params.config
     if not len(specs) == len(raws) == len(texts):
         raise ShapeMismatch(f"batch has {len(specs)} specs, {len(raws)} raws and {len(texts)} texts")
-    xs = [_spec_input(spec, raw, params) for spec, raw in zip(specs, raws)]
-    ts = [_text_input(text, cfg) for text in texts]
-    ts = np.split(np.concatenate(ts, dtype=np.float64), np.cumsum([len(t) for t in ts])[:-1])
-    steps = xs[0].shape[0]
-    if any(x.shape[0] != steps for x in xs):
-        raise ShapeMismatch("forward_batch requires equal-length sequences")
     tensors = [params[n] for n in ("enc_spec_w", "enc_spec_b", "Wq", "Wk", "Wv", "Wo")]
     we, be, wq, wk, wv, wo = (t.values for t in tensors)
     wkv = np.concatenate([wk, wv], axis=1)
-    out = np.empty((steps, len(xs), cfg.d_model))
-    kept = []
-    for b, (x, text) in enumerate(zip(xs, ts)):
+    kept = [] if ad._active_tape() is not None else None
+    for b, (spec, raw, text) in enumerate(zip(specs, raws, texts)):
+        x, text = _spec_input(spec, raw, params), _text_input(text, cfg)
+        if b == 0:
+            out = np.empty((x.shape[0], len(specs), cfg.d_model))
+        elif x.shape[0] != out.shape[0]:
+            raise ShapeMismatch("forward_batch requires equal-length sequences")
         enc = np.tanh(x @ we + be)
-        out[:, b], saved = _attend(enc, text, wq, wkv, wo, cfg.n_heads)
-        kept.append((enc, saved))
+        out[:, b], saved = _attend(enc, text.astype(np.float64), wq, wkv, wo, cfg.n_heads)
+        if kept is not None:
+            kept.append((x, text, enc, saved))
 
     def bwd(g, get_buf):
         g = g.reshape(out.shape)
         dwe, dbe, dwq, dwkv, dwo = (np.zeros_like(w) for w in (we, be, wq, wkv, wo))
-        for b, (x, text, (enc, saved)) in enumerate(zip(xs, ts, kept)):
+        for b, (x, text, enc, saved) in enumerate(kept):
             denc, dwq_b, dkv, dwo_b = _attend_grad(g[:, b], enc, saved, wq, wo)
             dpre = denc * (1.0 - enc * enc)
             dwe += x.T @ dpre
             dbe += dpre.sum(axis=0)
             dwq += dwq_b
-            dwkv += text.T @ dkv
+            dwkv += text.astype(np.float64).T @ dkv
             dwo += dwo_b
         _accumulate(get_buf, tensors, (dwe, dbe, dwq, *np.split(dwkv, 2, axis=1), dwo))
 
-    return ad._result(out.reshape(steps * len(xs), cfg.d_model), tensors, bwd)
+    return ad._result(out.reshape(-1, cfg.d_model), tensors, bwd)
 
 
 def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:

@@ -188,11 +188,28 @@ class _Adam:
 
 
 def _fit_normalizers(params: md.AtcaParams, spec_mats) -> None:
+    """Column mean and standard deviation of the train frames, in one
+    float64 stack: the deviation is ``np.std``'s own steps done in place."""
     stacked = np.concatenate(spec_mats, axis=0, dtype=np.float64)
     mu = stacked.mean(axis=0, keepdims=True)
-    sigma = np.maximum(stacked.std(axis=0, keepdims=True), 1e-6)
+    stacked -= mu
+    stacked *= stacked
+    sigma = np.sqrt(stacked.sum(axis=0, keepdims=True) / len(stacked))
     params.buffers["norm_mu"][:] = mu
-    params.buffers["norm_sigma"][:] = sigma
+    params.buffers["norm_sigma"][:] = np.maximum(sigma, 1e-6)
+
+
+def _train_step(params, adam, spec_mats, texts, labels, weights, batch, lr) -> tuple:
+    """One step on the samples ``batch``; returns its loss and its summed
+    class weight. Its tape, gradients and logits die when it returns."""
+    with ad.Tape() as tape:
+        logits = md.forward_batch(
+            [spec_mats[i] for i in batch], [None] * len(batch), [texts[i] for i in batch], params)
+        loss = ad.weighted_ce_logits(logits, labels[batch], weights)
+    if lr > 0:
+        grad_map = ad.backward(tape, loss)
+        adam.step(params, {n: grad_map[t] for n, t in params.tensors.items()})
+    return loss.item(), float(weights[labels[batch]].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +255,9 @@ def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaCon
         num = 0.0
         den = 0.0
         for batch in _batches_same_length(list(order), lengths, cfg.batch_size):
-            with ad.Tape() as tape:
-                logits = md.forward_batch(
-                    [spec_mats[i] for i in batch],
-                    [None] * len(batch),
-                    [texts[i] for i in batch],
-                    params,
-                )
-                loss = ad.weighted_ce_logits(logits, labels[batch], weights)
-            w_batch = float(weights[labels[batch]].sum())
-            num += loss.item() * w_batch
+            loss, w_batch = _train_step(params, adam, spec_mats, texts, labels, weights, batch, cfg.lr)
+            num += loss * w_batch
             den += w_batch
-            if cfg.lr > 0:
-                grad_map = ad.backward(tape, loss)
-                grads = {n: grad_map[t] for n, t in params.tensors.items()}
-                adam.step(params, grads)
         loss_curve.append(num / den)
 
         dev_trials = score_protocol(params, dev_e, features, embeddings)

@@ -10,10 +10,13 @@ float64 instead of keeping the float32 the block stores.
 
 It also holds the log-mel linear baseline, a ridge fit on per-clip log-mel
 statistics that no CLI stage produces: the stacking criteria compare the
-detector and the ensemble against it.
+detector and the ensemble against it; and ``traced_peak``, the allocation
+probe the memory guards share.
 """
 
+import gc
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -769,3 +772,16 @@ def score_linear_baseline(baseline: LinearBaseline, entries, features):
         return []
     preds = predict_ridge(baseline.ridge, _stats_matrix(entries, features))
     return [Trial(e.utt_id, float(p), e.label) for e, p in zip(entries, preds)]
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes allocated while it ran, numpy buffers
+    included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

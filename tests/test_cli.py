@@ -287,6 +287,40 @@ class TestErrorMapping:
         assert run(argv + ["--force"]) == 0
         assert out.read_bytes() == pipeline["stack"].read_bytes()
 
+    @pytest.mark.parametrize("command", ["score", "ensemble_score"])
+    def test_score_refuses_existing_out_before_loading(self, pipeline, tmp_path, monkeypatch,
+                                                       capsys, command):
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded before the output guard")
+
+        out = tmp_path / "s.tsv"
+        out.write_bytes(b"old")
+        if command == "score":
+            argv, want = _score_argv(pipeline, pipeline["emb"], out), pipeline["eval"]
+        else:
+            argv, want = _ensemble_score_argv(pipeline, pipeline["stack"], out), pipeline["ens"]
+        monkeypatch.setattr(cli.md, "load_checkpoint", no_load)
+        monkeypatch.setattr(cli.es, "load_ensemble", no_load)
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("ERROR OUTPUT_EXISTS:")
+        assert out.read_bytes() == b"old"
+        monkeypatch.undo()
+        assert run(argv + ["--force"]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_train_on_a_protocol_without_train_or_dev_rows_exit_two(self, pipeline, tmp_path,
+                                                                    capsys):
+        corpus, ckpt = tmp_path / "corpus", tmp_path / "m.atck"
+        corpus.mkdir()
+        rows = [line for line in open(pipeline["protocol"]).read().splitlines()
+                if line.endswith("\teval")]
+        (corpus / "protocol_track1.tsv").write_text("\n".join(rows) + "\n")
+        assert run(["train", "--corpus", str(corpus), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1",
+                    "--config", str(pipeline["config"]), "--out-ckpt", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR EMPTY_SPLIT:")
+        assert not ckpt.exists()
+
     def test_force_overwrites_scores(self, pipeline):
         argv = ["score", "--ckpt", str(pipeline["ckpt"]),
                 "--protocol", pipeline["protocol"],

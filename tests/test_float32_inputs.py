@@ -11,10 +11,8 @@ Three kinds of pins:
   second, float64 copy of it, and ``embed`` holds its matrices narrowed.
 """
 
-import gc
 import json
 import os
-import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,7 +31,7 @@ from atcadet.metrics import Trial
 from atcadet.protocol import ProtocolEntry
 from atcadet.text import TextEmbedding
 
-from _oracles import logmel_stats, read_block_f64_ref
+from _oracles import logmel_stats, read_block_f64_ref, traced_peak
 
 # -0.0, or a float32 of magnitude 1e-30 to 1e30 and either sign
 _VALUES = st.one_of(
@@ -237,19 +235,6 @@ def test_pipeline_bytes_match_float64_loading(tmp_path, monkeypatch):
 # Memory
 
 
-def _traced_peak(fn):
-    """``fn()`` and the peak bytes allocated while it ran, numpy buffers
-    included."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 def _embeddings(n, rows, dims, seed=0):
     rng = np.random.default_rng(seed)
     return [TextEmbedding(f"u{i:03d}", rng.normal(size=(rows + i % 3, dims)).astype(np.float32), ())
@@ -261,7 +246,7 @@ def test_load_embeddings_holds_the_float32_payload(tmp_path):
     embs = _embeddings(40, 20, 256)
     tx.write_embeddings(path, embs)
     payload = sum(4 * e.matrix.size for e in embs)
-    loaded, peak = _traced_peak(lambda: tx.load_embeddings(path))
+    loaded, peak = traced_peak(lambda: tx.load_embeddings(path))
     assert peak <= 1.1 * payload, peak / payload
     for got, want in zip(loaded, embs):
         assert got.matrix.dtype == np.float32 and not got.matrix.flags.writeable
@@ -276,7 +261,7 @@ def test_load_features_holds_the_float32_payload(tmp_path):
         dsp.write_features(str(tmp_path / f"u{i:03d}.atfx"), FeatureMatrix(values))
         entries.append(ProtocolEntry(f"u{i:03d}", f"wav/u{i:03d}.wav", "bonafide", "g", "dev"))
         payload += 4 * values.size
-    feats, peak = _traced_peak(lambda: cli._load_features(str(tmp_path), entries))
+    feats, peak = traced_peak(lambda: cli._load_features(str(tmp_path), entries))
     assert peak <= 1.1 * payload, peak / payload
     for feat in feats.values():
         assert feat.values.dtype == np.float32 and not feat.values.flags.writeable
@@ -296,7 +281,7 @@ def test_embed_holds_narrowed_matrices(tmp_path):
             fh.write(json.dumps({"utt_id": f"u{i:03d}", "captions": caps}) + "\n")
     out = tmp_path / "emb.bin"
     tx._token_vector.cache_clear()
-    code, peak = _traced_peak(lambda: cli.main(
+    code, peak = traced_peak(lambda: cli.main(
         ["embed", "--corpus", str(tmp_path), "--out", str(out), "--dim", "256"]))
     assert code == 0
     payload = os.path.getsize(out)

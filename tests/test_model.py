@@ -18,6 +18,7 @@ from atcadet.errors import (
     WrongKind,
 )
 from atcadet.model import AtcaConfig, AtcaParams
+from atcadet.text import TextEmbedding
 
 import _oracles as ops
 from _oracles import (
@@ -584,6 +585,21 @@ class TestFusedFront:
         assert len(tape) > 0
         np.testing.assert_array_equal(fused.values, taped.values)
         np.testing.assert_allclose(fused.values, per_step_forward_batch(specs, texts, params).values, rtol=0, atol=1e-12)
+
+    def test_no_grad_logits_bytes_match_the_taped_pass_on_float32_inputs(self):
+        # inference keeps nothing for a backward; the taped pass keeps each
+        # caption as loaded and widens it again in the backward
+        params = _perturbed_params(self._cfg(2), seed=41)
+        rng = np.random.default_rng(42)
+        specs = [FeatureMatrix(rng.normal(size=(9, 6)).astype(np.float32)) for _ in range(5)]
+        texts = [TextEmbedding(f"u{i}", rng.normal(size=(n, 7)).astype(np.float32), ())
+                 for i, n in enumerate((3, 1, 6, 2, 4))]
+        with no_grad():
+            fused = _fused_forward_batch(specs, texts, params)
+        with ad.Tape() as tape:
+            taped = _fused_forward_batch(specs, texts, params)
+        assert len(tape) > 0
+        assert fused.values.tobytes() == taped.values.tobytes()
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_cross_attention_matches_selector_graph(self, n_heads):

@@ -1,14 +1,22 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from atcadet import autodiff as ad
 from atcadet import model as md
 from atcadet import training as tr
+from atcadet.dsp import FeatureMatrix
 from atcadet.errors import BadConfig, EmptySplit, MissingEmbedding, MissingFeature, NonFinite
 from atcadet.metrics import compute_eer
 from atcadet.protocol import ProtocolEntry
+from atcadet.text import TextEmbedding
 
-from _oracles import fit_linear_baseline, logmel_stats, score_linear_baseline
+from _oracles import fit_linear_baseline, logmel_stats, score_linear_baseline, traced_peak
 
 TOY_CFG = md.AtcaConfig(
     d_spec=4, d_model=4, d_k=4, n_heads=1, gru_layers=1, gru_hidden=4, d_text=8
@@ -341,6 +349,75 @@ class TestInputsCheckedOncePerCall:
             tr.score_protocol(broken, entries, features, embeddings)
         with pytest.raises(NonFinite, match="spectrogram"):
             tr.ablate_text(broken, entries, features)
+
+
+# a float32 of magnitude 1e-20 to 1e20 and either sign
+_WIDE_RANGE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-20.0, 20.0)).map(
+    lambda se: float(np.float32(se[0] * 10.0 ** se[1])))
+
+
+class TestHeldMemory:
+    """What ``train`` and ``score_protocol`` keep alive: no step's tape
+    outlives the step, the normalizer fit holds one float64 copy of the
+    train frames, and inference widens one caption at a time."""
+
+    def test_no_tape_lives_while_dev_is_scored(self, monkeypatch):
+        tapes, live = [], []
+        init, score = ad.Tape.__init__, tr.score_protocol
+
+        def spy_init(self):
+            init(self)
+            tapes.append(weakref.ref(self))
+
+        def spy_score(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in tapes))
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(ad.Tape, "__init__", spy_init)
+        monkeypatch.setattr(tr, "score_protocol", spy_score)
+        entries, features, embeddings = _toy_data(n_train=24, n_dev=6)
+        tr.train(entries, features, embeddings, tr.TrainConfig(epochs=3, batch_size=8, patience=3),
+                 TOY_CFG)
+        assert len(tapes) == 9
+        assert live == [0, 0, 0]
+
+    def test_normalizer_fit_holds_one_float64_stack(self):
+        rng = np.random.default_rng(5)
+        mats = [rng.normal(size=(100 + i % 7, 64)).astype(np.float32) for i in range(60)]
+        params = md.AtcaParams.init(dataclasses.replace(TOY_CFG, d_spec=64), seed=0)
+        stack = 8 * sum(m.size for m in mats)
+        _, peak = traced_peak(lambda: tr._fit_normalizers(params, mats))
+        assert peak <= 1.1 * stack, peak / stack
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        hnp.arrays(np.float32, st.tuples(st.integers(1, 6), st.just(d)), elements=_WIDE_RANGE),
+        min_size=1, max_size=4)))
+    @settings(max_examples=200, deadline=None)
+    def test_normalizer_fit_is_numpy_std(self, mats):
+        params = md.AtcaParams.init(dataclasses.replace(TOY_CFG, d_spec=mats[0].shape[1]), seed=0)
+        tr._fit_normalizers(params, mats)
+        stacked = np.concatenate(mats, axis=0, dtype=np.float64)
+        want_mu = stacked.mean(axis=0, keepdims=True)
+        want_sigma = np.maximum(stacked.std(axis=0, keepdims=True), 1e-6)
+        assert params.buffers["norm_mu"].tobytes() == want_mu.tobytes()
+        assert params.buffers["norm_sigma"].tobytes() == want_sigma.tobytes()
+
+    def test_scoring_widens_one_caption_at_a_time(self):
+        cfg = md.AtcaConfig(d_spec=16, d_model=8, d_k=8, n_heads=1, gru_layers=1, gru_hidden=8,
+                            d_text=768)
+        params = md.AtcaParams.init(cfg, seed=0)
+        rng = np.random.default_rng(6)
+        entries, features, embeddings = [], {}, {}
+        for i in range(64):  # one batch
+            utt = f"u{i:02d}"
+            entries.append(ProtocolEntry(utt, f"{utt}.wav", ("bonafide", "spoof")[i % 2], "g", "eval"))
+            features[utt] = FeatureMatrix(rng.normal(size=(20, 16)).astype(np.float32))
+            embeddings[utt] = TextEmbedding(
+                utt, rng.normal(size=(20 + i % 9, 768)).astype(np.float32), ())
+        wide = 8 * sum(e.matrix.size for e in embeddings.values())
+        trials, peak = traced_peak(lambda: tr.score_protocol(params, entries, features, embeddings))
+        assert len(trials) == 64
+        assert peak < wide, peak / wide
 
 
 class TestAblateText:
