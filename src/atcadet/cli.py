@@ -153,12 +153,6 @@ def featurize(corpus_dir, out_dir, n_fft, hop, n_mels, force):
     click.echo(f"wrote {len(targets)} feature files to {out_dir}")
 
 
-def _float32_embedding(emb):
-    """``emb`` narrowed to the float32 its file stores, so the embeddings of a
-    corpus are held at half size until they are written."""
-    return tx.TextEmbedding(emb.utt_id, emb.matrix.astype(np.float32), emb.style_spans)
-
-
 @cli.group(name="embed", invoke_without_command=True)
 @click.option("--corpus", "corpus_dir", type=click.Path(exists=True, file_okay=False),
               default=None, help="Corpus directory holding captions.jsonl.")
@@ -179,7 +173,8 @@ def embed(ctx, corpus_dir, out_path, dim, seed, force):
     captions = tx.load_captions(os.path.join(corpus_dir, "captions.jsonl"))
     cfg = tx.ToyEmbedderConfig(dim=dim, seed=seed)
     _guard_output(out_path, force)
-    tx.write_embeddings(out_path, [_float32_embedding(tx.toy_embed(cs, cfg)) for cs in captions])
+    # each caption's matrix is written as it is made and then dropped
+    tx.write_embeddings(out_path, (tx.toy_embed(cs, cfg) for cs in captions))
     click.echo(f"wrote {len(captions)} embeddings to {out_path}")
 
 
@@ -311,14 +306,14 @@ def score_cmd(ckpt_path, protocol_path, features_dir, embeddings_path, split,
               ablate_text, out_path, force):
     """Score one protocol split with a trained checkpoint."""
     _guard_output(out_path, force)
+    if embeddings_path is None and not ablate_text:
+        raise UsageError("score requires --embeddings unless --ablate-text is set")
     params = md.load_checkpoint(ckpt_path)
     entries = filter_split(read_protocol(protocol_path), split)
     features = _load_features(features_dir, entries)
     if ablate_text:
         trials = tr.ablate_text(params, entries, features)
     else:
-        if embeddings_path is None:
-            raise UsageError("score requires --embeddings unless --ablate-text is set")
         embeddings = _load_embedding_map(embeddings_path, entries)
         trials = tr.score_protocol(params, entries, features, embeddings)
     write_scores(out_path, trials)

@@ -402,6 +402,14 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
     slice contiguous, and the backward sweep adds each iteration's share of
     the weight and input gradients from those blocks, so it needs no
     whole-run copies.
+
+    Only the backward sweep and ``collect`` read past iterations. While a
+    tape records or ``collect`` is given, every iteration keeps its ``ext``,
+    gates and candidate, and ``x`` is copied into ``ext`` in one go.
+    Otherwise two ``ext`` slots alternate and one gate and candidate slot
+    is reused, each step's input rows copied into its slot as the loop
+    reaches it: the same ops on the same values, with state of O(batch)
+    rather than O(T * batch).
     """
     cfg = params.config
     n_layers, hid, d_in = cfg.gru_layers, cfg.gru_hidden, cfg.d_model
@@ -428,22 +436,28 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
     if h0 is not None:
         init[:] = np.broadcast_to(h0, (batch, hid)).T
     init = init.reshape(lh, batch)
-    ext = np.empty((iters + 1, lh + d_in + 1, batch))
+    xs = x.values.reshape(steps, batch, d_in)
+    slots = iters + 1 if collect is not None or ad._active_tape() is not None else 2
+    ext = np.empty((slots, lh + d_in + 1, batch))
     ext[0, :lh] = init
-    ext[:steps, lh:-1] = x.values.reshape(steps, batch, d_in).transpose(0, 2, 1)
-    ext[steps:, lh:-1] = 0.0
+    if slots > 2:
+        ext[:steps, lh:-1] = xs.transpose(0, 2, 1)
+        ext[steps:, lh:-1] = 0.0
     ext[:, -1] = 1.0
-    gates = np.empty((iters, 2 * lh, batch))  # [z | r]
-    cand = np.empty((iters, lh, batch))
+    gates = np.empty((slots - 1, 2 * lh, batch))  # [z | r]
+    cand = np.empty((slots - 1, lh, batch))
     for k in range(iters):
-        h = ext[k, :lh]
-        pre = e @ ext[k]
-        gates[k] = ad.sigmoid_values(pre[: 2 * lh])
-        z, r = gates[k, :lh], gates[k, lh:]
-        np.tanh(pre[2 * lh :] + uh @ (r * h), out=cand[k])
-        np.add(z * h, (1.0 - z) * cand[k], out=ext[k + 1, :lh])
+        i, j, g = k % slots, (k + 1) % slots, k % (slots - 1)
+        if slots == 2:
+            ext[i, lh:-1] = xs[k].T if k < steps else 0.0
+        h = ext[i, :lh]
+        pre = e @ ext[i]
+        gates[g] = ad.sigmoid_values(pre[: 2 * lh])
+        z, r = gates[g, :lh], gates[g, lh:]
+        np.tanh(pre[2 * lh :] + uh @ (r * h), out=cand[g])
+        np.add(z * h, (1.0 - z) * cand[g], out=ext[j, :lh])
         if k < n_layers - 1:  # the layers above k have not started
-            ext[k + 1, (k + 1) * hid : lh] = init[(k + 1) * hid :]
+            ext[j, (k + 1) * hid : lh] = init[(k + 1) * hid :]
 
     def bwd(g, get_buf):
         gx = get_buf(x)
@@ -478,7 +492,7 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
         collect.extend(ext[layer + 1 : layer + 1 + steps, layer * hid : (layer + 1) * hid]
                        .transpose(0, 2, 1).reshape(steps * batch, hid) for layer in range(n_layers))
     # contiguous, as the head's product wants it: a transposed view rounds differently there
-    final = np.ascontiguousarray(ext[iters, lh - hid : lh].T)
+    final = np.ascontiguousarray(ext[iters % slots, lh - hid : lh].T)
     return ad._result(final, (x, *tensors), bwd)
 
 

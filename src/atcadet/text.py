@@ -13,6 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +90,19 @@ class TextEmbedding:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "style_spans", spans)
+
+    @property
+    def shape(self) -> tuple:
+        return self.matrix.shape
+
+
+class IndexRow(NamedTuple):
+    """What the embedding index records of one block: its embedding
+    without the matrix."""
+
+    utt_id: str
+    shape: tuple
+    style_spans: tuple
 
 
 @dataclass(frozen=True)
@@ -209,20 +223,27 @@ def index_path_for(path) -> str:
     return f"{path}.index.jsonl"
 
 
-def write_embedding_payload(path, embeddings) -> None:
-    """The stacked feature blocks of ``embeddings``, in order."""
+def write_embedding_payload(path, embeddings) -> list:
+    """The stacked feature blocks of ``embeddings``, in order, each written
+    as the iterable yields it; returns their ``IndexRow``s, so no matrix is
+    held once its block is written."""
+    index_rows = []
     with atomic_write(path) as fh:
         for emb in embeddings:
             write_block(fh, emb.matrix)
+            index_rows.append(IndexRow(emb.utt_id, emb.matrix.shape, emb.style_spans))
+    return index_rows
 
 
 def write_embedding_index(path, embeddings) -> None:
     """The JSONL index of the payload ``write_embedding_payload`` writes
-    for ``embeddings``: one line per block, with its offset."""
+    for ``embeddings``: one line per block, with its offset. Each item needs
+    only ``utt_id``, ``shape`` and ``style_spans``: a ``TextEmbedding`` or
+    an ``IndexRow``."""
     offset = 0
     with atomic_write(path, "w") as fh:
         for emb in embeddings:
-            rows, dims = emb.matrix.shape
+            rows, dims = emb.shape
             line = {
                 "utt_id": emb.utt_id,
                 "offset": offset,
@@ -240,14 +261,14 @@ def write_embeddings(path, embeddings) -> None:
 
     The index is the embedding's commit marker. It is written last, and
     an old one is removed before the payload is replaced, so a write cut
-    off at any point leaves no index over the wrong payload.
+    off at any point leaves no index over the wrong payload. ``embeddings``
+    may be a generator: each block is written as it comes, and only the
+    index rows are kept until the payload ends.
     """
-    embeddings = list(embeddings)
     index = index_path_for(path)
     if os.path.exists(index):
         os.remove(index)
-    write_embedding_payload(path, embeddings)
-    write_embedding_index(index, embeddings)
+    write_embedding_index(index, write_embedding_payload(path, embeddings))
 
 
 def _is_index_entry(obj) -> bool:

@@ -302,8 +302,10 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
     md.check_inputs(spec_mats, texts, params)
     lengths = [m.shape[0] for m in spec_mats]
     scores = np.empty(len(entries))
+    # up to 256 clips a batch: without a tape the GRU's state stays small,
+    # and its cost per clip falls as the batch widens
     with ad.no_grad():
-        for batch in _batches_same_length(range(len(entries)), lengths, 64):
+        for batch in _batches_same_length(range(len(entries)), lengths, 256):
             logits = md.forward_batch(
                 [spec_mats[i] for i in batch],
                 [None] * len(batch),

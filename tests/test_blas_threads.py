@@ -88,6 +88,22 @@ def test_scores_from_one_checkpoint_independent_of_blas_threads(tmp_path):
     assert trees["one"] == trees["unset"]
 
 
+def test_scores_of_a_split_wider_than_64_clips_independent_of_blas_threads(tmp_path):
+    # 300 clips: the dev split's 150 score as one batch, 150 columns wide
+    inputs = _inputs(tmp_path / "inputs", n=300)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    trees = {}
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
+        out = tmp_path / name
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", SCORE_SCRIPT, str(inputs), str(out)],
+                       env={**env, **extra}, check=True, timeout=300, capture_output=True)
+        trees[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(trees["one"]["dev0.tsv"].splitlines()) == 150
+    assert trees["one"] == trees["unset"]
+
+
 def test_trained_checkpoint_independent_of_blas_threads(tmp_path):
     inputs = _inputs(tmp_path / "inputs")
     # the score protocol trains on bonafide clips only: pair the labels in

@@ -308,6 +308,22 @@ class TestErrorMapping:
         assert run(argv + ["--force"]) == 0
         assert out.read_bytes() == want.read_bytes()
 
+    def test_score_without_embeddings_is_a_usage_error_before_loading(self, pipeline, tmp_path,
+                                                                      monkeypatch, capsys):
+        # a features directory with no files would be a data error, were it read
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded before the flags were checked")
+
+        empty, out = tmp_path / "no_feats", tmp_path / "s.tsv"
+        empty.mkdir()
+        monkeypatch.setattr(cli.md, "load_checkpoint", no_load)
+        monkeypatch.setattr(cli, "_load_features", no_load)
+        assert run(["score", "--ckpt", str(pipeline["ckpt"]), "--protocol", pipeline["protocol"],
+                    "--features", str(empty), "--split", "eval", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "ERROR USAGE: score requires --embeddings unless --ablate-text is set")
+        assert not out.exists()
+
     def test_train_on_a_protocol_without_train_or_dev_rows_exit_two(self, pipeline, tmp_path,
                                                                     capsys):
         corpus, ckpt = tmp_path / "corpus", tmp_path / "m.atck"

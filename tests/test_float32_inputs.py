@@ -8,7 +8,8 @@ Three kinds of pins:
   the loaders as they are and with a reader that widens every block to a
   float64 copy, as the loaders did before;
 - memory guards: loading allocates about the float32 payload, not a
-  second, float64 copy of it, and ``embed`` holds its matrices narrowed.
+  second, float64 copy of it, and ``embed`` writes each caption's matrix
+  as it is made instead of holding them all.
 """
 
 import json
@@ -286,3 +287,21 @@ def test_embed_holds_narrowed_matrices(tmp_path):
     assert code == 0
     payload = os.path.getsize(out)
     assert peak <= EMBED_PEAK_RATIO * payload, peak / payload
+
+
+def test_embed_streams_its_blocks(tmp_path):
+    # each caption's matrix is written as it is made and then dropped, so
+    # the peak stays well under the float32 matrices of all the captions
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(60)]
+    with open(tmp_path / "captions.jsonl", "w") as fh:
+        for i in range(300):
+            caps = {style: " ".join(rng.choice(words, size=8)) for style in tx.STYLES}
+            fh.write(json.dumps({"utt_id": f"u{i:03d}", "captions": caps}) + "\n")
+    out = tmp_path / "emb.bin"
+    tx._token_vector.cache_clear()
+    code, peak = traced_peak(lambda: cli.main(
+        ["embed", "--corpus", str(tmp_path), "--out", str(out), "--dim", "256"]))
+    assert code == 0
+    payload = os.path.getsize(out)
+    assert peak < payload / 4, peak / payload

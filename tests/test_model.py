@@ -30,6 +30,7 @@ from _oracles import (
     per_step_gru,
     rel_errors,
     run_gru_ref,
+    traced_peak,
 )
 
 
@@ -544,6 +545,50 @@ class TestWavefrontGru:
         numeric, _ = fd_gradients(loss_value, tensors)
         worst = max(float(rel_errors(grads[t], g).max()) for t, g in zip(tensors, numeric))
         assert worst < 1e-4
+
+
+class TestInferenceGru:
+    """Without a tape the GRU stack keeps two iterations' state, not the
+    whole run's: the taped pass's output bytes at a fraction of its peak."""
+
+    @given(layers=st.integers(1, 3), t_frames=st.integers(1, 50), batch=st.integers(1, 70),
+           with_h0=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_no_grad_output_bytes_match_the_taped_pass(self, layers, t_frames, batch, with_h0, seed):
+        cfg = AtcaConfig(gru_layers=layers)
+        params = _perturbed_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(t_frames * batch, cfg.d_model)), requires_grad=True)
+        h0 = rng.uniform(-1.0, 1.0, size=(1, cfg.gru_hidden)) if with_h0 else None
+        with no_grad():
+            inferred = md._run_gru(x, params, batch, h0=h0)
+        with ad.Tape() as tape:
+            taped = md._run_gru(x, params, batch, h0=h0)
+        assert len(tape) == 1
+        assert inferred.values.tobytes() == taped.values.tobytes()
+
+    def test_gru_stack_returns_every_state_without_a_tape(self):
+        cfg = AtcaConfig(d_spec=6, d_model=8, d_k=8, n_heads=1, gru_layers=3, gru_hidden=5, d_text=7)
+        params = _perturbed_params(cfg, seed=51)
+        x = Tensor(np.random.default_rng(52).normal(size=(7, cfg.d_model)))
+        with no_grad():
+            out, states = md.gru_stack(x, params, return_states=True)
+            ref_states = []
+            ref_out = run_gru_ref(x, params, 1, collect=ref_states)
+        assert [s.shape for s in states] == [(7, cfg.gru_hidden)] * 3
+        for s, ref in zip(states, ref_states):
+            np.testing.assert_allclose(s, ref, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(out.values, ref_out.values, rtol=1e-9, atol=1e-12)
+
+    def test_no_grad_run_peaks_below_one_whole_run_array(self):
+        cfg = AtcaConfig()
+        params = _perturbed_params(cfg, seed=53)
+        steps, batch = 169, 64  # hop 512, a full scoring batch of the old cap
+        x = Tensor(np.random.default_rng(54).normal(size=(steps * batch, cfg.d_model)))
+        whole_run = 8 * steps * batch * cfg.gru_layers * cfg.gru_hidden
+        with no_grad():
+            _, peak = traced_peak(lambda: md._run_gru(x, params, batch))
+        assert peak < whole_run, peak / whole_run
 
 
 class TestFusedFront:

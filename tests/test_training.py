@@ -260,6 +260,29 @@ class TestScoreProtocol:
         with pytest.raises(MissingFeature):
             tr.score_protocol(params, entries, {}, embeddings)
 
+    def test_a_150_clip_split_scores_as_one_batch(self, monkeypatch):
+        params = md.AtcaParams.init(md.AtcaConfig(), seed=8)
+        rng = np.random.default_rng(9)
+        entries, features, embeddings = [], {}, {}
+        for i in range(150):
+            utt = f"u{i:03d}"
+            entries.append(ProtocolEntry(utt, f"{utt}.wav", ("bonafide", "spoof")[i % 2], "g", "eval"))
+            features[utt] = FeatureMatrix(rng.normal(size=(43, 64)).astype(np.float32))
+            embeddings[utt] = TextEmbedding(utt, rng.normal(size=(4 + i % 5, 768)).astype(np.float32), ())
+        widths, forward = [], md.forward_batch
+
+        def spy(specs, *args):
+            widths.append(len(specs))
+            return forward(specs, *args)
+
+        monkeypatch.setattr(md, "forward_batch", spy)
+        whole = tr.score_protocol(params, entries, features, embeddings)
+        assert widths == [150]
+        pieces = [t for k in range(0, 150, 64)
+                  for t in tr.score_protocol(params, entries[k : k + 64], features, embeddings)]
+        assert widths == [150, 64, 64, 22]
+        assert np.array([t.score for t in whole]).tobytes() == np.array([t.score for t in pieces]).tobytes()
+
 
 def _validate_every_step(monkeypatch):
     """Make the model check its inputs as it did on every step: each
