@@ -22,10 +22,10 @@ from . import training as tr
 from .errors import (
     AtcadetError,
     BadConfig,
-    DataError,
     DimMismatch,
     EmptySplit,
     MissingFeature,
+    MissingScore,
     NotWav,
     OutputExists,
     UsageError,
@@ -250,7 +250,7 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
                        ("seed", seed), ("patience", patience)):
         if value is not None:
             train_dict[key] = value
-    tcfg = tr.TrainConfig.from_dict(train_dict)
+    tcfg = _section_config(tr.TrainConfig, train_dict)
 
     entries = read_protocol(os.path.join(corpus_dir, f"protocol_track{track}.tsv"))
     if fraction is not None:
@@ -330,6 +330,8 @@ def score_cmd(ckpt_path, protocol_path, features_dir, embeddings_path, split,
 def eer_cmd(scores_path, protocol_path, split):
     """Compute the equal error rate of a score file against a protocol."""
     trials = read_scores(scores_path)
+    if not trials:
+        raise MissingScore(f"{scores_path}: holds no scores")
     entries = read_protocol(protocol_path)
     if split is not None:
         entries = filter_split(entries, split)
@@ -448,15 +450,9 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         click.echo(f"ERROR USAGE: {exc.format_message()}", err=True)
         return 1
-    except UsageError as exc:
-        click.echo(f"ERROR {exc.code}: {exc.message}", err=True)
-        return 1
-    except DataError as exc:
-        click.echo(f"ERROR {exc.code}: {exc.message}", err=True)
-        return 2
     except AtcadetError as exc:
         click.echo(f"ERROR {exc.code}: {exc.message}", err=True)
-        return 3
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - last-resort internal mapping
         click.echo(f"ERROR INTERNAL: {exc}", err=True)
         return 3

@@ -431,9 +431,6 @@ class CorpusConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise BadConfig(f"unknown corpus config keys {sorted(unknown)}")
         d = dict(d)
         gens = d.pop("fake_generators", None)
         try:
@@ -578,14 +575,12 @@ def plan_corpus(cfg: CorpusConfig):
     leak = set(
         [u for u in base["train"] + base["dev"] + base["eval"] if u in held_ids][:n_leak]
     )
+    # track 2 is track 1 with the leaked held-out clips moved into train
     track2 = {
-        "train": [u for u in base["train"] if u not in held_ids] + sorted(leak),
-        "dev": [u for u in base["dev"] if u not in held_ids],
-        "eval": base["eval"] + [
-            u for u in base["train"] + base["dev"] if u in held_ids and u not in leak
-        ],
+        "train": track1["train"] + sorted(leak),
+        "dev": track1["dev"],
+        "eval": [u for u in track1["eval"] if u not in leak],
     }
-    track2["eval"] = [u for u in track2["eval"] if u not in leak]
     return plan, {"track1": track1, "track2": track2}, held_out.id
 
 

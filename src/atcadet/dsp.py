@@ -273,11 +273,6 @@ def stft_logmel(wave: Waveform, cfg: StftConfig = StftConfig()) -> FeatureMatrix
 _BLOCK_HEAD = struct.Struct("<4sIII")  # magic, version, rows, dims
 
 
-def block_size(rows: int, dims: int) -> int:
-    """Bytes in the block :func:`write_block` writes for a rows x dims matrix."""
-    return _BLOCK_HEAD.size + 4 * rows * dims
-
-
 def write_block(fh, values: np.ndarray) -> None:
     """One ATFX block: magic, u32 version, rows and dims, then the 2-D
     ``values`` as row-major little-endian float32."""

@@ -132,28 +132,23 @@ class TreeNode:
         )
 
 
-def _rank_columns(x: np.ndarray):
-    """Per-column integer ranks of ``x``, and each column's NaN rank.
+def _rank_columns(x: np.ndarray) -> np.ndarray:
+    """Per-column integer ranks of the finite ``x``.
 
     Ranks are equal for equal values (-0.0 ties 0.0) and ordered like the
-    values, with NaN above every number, as numpy's float sort places it.
-    They are stored in the smallest unsigned dtype that holds ``n - 1``,
-    so a node's stable argsort over its ranks is numpy's radix sort and
-    gives the same permutation as a stable argsort over the floats. The
-    NaN ranks are -1 for a column without NaN, and None for an ``x``
-    without any.
+    values. They are stored in the smallest unsigned dtype that holds
+    ``n - 1``, so a node's stable argsort over its ranks is numpy's radix
+    sort and gives the same permutation as a stable argsort over the
+    floats.
     """
     order = np.argsort(x, axis=0, kind="stable")
     xs = np.take_along_axis(x, order, axis=0)
-    nan = np.isnan(xs)
     steps = np.zeros(x.shape, dtype=np.min_scalar_type(max(len(x) - 1, 0)))
-    steps[1:] = (xs[:-1] < xs[1:]) | (nan[1:] & ~nan[:-1])
+    steps[1:] = xs[:-1] < xs[1:]
     np.cumsum(steps, axis=0, dtype=steps.dtype, out=steps)
     ranks = np.empty_like(steps)
     np.put_along_axis(ranks, order, steps, axis=0)
-    # int64: -1 in the rank dtype would wrap to its maximum, a real rank at n = 256
-    nan_rank = np.where(nan[-1], steps[-1].astype(np.int64), -1) if nan.any() else None
-    return ranks, nan_rank
+    return ranks
 
 
 class _Columns:
@@ -168,14 +163,14 @@ class _Columns:
     """
 
     def __init__(self, x: np.ndarray, cache: bool = False):
-        self.ranks, self.nan_rank = _rank_columns(x)
+        self.ranks = _rank_columns(x)
         self.current = {} if cache else None
         self.previous = {}
 
     def sorted_rows(self, idx: np.ndarray, feat_idx: np.ndarray):
         """Stable order of rows ``idx`` in each column of ``feat_idx``,
-        and the flat indices of the sorted neighbour pairs that are no
-        split boundary: a tie, or a step up into NaN."""
+        and the flat indices of the sorted neighbour pairs that tie, so
+        are no split boundary."""
         if self.current is None:
             return self._sort(idx, feat_idx)
         key = idx.tobytes()
@@ -195,10 +190,7 @@ class _Columns:
         order = np.argsort(r, axis=0, kind="stable")
         # a flat take: several times faster than take_along_axis here
         rs = r.ravel().take(order * len(feat_idx) + np.arange(len(feat_idx))).reshape(r.shape)
-        tied = rs[:-1] == rs[1:]
-        if self.nan_rank is not None:
-            tied |= rs[1:] == self.nan_rank[feat_idx]
-        return order, np.flatnonzero(tied)
+        return order, np.flatnonzero(rs[:-1] == rs[1:])
 
 
 def _best_split(x: np.ndarray, y_node: np.ndarray, feat_idx: np.ndarray, idx=None, cols=None):
@@ -516,9 +508,9 @@ class StackedModel:
                     raise BadJson(f"tree feature {node.feature} outside [0, {n_features})")
                 pending += [node.left, node.right]
         if len(weights) != 3 or any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise BadConfig(f"combine_weights must lie on the 3-simplex, got {weights}")
+            raise BadJson(f"combine_weights must lie on the 3-simplex, got {weights}")
         if ridge.lam < 0:
-            raise BadConfig("ridge lambda must be >= 0")
+            raise BadJson("ridge lambda must be >= 0")
         return cls(gbm, forest, ridge, weights, n_features)
 
 

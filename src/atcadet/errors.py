@@ -1,10 +1,10 @@
 """Exception hierarchy and shared readers for every subsystem.
 
 Each error carries a short machine-parsable ``code`` used by the CLI for
-its ``ERROR <CODE>:`` stderr lines. ``DataError`` subclasses map to exit
-code 2 (bad input files or content), ``UsageError`` to exit code 1, and
-anything else escaping to the CLI is treated as an internal invariant
-violation (exit code 3).
+its ``ERROR <CODE>:`` stderr lines, and the ``exit_code`` the CLI returns:
+2 for a ``DataError`` (bad input files or content), 1 for a
+``UsageError``, and 3 for any other error, an internal invariant
+violation.
 
 The readers every format shares live here too, so each on-disk encoding
 is parsed in one place: the binary magics and heads, the bounded
@@ -123,6 +123,7 @@ def temps_swept_on_error(directory, names):
 
 class AtcadetError(Exception):
     code = "ERROR"
+    exit_code = 3
 
     def __init__(self, message: str):
         super().__init__(message)
@@ -131,6 +132,7 @@ class AtcadetError(Exception):
 
 class UsageError(AtcadetError):
     code = "USAGE"
+    exit_code = 1
 
 
 class OutputExists(UsageError):
@@ -164,6 +166,7 @@ def check_fields(fields: dict, ints=(), reals=(), flags=()) -> None:
 
 class DataError(AtcadetError):
     code = "DATA"
+    exit_code = 2
 
 
 # dsp_frontend

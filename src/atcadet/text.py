@@ -13,11 +13,10 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .dsp import block_size, held_values, read_block, write_block
+from .dsp import held_values, read_block, write_block
 from .errors import (
     BadConfig,
     BadHeader,
@@ -90,19 +89,6 @@ class TextEmbedding:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "style_spans", spans)
-
-    @property
-    def shape(self) -> tuple:
-        return self.matrix.shape
-
-
-class IndexRow(NamedTuple):
-    """What the embedding index records of one block: its embedding
-    without the matrix."""
-
-    utt_id: str
-    shape: tuple
-    style_spans: tuple
 
 
 @dataclass(frozen=True)
@@ -225,35 +211,26 @@ def index_path_for(path) -> str:
 
 def write_embedding_payload(path, embeddings) -> list:
     """The stacked feature blocks of ``embeddings``, in order, each written
-    as the iterable yields it; returns their ``IndexRow``s, so no matrix is
-    held once its block is written."""
-    index_rows = []
+    as the iterable yields it; returns each block's index line, with the
+    offset it was written at, so no matrix is held once its block is
+    written."""
+    lines = []
     with atomic_write(path) as fh:
         for emb in embeddings:
+            rows, dims = emb.matrix.shape
+            lines.append({"utt_id": emb.utt_id, "offset": fh.tell(), "L": rows, "Dt": dims,
+                          "spans": [[s, a, b] for s, a, b in emb.style_spans]})
             write_block(fh, emb.matrix)
-            index_rows.append(IndexRow(emb.utt_id, emb.matrix.shape, emb.style_spans))
-    return index_rows
+    return lines
 
 
-def write_embedding_index(path, embeddings) -> None:
-    """The JSONL index of the payload ``write_embedding_payload`` writes
-    for ``embeddings``: one line per block, with its offset. Each item needs
-    only ``utt_id``, ``shape`` and ``style_spans``: a ``TextEmbedding`` or
-    an ``IndexRow``."""
-    offset = 0
+def write_embedding_index(path, lines) -> None:
+    """The JSONL index of a payload: one ``lines`` item, as
+    ``write_embedding_payload`` returns them, per line."""
     with atomic_write(path, "w") as fh:
-        for emb in embeddings:
-            rows, dims = emb.shape
-            line = {
-                "utt_id": emb.utt_id,
-                "offset": offset,
-                "L": rows,
-                "Dt": dims,
-                "spans": [[s, a, b] for s, a, b in emb.style_spans],
-            }
+        for line in lines:
             fh.write(json.dumps(line))
             fh.write("\n")
-            offset += block_size(rows, dims)
 
 
 def write_embeddings(path, embeddings) -> None:
@@ -263,7 +240,7 @@ def write_embeddings(path, embeddings) -> None:
     an old one is removed before the payload is replaced, so a write cut
     off at any point leaves no index over the wrong payload. ``embeddings``
     may be a generator: each block is written as it comes, and only the
-    index rows are kept until the payload ends.
+    index lines are kept until the payload ends.
     """
     index = index_path_for(path)
     if os.path.exists(index):

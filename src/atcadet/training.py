@@ -63,13 +63,6 @@ class TrainConfig:
         if self.seed >= 2**64:
             raise BadConfig("seed must fit in 64 bits")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise BadConfig(f"unknown train config keys {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class TrainReport:
@@ -127,12 +120,12 @@ def inverse_frequency_weights(entries) -> tuple:
     return (float(w[0]), float(w[1]))
 
 
-def _check_coverage(entries, features, embeddings=None):
-    """Every entry has features and, unless ``embeddings`` is None, an embedding."""
+def _check_coverage(entries, features, embeddings):
+    """Every entry has features and an embedding."""
     for e in entries:
         if e.utt_id not in features:
             raise MissingFeature(f"no features for {e.utt_id!r}")
-        if embeddings is not None and e.utt_id not in embeddings:
+        if e.utt_id not in embeddings:
             raise MissingEmbedding(f"no embedding for {e.utt_id!r}")
 
 
@@ -287,17 +280,13 @@ def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaCon
 # Scoring
 
 
-def score_protocol(params, entries, features, embeddings, ablate_text_branch: bool = False):
+def score_protocol(params, entries, features, embeddings):
     """One Trial per protocol entry, order preserved; batched inference."""
     entries = list(entries)
     if not entries:
         return []
-    if ablate_text_branch:
-        _check_coverage(entries, features)
-        texts = [np.zeros((1, params.config.d_text))] * len(entries)
-    else:
-        _check_coverage(entries, features, embeddings)
-        texts = [embeddings[e.utt_id] for e in entries]
+    _check_coverage(entries, features, embeddings)
+    texts = [embeddings[e.utt_id] for e in entries]
     spec_mats = [_spec_matrix(features[e.utt_id]) for e in entries]
     md.check_inputs(spec_mats, texts, params)
     lengths = [m.shape[0] for m in spec_mats]
@@ -318,4 +307,5 @@ def score_protocol(params, entries, features, embeddings, ablate_text_branch: bo
 
 def ablate_text(params, entries, features):
     """Score with captions replaced by one zero token (audio-only path)."""
-    return score_protocol(params, entries, features, {}, ablate_text_branch=True)
+    zero = np.zeros((1, params.config.d_text))
+    return score_protocol(params, entries, features, {e.utt_id: zero for e in entries})

@@ -13,6 +13,7 @@ import pytest
 
 import atcadet.cli as cli
 import atcadet.dsp as dsp
+import atcadet.errors as errors
 import atcadet.model as md
 import atcadet.text as tx
 from atcadet.metrics import read_scores
@@ -501,8 +502,11 @@ class TestErrorMapping:
         lambda d: d["ridge"].update(weights=d["ridge"]["weights"][:-1]),
         lambda d: d["gbm"]["trees"].__setitem__(0, "DEEP"),
         lambda d: d["forest"].update(trees=[], seeds=[]),
+        # a loaded model's weights and lambda are input data, not a run config
+        lambda d: d.update(combine_weights=[0.5, 0.5, 0.5]),
+        lambda d: d["ridge"].update({"lambda": -1.0}),
     ], ids=["feature_too_large", "feature_negative", "short_ridge_weights", "deep_tree",
-            "empty_forest"])
+            "empty_forest", "weights_off_the_simplex", "negative_ridge_lambda"])
     def test_bad_ensemble_model_exit_two(self, pipeline, tmp_path, capsys, rewrite):
         data = pipeline["stack"].read_bytes()
         d = json.loads(data[12:])
@@ -828,6 +832,52 @@ class TestHostileInput:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("ERROR WRONG_KIND:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("split", [[], ["--split", "eval"]], ids=["default", "eval"])
+    def test_eer_on_an_empty_score_file_exit_two(self, pipeline, tmp_path, capsys, split):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert run(["eer", "--scores", str(empty), "--protocol", pipeline["protocol"], *split]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR MISSING_SCORE:")
+        assert str(empty) in err
+
+
+def _error_classes():
+    """AtcadetError and every class below it."""
+    found, pending = [], [errors.AtcadetError]
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending += cls.__subclasses__()
+    return found
+
+
+class TestExitCodes:
+    """Each error class carries its stderr code and the exit code cli.main returns."""
+
+    def test_codes_are_unique(self):
+        codes = [cls.code for cls in _error_classes()]
+        assert len(codes) > 30
+        assert len(set(codes)) == len(codes)
+
+    def test_exit_code_follows_the_family(self):
+        for cls in _error_classes():
+            want = (1 if issubclass(cls, errors.UsageError)
+                    else 2 if issubclass(cls, errors.DataError) else 3)
+            assert cls.exit_code == want, cls.__name__
+
+    @pytest.mark.parametrize("error, exit_code", [
+        (errors.BadConfig, 1), (errors.BadJson, 2), (errors.DetachedTensor, 3),
+    ], ids=["usage", "data", "invariant"])
+    def test_main_returns_the_exit_code(self, tmp_path, capsys, monkeypatch, error, exit_code):
+        def fail(path):
+            raise error("raised on purpose")
+
+        monkeypatch.setattr(cli.md, "load_checkpoint", fail)
+        (tmp_path / "m.atck").write_bytes(b"")
+        assert run(["params", "--ckpt", str(tmp_path / "m.atck")]) == exit_code
+        assert capsys.readouterr().err == f"ERROR {error.code}: raised on purpose\n"
 
 
 class TestSubsetReads:

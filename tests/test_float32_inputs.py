@@ -16,6 +16,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -33,6 +34,8 @@ from atcadet.protocol import ProtocolEntry
 from atcadet.text import TextEmbedding
 
 from _oracles import logmel_stats, read_block_f64_ref, traced_peak
+
+pytestmark = pytest.mark.filterwarnings("ignore:processing 8000 Hz")
 
 # -0.0, or a float32 of magnitude 1e-30 to 1e30 and either sign
 _VALUES = st.one_of(

@@ -114,7 +114,7 @@ def _load_run_config(path):
     run = cli.load_run_config(path)
     cp.CorpusConfig.from_dict(run.get("corpus", {}))
     cli._section_config(md.AtcaConfig, {"d_spec": 16, "d_text": 32, **run.get("model", {})})
-    tr.TrainConfig.from_dict(run.get("train", {}))
+    cli._section_config(tr.TrainConfig, run.get("train", {}))
     cli._section_config(es.StackConfig, run.get("ensemble", {}))
 
 

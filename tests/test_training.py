@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from atcadet import autodiff as ad
+from atcadet import cli
 from atcadet import model as md
 from atcadet import training as tr
 from atcadet.dsp import FeatureMatrix
@@ -58,7 +59,7 @@ class TestTrainConfig:
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(BadConfig):
-            tr.TrainConfig.from_dict({"epochs": 3, "momentum": 0.9})
+            cli._section_config(tr.TrainConfig, {"epochs": 3, "momentum": 0.9})
 
 
 class TestClassWeights:
@@ -464,7 +465,8 @@ class TestAblateText:
         entries, features, embeddings = _toy_data()
         params = md.AtcaParams.init(TOY_CFG, seed=8)
         a = tr.ablate_text(params, entries, features)
-        b = tr.score_protocol(params, entries, features, {}, ablate_text_branch=True)
+        zero = np.zeros((1, TOY_CFG.d_text))
+        b = tr.score_protocol(params, entries, features, {e.utt_id: zero for e in entries})
         assert [t.score for t in a] == [t.score for t in b]
 
 

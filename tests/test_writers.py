@@ -68,10 +68,15 @@ def _embeddings(seed):
             for i in range(3)]
 
 
+def _index_lines(seed):
+    return [{"utt_id": f"u{i}", "offset": 28 * i, "L": 2 + seed, "Dt": 3,
+             "spans": [["audioset", 0, 1], ["clotho", 1, 2 + seed]]} for i in range(3)]
+
+
 WRITERS = {
     "captions": (write_captions, _captions),
     "checkpoint": (md.save_checkpoint, _checkpoint),
-    "embedding_index": (tx.write_embedding_index, _embeddings),
+    "embedding_index": (tx.write_embedding_index, _index_lines),
     "embedding_payload": (tx.write_embedding_payload, _embeddings),
     "ensemble": (es.save_ensemble, _ensemble),
     "features": (dsp.write_features, _features),
@@ -101,6 +106,9 @@ class _DiskFullAfter:
             raise OSError(28, "No space left on device")
         self._left -= 1
         return self._fh.write(data)
+
+    def tell(self):
+        return self._fh.tell()
 
 
 @pytest.fixture
