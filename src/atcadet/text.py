@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,36 +60,152 @@ class CaptionSet:
                 raise BadJson(f"{self.utt_id}: caption for {style!r} is not a string")
 
 
-@dataclass(frozen=True, eq=False)
-class TextEmbedding:
-    utt_id: str
-    matrix: np.ndarray
-    style_spans: tuple
+def _checked_matrix(utt_id: str, matrix) -> np.ndarray:
+    matrix = held_values(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ShapeMismatch(f"{utt_id}: embedding must be a non-empty 2-D matrix")
+    if not np.all(np.isfinite(matrix)):
+        raise NonFinite(f"{utt_id}: embedding contains non-finite values")
+    return matrix
 
-    def __post_init__(self):
-        matrix = held_values(self.matrix)
-        if matrix.ndim != 2 or matrix.shape[0] < 1:
-            raise ShapeMismatch(f"{self.utt_id}: embedding must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(matrix)):
-            raise NonFinite(f"{self.utt_id}: embedding contains non-finite values")
-        spans = tuple((str(s), int(a), int(b)) for s, a, b in self.style_spans)
-        cursor = 0
-        seen = set()
-        for style, start, end in spans:
-            if style not in STYLES:
-                raise UnknownStyle(f"{self.utt_id}: unknown style {style!r} in spans")
-            if style in seen:
-                raise ShapeMismatch(f"{self.utt_id}: style {style!r} appears twice in spans")
-            if start != cursor or end <= start:
-                raise ShapeMismatch(f"{self.utt_id}: spans must partition rows in order")
-            seen.add(style)
-            cursor = end
-        # empty spans mark an externally produced, unsegmented matrix
-        if spans and cursor != matrix.shape[0]:
-            raise ShapeMismatch(f"{self.utt_id}: spans cover {cursor} rows, matrix has {matrix.shape[0]}")
+
+def _checked_spans(utt_id: str, style_spans, rows: int) -> tuple:
+    spans = tuple((str(s), int(a), int(b)) for s, a, b in style_spans)
+    cursor = 0
+    seen = set()
+    for style, start, end in spans:
+        if style not in STYLES:
+            raise UnknownStyle(f"{utt_id}: unknown style {style!r} in spans")
+        if style in seen:
+            raise ShapeMismatch(f"{utt_id}: style {style!r} appears twice in spans")
+        if start != cursor or end <= start:
+            raise ShapeMismatch(f"{utt_id}: spans must partition rows in order")
+        seen.add(style)
+        cursor = end
+    # empty spans mark an externally produced, unsegmented matrix
+    if spans and cursor != rows:
+        raise ShapeMismatch(f"{utt_id}: spans cover {cursor} rows, matrix has {rows}")
+    return spans
+
+
+class TextEmbedding:
+    """One caption's token rows, held as ``ids`` into ``table``: the rows
+    that the embeddings of one :func:`load_embeddings` call share, each
+    distinct row once. Built from a matrix, the embedding is its own
+    table. ``matrix`` gathers the rows back, read-only, with the bytes
+    they were stored or built with.
+    """
+
+    def __init__(self, utt_id: str, matrix, style_spans):
+        matrix = _checked_matrix(utt_id, matrix)
+        self.style_spans = _checked_spans(utt_id, style_spans, matrix.shape[0])
         matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "style_spans", spans)
+        self.utt_id, self.table, self.ids = utt_id, matrix, np.arange(matrix.shape[0])
+
+    @classmethod
+    def from_rows(cls, utt_id: str, table: np.ndarray, ids: np.ndarray,
+                  style_spans: tuple) -> "TextEmbedding":
+        """The embedding ``table[ids]``, over rows and spans already checked."""
+        emb = cls.__new__(cls)
+        emb.utt_id, emb.table, emb.ids, emb.style_spans = utt_id, table, ids, style_spans
+        return emb
+
+    @property
+    def matrix(self) -> np.ndarray:
+        matrix = self.table[self.ids]
+        matrix.flags.writeable = False
+        return matrix
+
+
+# odd, so each word's bits all reach its product
+_PRINT_MULTIPLIERS = np.array([0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F,
+                               0x165667B1, 0xD3A2646D, 0xFD7046C5, 0xB55A4F09], np.uint32)
+
+
+class _RowTable:
+    """The distinct rows of blocks of one width and dtype, in the order
+    they first occur, in a buffer of ``capacity`` rows that grows if they
+    outgrow it. Rows are written into the buffer's free rows
+    (:meth:`free`), and :meth:`take` keeps the ones not held yet, moved
+    down behind the held ones.
+
+    A row is looked up by a 32-bit fingerprint of eight of its words,
+    spread along it, in a sorted array, and confirmed word for word. A
+    row whose fingerprint leads to a different row is held as a row of its
+    own, so an id only ever stands for equal bytes; such a row is held
+    again in each later call that meets it. The lookup costs 8 bytes a
+    row. Rows must be whole 32-bit words, as float32 and float64 rows are.
+    """
+
+    def __init__(self, capacity: int, width: int, dtype):
+        self.rows = np.empty((max(capacity, 1), width), dtype)
+        self.count = 0
+        self._spread = np.linspace(0, self.rows.view(np.uint32).shape[1] - 1, 8).astype(np.intp)
+        self._prints = np.empty(0, np.uint32)  # of the rows held, sorted
+        self._ids = np.empty(0, np.int32)  # the row of each sorted fingerprint
+
+    def free(self, n: int) -> np.ndarray:
+        """The ``n`` rows after the ones held, as a writable view."""
+        if self.count + n > len(self.rows):
+            rows = np.empty((max(2 * len(self.rows), self.count + n), self.rows.shape[1]), self.rows.dtype)
+            rows[: self.count] = self.rows[: self.count]
+            self.rows = rows
+        return self.rows[self.count : self.count + n]
+
+    def take(self, n: int) -> np.ndarray:
+        """The ids, int32, of the ``n`` rows written into :meth:`free`;
+        the ones not held before are held from now on."""
+        start = self.count
+        words = self.rows.view(np.uint32)
+        block = words[start : start + n]
+        prints = np.bitwise_xor.reduce(block[:, self._spread] * _PRINT_MULTIPLIERS, axis=1)
+        ids = np.full(n, -1, np.int32)
+        if start:
+            at = np.minimum(np.searchsorted(self._prints, prints), start - 1)
+            same = np.flatnonzero(self._prints[at] == prints)
+            found = self._ids[at[same]]
+            equal = (words[found] == block[same]).all(axis=1)
+            ids[same[equal]] = found[equal]
+        new = np.flatnonzero(ids < 0)
+        if not len(new):
+            return ids
+        fresh = block[new] if len(new) < n else block
+        # the first new row with each fingerprint leads the rows equal to it
+        prints, first, group = np.unique(prints[new], return_index=True, return_inverse=True)
+        lead = first[group]
+        own = lead == np.arange(len(new))
+        if not own.all() and not np.array_equal(fresh[lead], fresh):  # two rows share a print
+            own |= (fresh[lead] != fresh).any(axis=1)
+        kept = new[own]
+        ids[kept] = np.arange(start, start + len(kept))
+        ids[new[~own]] = ids[new[lead[~own]]]
+        if len(kept) and kept[-1] != len(kept) - 1:  # else they are in place already
+            self.rows[start : start + len(kept)] = self.rows[start + kept]
+        self.count += len(kept)
+        at = np.searchsorted(self._prints, prints, side="right")  # each after its equals
+        self._prints = np.insert(self._prints, at, prints)
+        self._ids = np.insert(self._ids, at, ids[new[first]])
+        return ids
+
+    def table(self) -> np.ndarray:
+        """The rows held, read-only; a copy only when the buffer has room left."""
+        rows = self.rows[: self.count]
+        if self.count < len(self.rows):
+            rows = rows.copy()
+        rows.flags.writeable = False
+        return rows
+
+
+def intern_rows(blocks) -> tuple:
+    """One table of the distinct rows of ``blocks``, same-width 2-D arrays,
+    and each block's row ids into it. The table has the blocks' common
+    dtype."""
+    blocks = list(blocks)
+    n = sum(len(b) for b in blocks)
+    rows = _RowTable(n, blocks[0].shape[1], np.result_type(*blocks))
+    np.concatenate(blocks, out=rows.free(n))
+    ids = np.split(rows.take(n), np.cumsum([len(b) for b in blocks[:-1]]))
+    return rows.table(), ids
 
 
 @dataclass(frozen=True)
@@ -217,10 +334,10 @@ def write_embedding_payload(path, embeddings) -> list:
     lines = []
     with atomic_write(path) as fh:
         for emb in embeddings:
-            rows, dims = emb.matrix.shape
-            lines.append({"utt_id": emb.utt_id, "offset": fh.tell(), "L": rows, "Dt": dims,
-                          "spans": [[s, a, b] for s, a, b in emb.style_spans]})
-            write_block(fh, emb.matrix)
+            matrix = emb.matrix
+            lines.append({"utt_id": emb.utt_id, "offset": fh.tell(), "L": matrix.shape[0],
+                          "Dt": matrix.shape[1], "spans": [[s, a, b] for s, a, b in emb.style_spans]})
+            write_block(fh, matrix)
     return lines
 
 
@@ -294,21 +411,34 @@ def _read_index(path) -> list:
 def load_embeddings(path, utt_ids=None) -> list:
     """The embeddings of ``path`` in index order. Every index line is
     checked; only the blocks of ``utt_ids`` are read and returned, or every
-    block when ``utt_ids`` is None."""
+    block when ``utt_ids`` is None. The rows of the blocks read are held
+    once each, in one table per width that the embeddings share; each
+    block is dropped once its rows are in it."""
     entries = _read_index(path)
     if utt_ids is not None:
         entries = [e for e in entries if e["utt_id"] in utt_ids]
-    out = []
+    room = Counter()  # the rows the index declares for each width
+    for entry in entries:
+        room[entry["Dt"]] += entry["L"]
+    payload_size = os.path.getsize(path)
+    tables, read = {}, []
     with open(path, "rb") as fh:
         for entry in entries:
             utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
+            fits = 4 * rows * dims <= payload_size  # else no block can match the index
+            if fits and dims not in tables:
+                tables[dims] = _RowTable(min(room[dims], payload_size // (4 * dims or 1)), dims, "<f4")
             fh.seek(entry["offset"])
-            values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})")
+            values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})",
+                                into=tables[dims].free(rows) if fits else None)
             if values.shape != (rows, dims):
                 raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
                                     f"block is {values.shape[0]}x{values.shape[1]}")
-            out.append(TextEmbedding(utt, values, entry["spans"]))
-    return out
+            _checked_matrix(utt, values)
+            spans = _checked_spans(utt, entry["spans"], rows)
+            read.append((utt, dims, tables[dims].take(rows), spans))
+    done = {dims: table.table() for dims, table in tables.items()}
+    return [TextEmbedding.from_rows(utt, done[dims], ids, spans) for utt, dims, ids, spans in read]
 
 
 def embedding_width(path, default: int) -> int:

@@ -4,9 +4,11 @@ These deliberately avoid the library's own computation paths: finite
 differences instead of the tape, direct DFT sums instead of the FFT
 frontend, exhaustive threshold sweeps instead of the sorted EER sweep,
 op-by-op graphs of generic tape ops instead of the model's hand-written
-ones, the fake families written out one kind at a time instead of
-the corpus's parameter table, and a feature-block reader that widens to
-float64 instead of keeping the float32 the block stores.
+ones, the encoder-and-attention op as it ran one sample at a time over
+every caption row instead of over each caption's distinct rows, the fake
+families written out one kind at a time instead of the corpus's parameter
+table, and a feature-block reader that widens to float64 instead of
+keeping the float32 the block stores.
 
 It also holds the log-mel linear baseline, a ridge fit on per-clip log-mel
 statistics that no CLI stage produces: the stacking criteria compare the
@@ -657,6 +659,48 @@ def run_gru_ref(x, params, batch, h0=None, collect=None):
     return slice_rows(x, rows - batch, rows)
 
 
+# ---------------------------------------------------------------------------
+# Reference front: the encoder and cross-attention op as it was before it
+# attended over each caption's distinct rows batch-wide. Samples run one at a
+# time over every caption row, repeats included, through ``model._attend``.
+
+
+def front_ref(specs, raws, texts, params):
+    """Same contract as ``model._front``, one sample at a time."""
+    cfg = params.config
+    if not len(specs) == len(raws) == len(texts):
+        raise ShapeMismatch(f"batch has {len(specs)} specs, {len(raws)} raws and {len(texts)} texts")
+    tensors = [params[n] for n in ("enc_spec_w", "enc_spec_b", "Wq", "Wk", "Wv", "Wo")]
+    we, be, wq, wk, wv, wo = (t.values for t in tensors)
+    wkv = np.concatenate([wk, wv], axis=1)
+    kept = [] if ad._active_tape() is not None else None
+    for b, (spec, raw, text) in enumerate(zip(specs, raws, texts)):
+        x, text = md._spec_input(spec, raw, params), md._text_input(text, cfg)
+        if b == 0:
+            out = np.empty((x.shape[0], len(specs), cfg.d_model))
+        elif x.shape[0] != out.shape[0]:
+            raise ShapeMismatch("forward_batch requires equal-length sequences")
+        enc = np.tanh(x @ we + be)
+        out[:, b], saved = md._attend(enc, text.astype(np.float64), wq, wkv, wo, cfg.n_heads)
+        if kept is not None:
+            kept.append((x, text, enc, saved))
+
+    def bwd(g, get_buf):
+        g = g.reshape(out.shape)
+        dwe, dbe, dwq, dwkv, dwo = (np.zeros_like(w) for w in (we, be, wq, wkv, wo))
+        for b, (x, text, enc, saved) in enumerate(kept):
+            denc, dwq_b, dkv, dwo_b = md._attend_grad(g[:, b], enc, saved, wq, wo)
+            dpre = denc * (1.0 - enc * enc)
+            dwe += x.T @ dpre
+            dbe += dpre.sum(axis=0)
+            dwq += dwq_b
+            dwkv += text.astype(np.float64).T @ dkv
+            dwo += dwo_b
+        md._accumulate(get_buf, tensors, (dwe, dbe, dwq, *np.split(dwkv, 2, axis=1), dwo))
+
+    return ad._result(out.reshape(-1, cfg.d_model), tensors, bwd)
+
+
 # Fake families as written out one kind at a time before they became one
 # parameter table: the strength scaling, the black-box composition's
 # hidden draws and the artifact dispatch, on the corpus's own DSP steps.
@@ -730,10 +774,16 @@ def apply_fake_ref(wave, kind, params, seed):
 _read_block = dsp.read_block  # the reader as imported, whatever a test patches in later
 
 
-def read_block_f64_ref(fh, path):
+def read_block_f64_ref(fh, path, into=None):
     """The ATFX block reader as it was before loaded matrices stayed
-    float32: the block's matrix widened to a float64 copy."""
-    return _read_block(fh, path).astype(np.float64)
+    float32: the block's matrix widened to a float64 copy. The caption
+    loader reads into its float32 row table (``into``): there the widened
+    matrix is written back, exactly, since it came from float32."""
+    wide = _read_block(fh, path).astype(np.float64)
+    if into is not None and into.shape == wide.shape:
+        into[...] = wide
+        return into
+    return wide
 
 
 # ---------------------------------------------------------------------------

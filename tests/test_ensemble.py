@@ -460,6 +460,22 @@ class TestRidge:
         with pytest.raises(BadConfig):
             es.fit_ridge(np.ones((3, 1)), np.ones(3), lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 40.0])
+    def test_wide_system_matches_the_primal_solve(self, lam):
+        # fewer rows than features, as the stock 88 x 770 meta-examples
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(30, 90))
+        y = rng.normal(size=30)
+        m = es.fit_ridge(x, y, lam=lam)
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        w = np.linalg.solve(xc.T @ xc + lam * np.eye(90), xc.T @ yc)
+        np.testing.assert_allclose(m.weights, w, rtol=1e-8, atol=1e-10)
+        assert m.intercept == pytest.approx(y.mean() - x.mean(axis=0) @ w, abs=1e-10)
+
+    def test_wide_system_lam_zero_is_singular(self):
+        with pytest.raises(SingularSystem):
+            es.fit_ridge(np.random.default_rng(13).normal(size=(5, 8)), np.arange(5.0), lam=0.0)
+
 
 class TestGbm:
     def test_zero_rounds_predicts_mean(self):

@@ -172,6 +172,63 @@ def test_truncated_or_flipped_file_loads_or_raises_a_typed_error(tmp_path, fmt):
     assert escaped == []
 
 
+def _cli_inputs(root):
+    """Four clips, a bonafide and a spoof one in each of train and dev, with
+    features, caption embeddings, a small model config and a checkpoint
+    of its shape; returns the ``train`` and ``score`` argument lists and
+    the clips each reads the embeddings of."""
+    rng = np.random.default_rng(5)
+    entries = [ProtocolEntry(f"u{i}", f"wav/u{i}.wav", ("bonafide", "spoof")[i % 2], "g",
+                             ("train", "dev")[i // 2]) for i in range(4)]
+    write_protocol(root / "protocol_track1.tsv", entries)
+    (root / "feats").mkdir()
+    for e in entries:
+        dsp.write_features(root / "feats" / f"{e.utt_id}.atfx", dsp.FeatureMatrix(rng.normal(size=(2, 3))))
+    tx.write_embeddings(root / "emb.bin", [
+        tx.TextEmbedding("u0", rng.normal(size=(2, 2)), (("audioset", 0, 1), ("clotho", 1, 2))),
+        tx.TextEmbedding("u1", rng.normal(size=(1, 2)), ()),
+        tx.TextEmbedding("u2", rng.normal(size=(1, 2)), (("audiocaps", 0, 1),)),
+        tx.TextEmbedding("u3", rng.normal(size=(2, 2)), ()),
+    ])
+    model = {"d_model": 2, "d_k": 2, "n_heads": 1, "gru_layers": 1, "gru_hidden": 2}
+    (root / "run.json").write_text(json.dumps({"model": model}))
+    md.save_checkpoint(root / "model.atck", md.AtcaParams.init(md.AtcaConfig(d_spec=3, d_text=2, **model)))
+    common = ["--features", str(root / "feats"), "--embeddings", str(root / "emb.bin")]
+    train = ["train", "--corpus", str(root), *common, "--track", "1",
+             "--config", str(root / "run.json"), "--epochs", "1", "--out-ckpt", str(root / "out.atck"),
+             "--force"]
+    score = ["score", "--ckpt", str(root / "model.atck"), "--protocol", str(root / "protocol_track1.tsv"),
+             *common, "--split", "dev", "--out", str(root / "dev.tsv"), "--force"]
+    return {"train": (train, {"u0", "u1", "u2", "u3"}), "score": (score, {"u2", "u3"})}
+
+
+@pytest.mark.parametrize("target", ["emb.bin", "emb.bin.index.jsonl"], ids=["payload", "index"])
+def test_truncated_or_flipped_embeddings_exit_two_through_the_cli(tmp_path, capsys, target):
+    # each damaged file the loader rejects, for the clips a command reads,
+    # fails that command with exit 2 and the loader's typed error
+    commands = _cli_inputs(tmp_path)
+    for argv, _ in commands.values():
+        assert cli.main(argv) == 0
+    damaged = tmp_path / target
+    failures, rejected = [], 0
+    for label, data in _damaged(damaged.read_bytes()):
+        damaged.write_bytes(data)
+        for name, (argv, clips) in commands.items():
+            try:
+                tx.load_embeddings(tmp_path / "emb.bin", clips)
+                continue
+            except AtcadetError as exc:
+                want = f"ERROR {exc.code}:"
+            capsys.readouterr()
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            rejected += 1
+            if code != 2 or not err.startswith(want):
+                failures.append(f"{label}, {name}: exit {code}, {err.strip()!r}, wanted {want}")
+    assert rejected > 100
+    assert failures == []
+
+
 @pytest.mark.parametrize("damage", [b"\xff", b"[" * 200_000], ids=["not_utf8", "deep"])
 def test_report_that_does_not_parse_is_bad_json(tmp_path, damage):
     path = tmp_path / "report.json"

@@ -251,6 +251,94 @@ class TestEmbeddingFiles:
             tx.load_embeddings(p)
 
 
+def _pool(seed):
+    """Float32 rows of width 20: four rows; their twins, equal to them in
+    the eight words a row is looked up by (0, 2, 5, 8, 10, 13, 16, 19) but
+    not in word 1; and a zero row beside one with -0.0 in word 2."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(4, 20)).astype(np.float32)
+    twins = base.copy()
+    twins[:, 1] += 1.0
+    zeros = np.zeros((2, 20), np.float32)
+    zeros[1, 2] = -0.0
+    return np.concatenate([base, twins, zeros])
+
+
+class TestRowInterning:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=12), min_size=1, max_size=6),
+           st.integers(0, 3))
+    def test_ids_stand_for_equal_bytes(self, picks, seed):
+        pool = _pool(seed)
+        blocks = [pool[p] for p in picks]
+        table, ids = tx.intern_rows(blocks)
+        assert table.dtype == np.float32 and not table.flags.writeable
+        for block, block_ids in zip(blocks, ids):
+            assert table[block_ids].tobytes() == block.tobytes()
+        flat = np.concatenate(ids)
+        keys = [row.tobytes() for row in np.concatenate(blocks)]
+        for i, j in zip(flat, keys):  # an id never stands for two byte patterns
+            assert all(k == j for f, k in zip(flat, keys) if f == i)
+        # rows are held in the order they first occur
+        firsts = [int(np.flatnonzero(flat == i)[0]) for i in range(len(table))]
+        assert firsts == sorted(firsts)
+
+    def test_equal_rows_are_held_once(self):
+        pool = _pool(0)
+        picks = [[0, 1, 0, 8, 9], [9, 8, 2, 3], [0, 0, 0]]
+        table, ids = tx.intern_rows([pool[p] for p in picks])
+        assert len(table) == 6
+        np.testing.assert_array_equal(ids[0], [0, 1, 0, 2, 3])
+        np.testing.assert_array_equal(ids[1], [3, 2, 4, 5])
+        np.testing.assert_array_equal(ids[2], [0, 0, 0])
+
+    def test_rows_sharing_a_fingerprint_stay_apart(self):
+        pool = _pool(1)
+        table, (ids,) = tx.intern_rows([pool[[0, 4, 4, 0, 4]]])
+        assert table[ids].tobytes() == pool[[0, 4, 4, 0, 4]].tobytes()
+        assert ids[0] == ids[3] and ids[0] != ids[1]
+
+    def test_buffer_grows_past_its_capacity(self):
+        pool = _pool(2)
+        rows = tx._RowTable(1, 20, np.float32)
+        got = []
+        for picks in ([0, 1, 2], [3, 2, 1, 0, 8], [9, 8]):
+            rows.free(len(picks))[:] = pool[picks]
+            got.append((pool[picks], rows.take(len(picks))))
+        table = rows.table()
+        assert len(table) == 6
+        for block, ids in got:
+            assert table[ids].tobytes() == block.tobytes()
+
+    def test_load_shares_one_table_per_width(self, tmp_path):
+        pool = _pool(3)
+        embs = [TextEmbedding(f"u{i}", pool[p], ()) for i, p in enumerate([[0, 1, 0], [1, 2], [0]])]
+        embs.append(TextEmbedding("w", np.ones((2, 3), np.float32), ()))
+        p = tmp_path / "emb.bin"
+        tx.write_embeddings(p, embs)
+        loaded = tx.load_embeddings(p)
+        assert loaded[0].table is loaded[1].table is loaded[2].table
+        assert len(loaded[0].table) == 3 and len(loaded[3].table) == 1
+        for got, want in zip(loaded, embs):
+            assert got.matrix.dtype == np.float32 and not got.matrix.flags.writeable
+            assert got.matrix.tobytes() == want.matrix.astype(np.float32).tobytes()
+        sub = tx.load_embeddings(p, {"u1"})
+        assert len(sub[0].table) == 2
+        np.testing.assert_array_equal(sub[0].ids, [0, 1])
+
+    def test_two_index_lines_over_one_block(self, tmp_path):
+        rng = np.random.default_rng(4)
+        emb = TextEmbedding("u0", rng.normal(size=(5, 4)).astype(np.float32), ())
+        p = tmp_path / "emb.bin"
+        tx.write_embeddings(p, [emb])
+        idx = tmp_path / "emb.bin.index.jsonl"
+        line = json.loads(idx.read_text())
+        idx.write_text(json.dumps(line) + "\n" + json.dumps({**line, "utt_id": "u1"}) + "\n")
+        a, b = tx.load_embeddings(p)
+        assert a.matrix.tobytes() == b.matrix.tobytes() == emb.matrix.tobytes()
+        assert len(a.table) == 5
+
+
 class TestSpanValidation:
     def test_gap_rejected(self):
         with pytest.raises(ShapeMismatch):
