@@ -281,22 +281,16 @@ def write_block(fh, values: np.ndarray) -> None:
     fh.write(values.tobytes(order="C"))
 
 
-def read_block(fh, path, into=None) -> np.ndarray:
+def read_block(fh, path) -> np.ndarray:
     """The matrix of the ATFX block at ``fh``'s position, as the read-only
     little-endian float32 it stores. A payload shorter than its head
-    declares is a ShapeMismatch. ``into``, a writable little-endian
-    float32 array, receives a payload of its shape and is returned."""
+    declares is a ShapeMismatch."""
     read_head(fh, path, FEATURE_MAGIC, FEATURE_VERSION, "a feature block")
     rows, dims = struct.unpack("<II", read_exact(fh, 8, path, "block shape"))
     if rows < 1 or dims < 1:
         raise BadHeader(f"{path}: empty matrix {rows}x{dims}")
-    what = f"a {rows}x{dims} matrix"
-    if into is not None and into.shape == (rows, dims):
-        if fh.readinto(into) == into.nbytes:
-            return into
-        raise ShapeMismatch(f"{path}: unexpected end of file while reading {what}")
     try:
-        payload = read_exact(fh, 4 * rows * dims, path, what)
+        payload = read_exact(fh, 4 * rows * dims, path, f"a {rows}x{dims} matrix")
     except TruncatedFile as exc:
         raise ShapeMismatch(exc.message) from exc
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dims)

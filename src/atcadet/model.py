@@ -364,17 +364,15 @@ def _caption_keys(texts, cfg: AtcaConfig):
     past the sample's own rows (B, V). V is the most distinct rows a
     sample has.
 
-    Loaded embeddings share one row table; the tables of any others, and
-    plain matrices, are interned here, with the rest of the piece.
+    Embeddings of one load share one row table. Any other piece is
+    interned here from its own caption rows.
     """
     first = texts[0]
     if all(isinstance(t, TextEmbedding) and t.table is first.table for t in texts) \
             and first.table.shape[1] == cfg.d_text:
         table, ids = first.table, [t.ids for t in texts]
     else:
-        blocks = [t.table if isinstance(t, TextEmbedding) else t for t in texts]
-        table, ids = intern_rows([_text_input(b, cfg) for b in blocks])
-        ids = [i[t.ids] if isinstance(t, TextEmbedding) else i for t, i in zip(texts, ids)]
+        table, ids = intern_rows([_text_input(t, cfg) for t in texts])
     sample = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
     pairs, first_at, counts = np.unique(sample * len(table) + np.concatenate(ids),
                                         return_index=True, return_counts=True)

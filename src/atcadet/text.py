@@ -121,79 +121,42 @@ class TextEmbedding:
 _PRINT_MULTIPLIERS = np.array([0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F,
                                0x165667B1, 0xD3A2646D, 0xFD7046C5, 0xB55A4F09], np.uint32)
 
+# rows compared with the first rows of their groups at a time
+_COMPARE_ROWS = 64
 
-class _RowTable:
-    """The distinct rows of blocks of one width and dtype, in the order
-    they first occur, in a buffer of ``capacity`` rows that grows if they
-    outgrow it. Rows are written into the buffer's free rows
-    (:meth:`free`), and :meth:`take` keeps the ones not held yet, moved
-    down behind the held ones.
 
-    A row is looked up by a 32-bit fingerprint of eight of its words,
-    spread along it, in a sorted array, and confirmed word for word. A
-    row whose fingerprint leads to a different row is held as a row of its
-    own, so an id only ever stands for equal bytes; such a row is held
-    again in each later call that meets it. The lookup costs 8 bytes a
-    row. Rows must be whole 32-bit words, as float32 and float64 rows are.
+def _intern(rows: np.ndarray) -> tuple:
+    """The distinct rows of ``rows``, a C-contiguous float32 or float64
+    matrix, in the order they first occur, read-only; and the id, int32,
+    of each row among them, so that ``table[ids]`` has the bytes of
+    ``rows``. When no row repeats, the table is ``rows`` itself.
+
+    Rows are grouped by a 32-bit print of eight of their words, spread
+    along them, and each row is compared word for word with the first row
+    of its group. The rows that differ from it, and only those, are then
+    grouped by all their bytes.
     """
-
-    def __init__(self, capacity: int, width: int, dtype):
-        self.rows = np.empty((max(capacity, 1), width), dtype)
-        self.count = 0
-        self._spread = np.linspace(0, self.rows.view(np.uint32).shape[1] - 1, 8).astype(np.intp)
-        self._prints = np.empty(0, np.uint32)  # of the rows held, sorted
-        self._ids = np.empty(0, np.int32)  # the row of each sorted fingerprint
-
-    def free(self, n: int) -> np.ndarray:
-        """The ``n`` rows after the ones held, as a writable view."""
-        if self.count + n > len(self.rows):
-            rows = np.empty((max(2 * len(self.rows), self.count + n), self.rows.shape[1]), self.rows.dtype)
-            rows[: self.count] = self.rows[: self.count]
-            self.rows = rows
-        return self.rows[self.count : self.count + n]
-
-    def take(self, n: int) -> np.ndarray:
-        """The ids, int32, of the ``n`` rows written into :meth:`free`;
-        the ones not held before are held from now on."""
-        start = self.count
-        words = self.rows.view(np.uint32)
-        block = words[start : start + n]
-        prints = np.bitwise_xor.reduce(block[:, self._spread] * _PRINT_MULTIPLIERS, axis=1)
-        ids = np.full(n, -1, np.int32)
-        if start:
-            at = np.minimum(np.searchsorted(self._prints, prints), start - 1)
-            same = np.flatnonzero(self._prints[at] == prints)
-            found = self._ids[at[same]]
-            equal = (words[found] == block[same]).all(axis=1)
-            ids[same[equal]] = found[equal]
-        new = np.flatnonzero(ids < 0)
-        if not len(new):
-            return ids
-        fresh = block[new] if len(new) < n else block
-        # the first new row with each fingerprint leads the rows equal to it
-        prints, first, group = np.unique(prints[new], return_index=True, return_inverse=True)
-        lead = first[group]
-        own = lead == np.arange(len(new))
-        if not own.all() and not np.array_equal(fresh[lead], fresh):  # two rows share a print
-            own |= (fresh[lead] != fresh).any(axis=1)
-        kept = new[own]
-        ids[kept] = np.arange(start, start + len(kept))
-        ids[new[~own]] = ids[new[lead[~own]]]
-        if len(kept) and kept[-1] != len(kept) - 1:  # else they are in place already
-            self.rows[start : start + len(kept)] = self.rows[start + kept]
-        self.count += len(kept)
-        at = np.searchsorted(self._prints, prints, side="right")  # each after its equals
-        self._prints = np.insert(self._prints, at, prints)
-        self._ids = np.insert(self._ids, at, ids[new[first]])
-        return ids
-
-    def table(self) -> np.ndarray:
-        """The rows held, read-only; a copy only when the buffer has room left."""
-        rows = self.rows[: self.count]
-        if self.count < len(self.rows):
-            rows = rows.copy()
-        rows.flags.writeable = False
-        return rows
+    words = rows.view(np.uint32)
+    prints = np.zeros(len(rows), np.uint32)
+    for at, multiplier in zip(np.linspace(0, words.shape[1] - 1, 8).astype(np.intp), _PRINT_MULTIPLIERS):
+        prints ^= words[:, at] * multiplier
+    _, first, group = np.unique(prints, return_index=True, return_inverse=True)
+    lead = first[group]  # the first row with each row's print
+    repeat = lead != np.arange(len(rows))
+    differ = np.zeros(len(rows), bool)
+    for lo in range(0, len(rows), _COMPARE_ROWS):
+        at = slice(lo, lo + _COMPARE_ROWS)
+        if repeat[at].any():
+            differ[at] = (words[at] != words[lead[at]]).any(axis=1)
+    other = np.flatnonzero(differ)
+    if len(other):  # all rows equal to one of these are among them too
+        whole = words[other].view(np.dtype((np.void, 4 * words.shape[1])))
+        _, first, group = np.unique(whole.ravel(), return_index=True, return_inverse=True)
+        lead[other] = other[first[group]]
+    kept = np.flatnonzero(lead == np.arange(len(rows)))
+    table = rows if len(kept) == len(rows) else rows[kept]
+    table.flags.writeable = False
+    return table, np.searchsorted(kept, lead).astype(np.int32)
 
 
 def intern_rows(blocks) -> tuple:
@@ -201,11 +164,8 @@ def intern_rows(blocks) -> tuple:
     and each block's row ids into it. The table has the blocks' common
     dtype."""
     blocks = list(blocks)
-    n = sum(len(b) for b in blocks)
-    rows = _RowTable(n, blocks[0].shape[1], np.result_type(*blocks))
-    np.concatenate(blocks, out=rows.free(n))
-    ids = np.split(rows.take(n), np.cumsum([len(b) for b in blocks[:-1]]))
-    return rows.table(), ids
+    table, ids = _intern(np.concatenate(blocks, dtype=np.result_type(*blocks)))
+    return table, np.split(ids, np.cumsum([len(b) for b in blocks[:-1]]))
 
 
 @dataclass(frozen=True)
@@ -408,37 +368,51 @@ def _read_index(path) -> list:
     return entries
 
 
-def load_embeddings(path, utt_ids=None) -> list:
-    """The embeddings of ``path`` in index order. Every index line is
-    checked; only the blocks of ``utt_ids`` are read and returned, or every
-    block when ``utt_ids`` is None. The rows of the blocks read are held
-    once each, in one table per width that the embeddings share; each
-    block is dropped once its rows are in it."""
-    entries = _read_index(path)
-    if utt_ids is not None:
-        entries = [e for e in entries if e["utt_id"] in utt_ids]
+def _read_blocks(path, entries) -> tuple:
+    """The blocks of ``entries``, checked, copied as they are read into one
+    buffer per width, sized from the index: each width's buffer and the
+    number of rows in it, and each entry's width, first row and spans."""
     room = Counter()  # the rows the index declares for each width
     for entry in entries:
         room[entry["Dt"]] += entry["L"]
     payload_size = os.path.getsize(path)
-    tables, read = {}, []
+    held, read = {}, []
     with open(path, "rb") as fh:
         for entry in entries:
             utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
-            fits = 4 * rows * dims <= payload_size  # else no block can match the index
-            if fits and dims not in tables:
-                tables[dims] = _RowTable(min(room[dims], payload_size // (4 * dims or 1)), dims, "<f4")
             fh.seek(entry["offset"])
-            values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})",
-                                into=tables[dims].free(rows) if fits else None)
+            values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})")
             if values.shape != (rows, dims):
                 raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
                                     f"block is {values.shape[0]}x{values.shape[1]}")
             _checked_matrix(utt, values)
             spans = _checked_spans(utt, entry["spans"], rows)
-            read.append((utt, dims, tables[dims].take(rows), spans))
-    done = {dims: table.table() for dims, table in tables.items()}
-    return [TextEmbedding.from_rows(utt, done[dims], ids, spans) for utt, dims, ids, spans in read]
+            buf, count = held.get(dims, (values[:0], 0))
+            if count + rows > len(buf):  # a width's first block, or lines that share blocks
+                # never past what the payload holds, whatever the index declares
+                grown = np.empty((max(count + rows, 2 * len(buf),
+                                      min(room[dims], payload_size // (4 * dims))), dims), buf.dtype)
+                grown[:count] = buf[:count]
+                buf = grown
+            buf[count : count + rows] = values
+            held[dims] = (buf, count + rows)
+            read.append((dims, count, spans))
+    return held, read
+
+
+def load_embeddings(path, utt_ids=None) -> list:
+    """The embeddings of ``path`` in index order. Every index line is
+    checked; only the blocks of ``utt_ids`` are read and returned, or every
+    block when ``utt_ids`` is None. The embeddings of one width share one
+    table of the distinct rows of their blocks (:func:`_intern`)."""
+    entries = _read_index(path)
+    if utt_ids is not None:
+        entries = [e for e in entries if e["utt_id"] in utt_ids]
+    held, read = _read_blocks(path, entries)
+    done = {dims: _intern(buf[:count]) for dims, (buf, count) in held.items()}
+    return [TextEmbedding.from_rows(entry["utt_id"], done[dims][0],
+                                    done[dims][1][at : at + entry["L"]], spans)
+            for (dims, at, spans), entry in zip(read, entries)]
 
 
 def embedding_width(path, default: int) -> int:

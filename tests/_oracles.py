@@ -774,16 +774,10 @@ def apply_fake_ref(wave, kind, params, seed):
 _read_block = dsp.read_block  # the reader as imported, whatever a test patches in later
 
 
-def read_block_f64_ref(fh, path, into=None):
+def read_block_f64_ref(fh, path):
     """The ATFX block reader as it was before loaded matrices stayed
-    float32: the block's matrix widened to a float64 copy. The caption
-    loader reads into its float32 row table (``into``): there the widened
-    matrix is written back, exactly, since it came from float32."""
-    wide = _read_block(fh, path).astype(np.float64)
-    if into is not None and into.shape == wide.shape:
-        into[...] = wide
-        return into
-    return wide
+    float32: the block's matrix widened to a float64 copy."""
+    return _read_block(fh, path).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

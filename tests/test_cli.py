@@ -889,9 +889,9 @@ class TestSubsetReads:
         count = [0]
         read_block = tx.read_block
 
-        def counting(fh, path, **kwargs):
+        def counting(fh, path):
             count[0] += 1
-            return read_block(fh, path, **kwargs)
+            return read_block(fh, path)
 
         monkeypatch.setattr(tx, "read_block", counting)
         return count

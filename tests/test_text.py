@@ -298,17 +298,32 @@ class TestRowInterning:
         assert table[ids].tobytes() == pool[[0, 4, 4, 0, 4]].tobytes()
         assert ids[0] == ids[3] and ids[0] != ids[1]
 
-    def test_buffer_grows_past_its_capacity(self):
+    def test_shared_prints_then_a_larger_print_load(self, tmp_path):
         pool = _pool(2)
-        rows = tx._RowTable(1, 20, np.float32)
-        got = []
-        for picks in ([0, 1, 2], [3, 2, 1, 0, 8], [9, 8]):
-            rows.free(len(picks))[:] = pool[picks]
-            got.append((pool[picks], rows.take(len(picks))))
-        table = rows.table()
-        assert len(table) == 6
-        for block, ids in got:
-            assert table[ids].tobytes() == block.tobytes()
+        words = pool.view(np.uint32)
+        spread = np.linspace(0, 19, 8).astype(np.intp)
+        prints = np.bitwise_xor.reduce(words[:, spread] * tx._PRINT_MULTIPLIERS, axis=1)
+        top = int(np.argmax(prints[:4]))  # rows 0-3 share their prints with their twins 4-7
+        picks = [[p for p in range(4) if p != top] + [q + 4 for q in range(4) if q != top],
+                 [top, 0, top + 4, 9]]
+        embs = [TextEmbedding(f"u{i}", pool[p], ()) for i, p in enumerate(picks)]
+        p = tmp_path / "emb.bin"
+        tx.write_embeddings(p, embs)
+        loaded = tx.load_embeddings(p)
+        assert len(loaded[0].table) == 9
+        for got, want in zip(loaded, embs):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_rows_zero_at_the_sampled_words_are_held_once_each(self):
+        # one-hot rows, zero at the eight words a row is looked up by: one print
+        hot = [1, 3, 4, 6, 7, 9, 11, 12]
+        rows = np.zeros((len(hot), 20), np.float32)
+        rows[np.arange(len(hot)), hot] = 1.0
+        picks = [[0, 1, 2, 0, 3], [4, 5, 1, 6, 7, 7, 0]]
+        table, ids = tx.intern_rows([rows[p] for p in picks])
+        assert table.tobytes() == rows.tobytes()
+        for p, block_ids in zip(picks, ids):
+            np.testing.assert_array_equal(block_ids, p)
 
     def test_load_shares_one_table_per_width(self, tmp_path):
         pool = _pool(3)
