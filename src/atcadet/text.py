@@ -92,15 +92,18 @@ class TextEmbedding:
     """One caption's token rows, held as ``ids`` into ``table``: the rows
     that the embeddings of one :func:`load_embeddings` call share, each
     distinct row once. Built from a matrix, the embedding is its own
-    table. ``matrix`` gathers the rows back, read-only, with the bytes
-    they were stored or built with.
+    table. ``matrix`` gives the rows back, read-only, with the bytes they
+    were stored or built with.
     """
+
+    _built = False  # from a matrix, which is then the table
 
     def __init__(self, utt_id: str, matrix, style_spans):
         matrix = _checked_matrix(utt_id, matrix)
         self.style_spans = _checked_spans(utt_id, style_spans, matrix.shape[0])
         matrix.flags.writeable = False
         self.utt_id, self.table, self.ids = utt_id, matrix, np.arange(matrix.shape[0])
+        self._built = True
 
     @classmethod
     def from_rows(cls, utt_id: str, table: np.ndarray, ids: np.ndarray,
@@ -112,6 +115,8 @@ class TextEmbedding:
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._built:
+            return self.table
         matrix = self.table[self.ids]
         matrix.flags.writeable = False
         return matrix
