@@ -14,11 +14,12 @@ sample attends over its caption's distinct rows, each raised by the log
 of its count, which is the softmax over the caption's repeated rows; the
 distinct rows of a piece are projected once each; and it writes its rows
 time-major, ready for the GRU. ``encode_acoustic`` and
-``cross_attention`` give one sample's result over every caption row,
-equal to the batch op's up to rounding. The whole GRU stack is the
-second, run as a layer wavefront: one time loop of T + L - 1 iterations
-in which each matmul and elementwise op serves every layer at once. The
-head is the third and the loss, in ``autodiff``, the fourth.
+``cross_attention`` run its kernels on one sample over every caption
+row: the same bytes when a caption's rows never repeat, the same up to
+rounding otherwise. The whole GRU stack is the second, run as a layer
+wavefront: one time loop of T + L - 1 iterations in which each matmul
+and elementwise op serves every layer at once. The head is the third
+and the loss, in ``autodiff``, the fourth.
 """
 
 from __future__ import annotations
@@ -257,95 +258,6 @@ def _accumulate(get_buf, tensors, grads) -> None:
             buf += grad
 
 
-def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
-    """Standardize spectrogram frames by the stored normalizer buffers,
-    project them to d_model and apply tanh, as one tape op: one sample of
-    the encoder in :func:`_front`. ``raw`` must be None."""
-    x = _spec_input(spec, raw, params)
-    tensors = [params["enc_spec_w"], params["enc_spec_b"]]
-    we, be = (t.values for t in tensors)
-    enc = np.tanh(x @ we + be)
-
-    def bwd(g, get_buf):
-        dpre = g * (1.0 - enc * enc)
-        _accumulate(get_buf, tensors, (x.T @ dpre, dpre.sum(axis=0)))
-
-    return ad._result(enc, tensors, bwd)
-
-
-def _attend(enc, text, wq, wkv, wo, n_heads: int):
-    """Multi-head attention of one sample on plain arrays: ``enc`` rows
-    (T, d_model) are Queries over ``text`` rows (L, d_text) as Keys and
-    Values, with ``wkv = [Wk|Wv]``. Returns ``enc + merged @ wo`` and the
-    arrays :func:`_attend_grad` needs.
-
-    Head h owns columns ``h*d_k:(h+1)*d_k`` of q, k and v; the heads are
-    the leading axis of a (H, rows, d_k) view, so one batched matmul
-    scores them all and the merge is a reshape.
-    """
-    rows, d_model = enc.shape
-    d_k = d_model // n_heads
-
-    def heads(m):
-        return m.reshape(m.shape[0], n_heads, d_k).transpose(1, 0, 2)
-
-    kv = text @ wkv
-    qh, kh, vh = heads(enc @ wq), heads(kv[:, :d_model]), heads(kv[:, d_model:])
-    s = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_k))
-    e = np.exp(s - s.max(axis=2, keepdims=True))
-    att = e / e.sum(axis=2, keepdims=True)
-    merged = (att @ vh).transpose(1, 0, 2).reshape(rows, d_model)
-    return enc + merged @ wo, (qh, kh, vh, att, merged)
-
-
-def _attend_grad(g, enc, saved, wq, wo):
-    """Backward of :func:`_attend` for the output gradient ``g``: returns
-    the gradients of ``enc`` and ``wq``, of the projected rows ``[k|v]``
-    (L, 2*d_model), and of ``wo``. The caller turns the third into the
-    gradients of ``[Wk|Wv]`` (``text.T @ dkv``) and of the text."""
-    qh, kh, vh, att, merged = saved
-    n_heads, rows, d_k = qh.shape
-
-    def merge(m):
-        return m.transpose(1, 0, 2).reshape(m.shape[1], n_heads * d_k)
-
-    dm = (g @ wo.T).reshape(rows, n_heads, d_k).transpose(1, 0, 2)
-    da = dm @ vh.transpose(0, 2, 1)
-    ds = att * (da - (da * att).sum(axis=2, keepdims=True)) * (1.0 / math.sqrt(d_k))
-    dq = merge(ds @ kh)
-    dkv = np.concatenate([merge(ds.transpose(0, 2, 1) @ qh), merge(att.transpose(0, 2, 1) @ dm)], axis=1)
-    return g + dq @ wq.T, enc.T @ dq, dkv, merged.T @ g
-
-
-def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals: bool = False):
-    """Scaled dot-product attention of one sample as one tape op: acoustic
-    rows as Queries, text rows as Keys/Values; heads concatenated,
-    projected by Wo and residual-added. Differentiable in ``acoustic``,
-    in ``text`` when it is a Tensor, and in Wq, Wk, Wv and Wo."""
-    cfg = params.config
-    text_v = _text_input(text, cfg)
-    text_t = text if isinstance(text, Tensor) else Tensor(text_v)
-    if acoustic.values.ndim != 2 or acoustic.values.shape[1] != cfg.d_model:
-        raise ShapeMismatch(f"acoustic input has shape {acoustic.values.shape}, config wants {cfg.d_model} columns")
-    tensors = [params[n] for n in ("Wq", "Wk", "Wv", "Wo")]
-    wq, wk, wv, wo = (t.values for t in tensors)
-    wkv = np.concatenate([wk, wv], axis=1)
-    out_v, saved = _attend(acoustic.values, text_t.values, wq, wkv, wo, cfg.n_heads)
-
-    def bwd(g, get_buf):
-        denc, dwq, dkv, dwo = _attend_grad(g, acoustic.values, saved, wq, wo)
-        dwk, dwv = np.split(text_t.values.T @ dkv, 2, axis=1)
-        _accumulate(get_buf, (acoustic, *tensors), (denc, dwq, dwk, dwv, dwo))
-        gt = get_buf(text_t)
-        if gt is not None:
-            gt += dkv @ wkv.T
-
-    out = ad._result(out_v, (acoustic, text_t, *tensors), bwd)
-    if return_internals:
-        return out, {"attention_weights": list(saved[3])}
-    return out
-
-
 # Samples per piece of a batch, and caption rows per block of their
 # projection, so that every BLAS call has the size of one sample or of 32
 # rows, whatever the batch. Measured on a 2-vCPU VM at 2 BLAS threads: the
@@ -354,6 +266,111 @@ def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals
 # [Wk|Wv] as one product (OpenBLAS wakes its second thread) and 0.8 ms in
 # 32-row blocks. 32 is also the training batch, so a step is one piece.
 _PIECE = 32
+
+
+def _row_blocks(table, distinct):
+    """The rows ``table[distinct]`` in blocks of ``_PIECE``, each widened
+    to float64 as it is reached, with the position of its first row."""
+    for lo in range(0, len(distinct), _PIECE):
+        yield lo, table[distinct[lo : lo + _PIECE]].astype(np.float64)
+
+
+def _encoder_grad(denc, x, enc):
+    """The gradients of We and be, summed over the samples, of the encoder
+    ``enc = tanh(x @ We + be)`` on frames (B, T, d_spec), given ``denc``."""
+    dpre = denc * (1.0 - enc * enc)
+    return (x.transpose(0, 2, 1) @ dpre).sum(axis=0), dpre.sum(axis=(0, 1))
+
+
+def _heads(m, n_heads: int):  # (B, rows, d_model) -> (B, H, rows, d_k)
+    return m.reshape(*m.shape[:2], n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge(m):  # the inverse of _heads
+    return m.transpose(0, 2, 1, 3).reshape(m.shape[0], m.shape[2], -1)
+
+
+def _attention(enc, kv, bias, wq, wo, n_heads: int):
+    """Multi-head scaled dot-product attention of stacked samples: rows
+    ``enc`` (B, T, d_model) as Queries over ``kv = [k|v]`` (B, V,
+    2*d_model) as Keys and Values, each key's score raised by ``bias`` (B,
+    V; -inf masks a key). Returns ``enc + merged @ wo`` and what
+    :func:`_attention_grad` needs. Scores are key-major, (B, H, V, T), so
+    the softmax reduces over whole frame rows."""
+    d_model = enc.shape[2]
+    qh, kh, vh = (_heads(m, n_heads) for m in (enc @ wq, kv[..., :d_model], kv[..., d_model:]))
+    att = kh @ qh.transpose(0, 1, 3, 2)
+    att *= 1.0 / math.sqrt(d_model // n_heads)
+    att += bias[:, None, :, None]
+    att -= att.max(axis=2, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=2, keepdims=True)
+    merged = _merge(att.transpose(0, 1, 3, 2) @ vh)
+    return enc + merged @ wo, (qh, kh, vh, att, merged)
+
+
+def _attention_grad(g, enc, saved, wq, wo):
+    """Backward of :func:`_attention` for the output gradient ``g`` (B, T,
+    d_model): the gradients of ``enc`` and of ``kv``, per sample, and of
+    ``wq`` and ``wo``, summed over the samples."""
+    qh, kh, vh, att, merged = saved
+    dwo = (merged.transpose(0, 2, 1) @ g).sum(axis=0)
+    dm = _heads(g @ wo.T, qh.shape[1])
+    da = vh @ dm.transpose(0, 1, 3, 2)
+    ds = da - (da * att).sum(axis=2, keepdims=True)
+    ds *= att
+    ds *= 1.0 / math.sqrt(qh.shape[3])
+    dq = _merge(ds.transpose(0, 1, 3, 2) @ kh)
+    dkv = np.concatenate([_merge(ds @ qh), _merge(att @ dm)], axis=2)
+    return g + dq @ wq.T, dkv, (enc.transpose(0, 2, 1) @ dq).sum(axis=0), dwo
+
+
+def encode_acoustic(spec, raw, params: AtcaParams) -> Tensor:
+    """:func:`_front`'s encoder on one sample, as one tape op: standardize
+    spectrogram frames by the stored normalizer buffers, project them to
+    d_model and apply tanh. ``raw`` must be None."""
+    x = _spec_input(spec, raw, params)[None]
+    tensors = [params["enc_spec_w"], params["enc_spec_b"]]
+    we, be = (t.values for t in tensors)
+    enc = np.tanh(x @ we + be)
+
+    def bwd(g, get_buf):
+        _accumulate(get_buf, tensors, _encoder_grad(g[None], x, enc))
+
+    return ad._result(enc[0], tensors, bwd)
+
+
+def cross_attention(acoustic: Tensor, text, params: AtcaParams, return_internals: bool = False):
+    """:func:`_front`'s attention on one sample, over every row of
+    ``text``, as one tape op: acoustic rows (T, d_model) as Queries, text
+    rows (L, d_text) as Keys/Values, heads merged, projected by Wo and
+    residual-added. Differentiable in ``acoustic``, in ``text`` when it is
+    a Tensor, and in Wq, Wk, Wv and Wo; ``return_internals`` adds each
+    head's (T, L) weights. With ``_front``'s 32-row blocks and kernel at a
+    zero bias, it has the bytes of a one-sample ``_front`` over a caption
+    whose rows never repeat, in its output and six weight gradients."""
+    cfg = params.config
+    text_v = _text_input(text, cfg)
+    text_t = text if isinstance(text, Tensor) else Tensor(text_v)
+    if acoustic.values.ndim != 2 or acoustic.values.shape[1] != cfg.d_model:
+        raise ShapeMismatch(f"acoustic input has shape {acoustic.values.shape}, config wants {cfg.d_model} columns")
+    tensors = [params[n] for n in ("Wq", "Wk", "Wv", "Wo")]
+    wq, wk, wv, wo = (t.values for t in tensors)
+    wkv = np.concatenate([wk, wv], axis=1)
+    enc, rows = acoustic.values[None], np.arange(len(text_v))
+    kv = np.concatenate([u @ wkv for _, u in _row_blocks(text_v, rows)])
+    out_v, saved = _attention(enc, kv[None], np.zeros((1, len(rows))), wq, wo, cfg.n_heads)
+
+    def bwd(g, get_buf):
+        denc, dkv, dwq, dwo = _attention_grad(g[None], enc, saved, wq, wo)
+        dwkv = np.zeros_like(wkv)
+        for at, u in _row_blocks(text_v, rows):
+            dwkv += u.T @ dkv[0, at : at + _PIECE]
+        _accumulate(get_buf, (acoustic, text_t, *tensors),
+                    (denc[0], dkv[0] @ wkv.T, dwq, *np.split(dwkv, 2, axis=1), dwo))
+
+    out = ad._result(out_v[0], (acoustic, text_t, *tensors), bwd)
+    return (out, {"attention_weights": [att.T for att in saved[3][0]]}) if return_internals else out
 
 
 def _caption_keys(texts, cfg: AtcaConfig):
@@ -388,13 +405,6 @@ def _caption_keys(texts, cfg: AtcaConfig):
     return table, distinct, gather, bias
 
 
-def _row_blocks(table, distinct):
-    """The rows ``table[distinct]`` in blocks of ``_PIECE``, each widened
-    to float64 as it is reached, with the position of its first row."""
-    for lo in range(0, len(distinct), _PIECE):
-        yield lo, table[distinct[lo : lo + _PIECE]].astype(np.float64)
-
-
 def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     """Encoder and cross-attention of a batch of same-length utterances as
     one tape op. Returns the attended rows time-major, (T*B, d_model):
@@ -405,11 +415,11 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     ``Wo`` products are stacked matmuls, one BLAS call per sample. Its
     captions' distinct rows (:func:`_caption_keys`) are projected through
     ``[Wk|Wv]`` once each, in blocks of ``_PIECE`` rows widened as they
-    are reached, and each sample attends over its own distinct rows, each
-    row's score raised by the log of its count in the caption: the
-    softmax over a caption's repeated rows, without the repeats. Heads
-    are an axis, (B, H, rows, d_k), so one batched matmul scores them
-    all.
+    are reached, and each sample attends (:func:`_attention`) over its own
+    distinct rows, each row's score raised by the log of its count in the
+    caption: the softmax over a caption's repeated rows, without the
+    repeats. :func:`encode_acoustic` and :func:`cross_attention` run the
+    same kernels on one sample.
 
     The backward mirrors this: each weight gradient is summed over the
     samples with ``.sum(axis=0)`` and then over the pieces, in order; the
@@ -424,15 +434,6 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     tensors = [params[n] for n in ("enc_spec_w", "enc_spec_b", "Wq", "Wk", "Wv", "Wo")]
     we, be, wq, wk, wv, wo = (t.values for t in tensors)
     wkv = np.concatenate([wk, wv], axis=1)
-    d_model, n_heads = cfg.d_model, cfg.n_heads
-    d_k = d_model // n_heads
-    scale = 1.0 / math.sqrt(d_k)
-
-    def heads(m):  # (B, rows, d_model) -> (B, H, rows, d_k)
-        return m.reshape(m.shape[0], m.shape[1], n_heads, d_k).transpose(0, 2, 1, 3)
-
-    def merge(m):  # the inverse of heads
-        return m.transpose(0, 2, 1, 3).reshape(m.shape[0], m.shape[2], d_model)
 
     def piece(lo, hi):  # writes the piece's rows; returns what its backward reads
         mats = [_spec_values(s, r, cfg) for s, r in zip(specs[lo:hi], raws[lo:hi])]
@@ -442,20 +443,12 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
         table, distinct, gather, bias = _caption_keys(texts[lo:hi], cfg)
         enc = np.tanh(x @ we + be)
         kv = np.concatenate([u @ wkv for _, u in _row_blocks(table, distinct)])[gather]
-        qh, kh, vh = heads(enc @ wq), heads(kv[..., :d_model]), heads(kv[..., d_model:])
-        # key-major (B, H, V, T): the softmax reduces over whole frame rows
-        att = kh @ qh.transpose(0, 1, 3, 2)
-        att *= scale
-        att += bias[:, None, :, None]
-        att -= att.max(axis=2, keepdims=True)
-        np.exp(att, out=att)
-        att /= att.sum(axis=2, keepdims=True)
-        merged = merge(att.transpose(0, 1, 3, 2) @ vh)
-        out[:, lo:hi] = (enc + merged @ wo).transpose(1, 0, 2)
-        return lo, hi, x, enc, table, distinct, gather, bias > -np.inf, qh, kh, vh, att, merged
+        rows, saved = _attention(enc, kv, bias, wq, wo, cfg.n_heads)
+        out[:, lo:hi] = rows.transpose(1, 0, 2)
+        return lo, hi, x, enc, table, distinct, gather, bias > -np.inf, saved
 
     frames = len(_spec_values(specs[0], raws[0], cfg))
-    out = np.empty((frames, len(specs), d_model))
+    out = np.empty((frames, len(specs), cfg.d_model))
     pieces = [(lo, min(lo + _PIECE, len(specs))) for lo in range(0, len(specs), _PIECE)]
     if ad._active_tape() is None:
         for lo, hi in pieces:
@@ -466,28 +459,18 @@ def _front(specs, raws, texts, params: AtcaParams) -> Tensor:
     def bwd(g, get_buf):
         g = g.reshape(out.shape)
         dwe, dbe, dwq, dwkv, dwo = (np.zeros_like(w) for w in (we, be, wq, wkv, wo))
-        for lo, hi, x, enc, table, distinct, gather, mask, qh, kh, vh, att, merged in kept:
+        for lo, hi, x, enc, table, distinct, gather, mask, saved in kept:
             gp = np.ascontiguousarray(g[:, lo:hi].transpose(1, 0, 2))
-            dwo += (merged.transpose(0, 2, 1) @ gp).sum(axis=0)
-            dm = heads(gp @ wo.T)
-            da = vh @ dm.transpose(0, 1, 3, 2)
-            ds = da - (da * att).sum(axis=2, keepdims=True)
-            ds *= att
-            ds *= scale
-            dq = merge(ds.transpose(0, 1, 3, 2) @ kh)
-            dkv = np.concatenate([merge(ds @ qh), merge(att @ dm)], axis=2)
-            drows = np.zeros((len(distinct), 2 * d_model))
+            denc, dkv, *dw = _attention_grad(gp, enc, saved, wq, wo)
+            drows = np.zeros((len(distinct), dkv.shape[2]))
             np.add.at(drows, gather[mask], dkv[mask])
             for at, u in _row_blocks(table, distinct):
                 dwkv += u.T @ drows[at : at + _PIECE]
-            dpre = gp + dq @ wq.T
-            dpre *= 1.0 - enc * enc
-            dwq += (enc.transpose(0, 2, 1) @ dq).sum(axis=0)
-            dwe += (x.transpose(0, 2, 1) @ dpre).sum(axis=0)
-            dbe += dpre.sum(axis=(0, 1))
+            for total, part in zip((dwq, dwo, dwe, dbe), (*dw, *_encoder_grad(denc, x, enc))):
+                total += part
         _accumulate(get_buf, tensors, (dwe, dbe, dwq, *np.split(dwkv, 2, axis=1), dwo))
 
-    return ad._result(out.reshape(-1, d_model), tensors, bwd)
+    return ad._result(out.reshape(-1, cfg.d_model), tensors, bwd)
 
 
 def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -> Tensor:

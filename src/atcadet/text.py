@@ -331,12 +331,14 @@ def write_embeddings(path, embeddings) -> None:
 
 
 def _is_index_entry(obj) -> bool:
-    """True when obj has a string utt_id, non-negative integer offset, L
-    and Dt, and spans as a list of [style, start, end] triples."""
+    """True when obj has a string utt_id, an integer offset >= 0, integer
+    L and Dt >= 1, as a block's shape is, and spans as a list of [style,
+    start, end] triples."""
     return (
         isinstance(obj, dict)
         and isinstance(obj.get("utt_id"), str)
-        and all(type(obj.get(k)) is int and obj[k] >= 0 for k in ("offset", "L", "Dt"))
+        and all(type(obj.get(k)) is int and obj[k] >= least
+                for k, least in (("offset", 0), ("L", 1), ("Dt", 1)))
         and isinstance(obj.get("spans"), list)
         and all(
             isinstance(sp, list) and len(sp) == 3 and isinstance(sp[0], str)

@@ -5,7 +5,8 @@ differences instead of the tape, direct DFT sums instead of the FFT
 frontend, exhaustive threshold sweeps instead of the sorted EER sweep,
 op-by-op graphs of generic tape ops instead of the model's hand-written
 ones, the encoder-and-attention op as it ran one sample at a time over
-every caption row instead of over each caption's distinct rows, the fake
+every caption row, with its own query-major attention, instead of the
+model's one batched kernel over each caption's distinct rows, the fake
 families written out one kind at a time instead of the corpus's parameter
 table, and a feature-block reader that widens to float64 instead of
 keeping the float32 the block stores.
@@ -662,7 +663,53 @@ def run_gru_ref(x, params, batch, h0=None, collect=None):
 # ---------------------------------------------------------------------------
 # Reference front: the encoder and cross-attention op as it was before it
 # attended over each caption's distinct rows batch-wide. Samples run one at a
-# time over every caption row, repeats included, through ``model._attend``.
+# time over every caption row, repeats included, through ``_attend``: the
+# query-major, per-sample attention the model ran before its one batched
+# kernel.
+
+
+def _attend(enc, text, wq, wkv, wo, n_heads: int):
+    """Multi-head attention of one sample on plain arrays: ``enc`` rows
+    (T, d_model) are Queries over ``text`` rows (L, d_text) as Keys and
+    Values, with ``wkv = [Wk|Wv]``. Returns ``enc + merged @ wo`` and the
+    arrays :func:`_attend_grad` needs.
+
+    Head h owns columns ``h*d_k:(h+1)*d_k`` of q, k and v; the heads are
+    the leading axis of a (H, rows, d_k) view, so one batched matmul
+    scores them all and the merge is a reshape.
+    """
+    rows, d_model = enc.shape
+    d_k = d_model // n_heads
+
+    def heads(m):
+        return m.reshape(m.shape[0], n_heads, d_k).transpose(1, 0, 2)
+
+    kv = text @ wkv
+    qh, kh, vh = heads(enc @ wq), heads(kv[:, :d_model]), heads(kv[:, d_model:])
+    s = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_k))
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    att = e / e.sum(axis=2, keepdims=True)
+    merged = (att @ vh).transpose(1, 0, 2).reshape(rows, d_model)
+    return enc + merged @ wo, (qh, kh, vh, att, merged)
+
+
+def _attend_grad(g, enc, saved, wq, wo):
+    """Backward of :func:`_attend` for the output gradient ``g``: returns
+    the gradients of ``enc`` and ``wq``, of the projected rows ``[k|v]``
+    (L, 2*d_model), and of ``wo``. The caller turns the third into the
+    gradients of ``[Wk|Wv]`` (``text.T @ dkv``) and of the text."""
+    qh, kh, vh, att, merged = saved
+    n_heads, rows, d_k = qh.shape
+
+    def merge(m):
+        return m.transpose(1, 0, 2).reshape(m.shape[1], n_heads * d_k)
+
+    dm = (g @ wo.T).reshape(rows, n_heads, d_k).transpose(1, 0, 2)
+    da = dm @ vh.transpose(0, 2, 1)
+    ds = att * (da - (da * att).sum(axis=2, keepdims=True)) * (1.0 / math.sqrt(d_k))
+    dq = merge(ds @ kh)
+    dkv = np.concatenate([merge(ds.transpose(0, 2, 1) @ qh), merge(att.transpose(0, 2, 1) @ dm)], axis=1)
+    return g + dq @ wq.T, enc.T @ dq, dkv, merged.T @ g
 
 
 def front_ref(specs, raws, texts, params):
@@ -681,7 +728,7 @@ def front_ref(specs, raws, texts, params):
         elif x.shape[0] != out.shape[0]:
             raise ShapeMismatch("forward_batch requires equal-length sequences")
         enc = np.tanh(x @ we + be)
-        out[:, b], saved = md._attend(enc, text.astype(np.float64), wq, wkv, wo, cfg.n_heads)
+        out[:, b], saved = _attend(enc, text.astype(np.float64), wq, wkv, wo, cfg.n_heads)
         if kept is not None:
             kept.append((x, text, enc, saved))
 
@@ -689,7 +736,7 @@ def front_ref(specs, raws, texts, params):
         g = g.reshape(out.shape)
         dwe, dbe, dwq, dwkv, dwo = (np.zeros_like(w) for w in (we, be, wq, wkv, wo))
         for b, (x, text, enc, saved) in enumerate(kept):
-            denc, dwq_b, dkv, dwo_b = md._attend_grad(g[:, b], enc, saved, wq, wo)
+            denc, dwq_b, dkv, dwo_b = _attend_grad(g[:, b], enc, saved, wq, wo)
             dpre = denc * (1.0 - enc * enc)
             dwe += x.T @ dpre
             dbe += dpre.sum(axis=0)

@@ -809,6 +809,25 @@ class TestHostileInput:
         assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("empty", [("L",), ("Dt",), ("L", "Dt")], ids="+".join)
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_index_line_of_an_empty_block_exit_two(self, pipeline, tmp_path, capsys, command, empty):
+        # the only line names no clip of the protocol, so no block is read: its
+        # declared shape must still be one a block can have
+        emb, out = tmp_path / "emb.bin", tmp_path / "out"
+        emb.write_bytes(pipeline["emb"].read_bytes())
+        line = {"utt_id": "nobody", "offset": 0, "L": 4, "Dt": 32, "spans": [], **dict.fromkeys(empty, 0)}
+        (tmp_path / "emb.bin.index.jsonl").write_text(json.dumps(line) + "\n")
+        if command == "score":
+            argv = _score_argv(pipeline, emb, out)
+        else:
+            argv = ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(emb), "--track", "1", "--config", str(pipeline["config"]),
+                    "--out-ckpt", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["magic", "nan"])
     def test_damaged_block_of_an_unscored_clip_is_not_read(self, pipeline, tmp_path, damage):
         emb, out = _damaged_embedding_copy(pipeline, tmp_path, "train", damage=damage)

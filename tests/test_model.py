@@ -757,16 +757,21 @@ class TestDistinctRowFront:
         for name in want_grads:
             np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=1e-9, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    def test_each_sample_matches_cross_attention(self, n_heads):
-        # criterion 03 checks cross_attention; this ties the front to it
+    @pytest.mark.parametrize("n_heads,style,lengths", [
+        *((h, "templated", [3, 8, 1, 5, 4]) for h in (1, 2, 4)),
+        *((h, "distinct", [n]) for n in (1, 7, 32, 33, 70) for h in (1, 2, 4)),
+    ], ids=[*"124", *(f"distinct-{n}-{h}" for n in (1, 7, 32, 33, 70) for h in (1, 2, 4))])
+    def test_each_sample_matches_cross_attention(self, n_heads, style, lengths):
+        # criterion 03 checks cross_attention; this ties the front to it. Both
+        # run one attention kernel, so one sample over a caption whose rows
+        # never repeat is the same bytes, forward and in every weight gradient
         params = _perturbed_params(self._cfg(n_heads), seed=62)
         rng = np.random.default_rng(63)
-        lengths = [3, 8, 1, 5, 4]
         specs = [rng.normal(size=(5, 6)) for _ in lengths]
-        texts = _captions(rng, lengths, 7, "templated", "loaded")
+        texts = _captions(rng, lengths, 7, style, "loaded")
         mix = rng.normal(size=(5, len(lengths), 8))  # the output gradient, time-major
-        watched = [params[n] for n in ("enc_spec_w", "enc_spec_b", "Wq", "Wk", "Wv", "Wo")]
+        names = ("enc_spec_w", "enc_spec_b", "Wq", "Wk", "Wv", "Wo")
+        watched = [params[n] for n in names]
         with ad.Tape() as tape:
             out = md._front(specs, [None] * len(specs), texts, params)
             loss = ops.sum_all(ops.hadamard(out, Tensor(mix.reshape(-1, 8))))
@@ -778,6 +783,10 @@ class TestDistinctRowFront:
                                                     for b, p in enumerate(parts)]))
         ref_grads = ad.backward(tape, ref_loss)
         rows = out.values.reshape(5, len(lengths), 8)
+        if style == "distinct":
+            assert rows[:, 0].tobytes() == parts[0].values.tobytes()
+            for name, t in zip(names, watched):
+                assert grads[t].tobytes() == ref_grads[t].tobytes(), name
         for b, part in enumerate(parts):
             np.testing.assert_allclose(rows[:, b], part.values, rtol=0, atol=1e-12)
         for t in watched:
