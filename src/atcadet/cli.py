@@ -13,6 +13,7 @@ import os
 import click
 import numpy as np
 
+from . import __version__
 from . import corpus as cp
 from . import dsp
 from . import ensemble as es
@@ -36,12 +37,11 @@ from .metrics import Trial, compute_eer, merge_with_protocol, read_scores, write
 from .protocol import SPLITS, filter_split, read_protocol
 from .shares import run_shares
 
-PACKAGE_VERSION = "0.1.0"
 FORMAT_VERSIONS = (
     f"wav=pcm16 atfx={dsp.FEATURE_VERSION} "
     f"atck={md.CHECKPOINT_VERSION} aten={es.ENSEMBLE_VERSION}"
 )
-VERSION_STRING = f"{PACKAGE_VERSION} (formats: {FORMAT_VERSIONS})"
+VERSION_STRING = f"{__version__} (formats: {FORMAT_VERSIONS})"
 
 _RUN_CONFIG_SECTIONS = ("corpus", "model", "train", "ensemble")
 
@@ -361,6 +361,13 @@ def _read_score_sets(spec: str):
     return [read_scores(p) for p in paths]
 
 
+def _meta_examples(scores_spec, embeddings_path, protocol_path, split) -> list:
+    """The meta examples of one split: each base score file's scores and each clip's caption."""
+    entries = filter_split(read_protocol(protocol_path), split)
+    score_sets = _read_score_sets(scores_spec)
+    return es.build_meta_examples(score_sets, _load_embedding_map(embeddings_path, entries), entries)
+
+
 @cli.group(name="ensemble")
 def ensemble_group():
     """Stacked combination of base detector scores."""
@@ -391,10 +398,7 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     _guard_output(out_path, force)
-    entries = filter_split(read_protocol(protocol_path), split)
-    score_sets = _read_score_sets(scores_spec)
-    embeddings = _load_embedding_map(embeddings_path, entries)
-    examples = es.build_meta_examples(score_sets, embeddings, entries)
+    examples = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
     model = es.fit_stacked(examples, folds=folds, cfg=cfg)
     es.save_ensemble(out_path, model)
     weights = ", ".join(f"{w:.2f}" for w in model.combine_weights)
@@ -420,10 +424,7 @@ def ensemble_score(model_path, scores_spec, embeddings_path, protocol_path, spli
     """Score a split with a fitted ensemble over base score files."""
     _guard_output(out_path, force)
     model = es.load_ensemble(model_path)
-    entries = filter_split(read_protocol(protocol_path), split)
-    score_sets = _read_score_sets(scores_spec)
-    embeddings = _load_embedding_map(embeddings_path, entries)
-    examples = es.build_meta_examples(score_sets, embeddings, entries)
+    examples = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
     preds = es.predict_stacked(model, np.stack([es.feature_vector(ex) for ex in examples]))
     trials = [Trial(ex.utt_id, float(p)) for ex, p in zip(examples, preds)]
     write_scores(out_path, trials)

@@ -101,10 +101,6 @@ class FeatureMatrix:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_dims(self) -> int:
-        return self.values.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # WAV I/O

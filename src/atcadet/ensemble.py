@@ -62,13 +62,11 @@ def feature_vector(example: MetaExample) -> np.ndarray:
 
 
 def build_meta_examples(score_sets, embeddings, entries) -> list:
-    """Align B score lists with protocol entries and text embeddings.
+    """Align B score lists with protocol entries and an ``{utt_id: embedding}`` dict.
 
     Every score set must cover exactly the protocol's utterance set.
     Targets come from protocol labels (bonafide=1, spoof=0).
     """
-    if not isinstance(embeddings, dict):
-        embeddings = {e.utt_id: e for e in embeddings}
     protocol_utts = [e.utt_id for e in entries]
     want = set(protocol_utts)
     maps = []

@@ -184,7 +184,8 @@ def count_params_for(config: AtcaConfig) -> int:
 # Stages
 
 
-def _as_matrix(x, what: str) -> np.ndarray:
+def as_matrix(x, what: str) -> np.ndarray:
+    """``x``, a FeatureMatrix or 2-D array, as the matrix it holds (``dsp.held_values``)."""
     if isinstance(x, FeatureMatrix):
         return x.values
     values = held_values(x)
@@ -197,7 +198,7 @@ def _spec_values(spec, raw, cfg: AtcaConfig) -> np.ndarray:
     """A spectrogram's frames as held, (T, d_spec)."""
     if raw is not None:
         raise ShapeMismatch("raw-waveform features are not supported")
-    values = _as_matrix(spec, "spec features")
+    values = as_matrix(spec, "spec features")
     if values.shape[1] != cfg.d_spec:
         raise ShapeMismatch(f"spec features have {values.shape[1]} dims, config wants {cfg.d_spec}")
     return values
@@ -224,7 +225,7 @@ def _text_input(text, cfg: AtcaConfig) -> np.ndarray:
     elif isinstance(text, TextEmbedding):
         values = text.matrix
     else:
-        values = _as_matrix(text, "text embedding")
+        values = as_matrix(text, "text embedding")
     if values.ndim != 2 or values.shape[1] != cfg.d_text:
         raise ShapeMismatch(f"text embedding has shape {values.shape}, config wants {cfg.d_text} columns")
     return values
@@ -241,7 +242,7 @@ def check_inputs(specs, texts, params: AtcaParams) -> None:
     smallest and largest value do; only those are standardized here.
     TextEmbedding matrices were checked when they were built.
     """
-    mats = [_as_matrix(spec, "spec features") for spec in specs]
+    mats = [as_matrix(spec, "spec features") for spec in specs]
     # min and max carry a NaN through
     if not all(np.isfinite(_spec_input(np.stack([m.min(axis=0), m.max(axis=0)]), None, params)).all()
                for m in mats if len(m)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +21,7 @@ from .errors import (
     BadConfig,
     BadHeader,
     BadJson,
+    DimMismatch,
     DuplicateUtt,
     EmptyCaption,
     MissingEmbedding,
@@ -377,13 +377,11 @@ def _read_index(path) -> list:
 
 def _read_blocks(path, entries) -> tuple:
     """The blocks of ``entries``, checked, copied as they are read into one
-    buffer per width, sized from the index: each width's buffer and the
-    number of rows in it, and each entry's width, first row and spans."""
-    room = Counter()  # the rows the index declares for each width
-    for entry in entries:
-        room[entry["Dt"]] += entry["L"]
+    float32 buffer sized from the index, each as wide as the first: the
+    buffer's rows, and each entry's first row and spans."""
+    room = sum(entry["L"] for entry in entries)  # the rows the index declares
     payload_size = os.path.getsize(path)
-    held, read = {}, []
+    buf, count, read = None, 0, []
     with open(path, "rb") as fh:
         for entry in entries:
             utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
@@ -392,34 +390,38 @@ def _read_blocks(path, entries) -> tuple:
             if values.shape != (rows, dims):
                 raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
                                     f"block is {values.shape[0]}x{values.shape[1]}")
+            if buf is None:
+                buf = values[:0]
+            elif dims != buf.shape[1]:
+                raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, not {buf.shape[1]}")
             _checked_matrix(utt, values)
             spans = _checked_spans(utt, entry["spans"], rows)
-            buf, count = held.get(dims, (values[:0], 0))
-            if count + rows > len(buf):  # a width's first block, or lines that share blocks
+            if count + rows > len(buf):  # the first block, or lines that share blocks
                 # never past what the payload holds, whatever the index declares
                 grown = np.empty((max(count + rows, 2 * len(buf),
-                                      min(room[dims], payload_size // (4 * dims))), dims), buf.dtype)
+                                      min(room, payload_size // (4 * dims))), dims), buf.dtype)
                 grown[:count] = buf[:count]
                 buf = grown
             buf[count : count + rows] = values
-            held[dims] = (buf, count + rows)
-            read.append((dims, count, spans))
-    return held, read
+            read.append((count, spans))
+            count += rows
+    return buf[:count], read
 
 
 def load_embeddings(path, utt_ids=None) -> list:
     """The embeddings of ``path`` in index order. Every index line is
     checked; only the blocks of ``utt_ids`` are read and returned, or every
-    block when ``utt_ids`` is None. The embeddings of one width share one
-    table of the distinct rows of their blocks (:func:`_intern`)."""
+    block when ``utt_ids`` is None. The blocks read share one width (else
+    DimMismatch) and one table of their distinct rows (:func:`_intern`)."""
     entries = _read_index(path)
     if utt_ids is not None:
         entries = [e for e in entries if e["utt_id"] in utt_ids]
-    held, read = _read_blocks(path, entries)
-    done = {dims: _intern(buf[:count]) for dims, (buf, count) in held.items()}
-    return [TextEmbedding.from_rows(entry["utt_id"], done[dims][0],
-                                    done[dims][1][at : at + entry["L"]], spans)
-            for (dims, at, spans), entry in zip(read, entries)]
+    if not entries:
+        return []
+    rows, read = _read_blocks(path, entries)
+    table, ids = _intern(rows)
+    return [TextEmbedding.from_rows(entry["utt_id"], table, ids[at : at + entry["L"]], spans)
+            for (at, spans), entry in zip(read, entries)]
 
 
 def embedding_width(path, default: int) -> int:

@@ -129,10 +129,6 @@ def _check_coverage(entries, features, embeddings):
             raise MissingEmbedding(f"no embedding for {e.utt_id!r}")
 
 
-def _spec_matrix(feat) -> np.ndarray:
-    return feat.values if hasattr(feat, "values") else np.asarray(feat, dtype=np.float64)
-
-
 def _batches_same_length(indices, lengths, batch_size):
     """Chunk shuffled indices into batches of equal sequence length."""
     groups = {}
@@ -226,7 +222,7 @@ def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaCon
         )
     params = md.AtcaParams.init(model_cfg, seed=cfg.seed)
 
-    spec_mats = [_spec_matrix(features[e.utt_id]) for e in train_e]
+    spec_mats = [md.as_matrix(features[e.utt_id], "spec features") for e in train_e]
     texts = [embeddings[e.utt_id] for e in train_e]
     labels = np.array([0 if e.label == "bonafide" else 1 for e in train_e], dtype=np.int64)
     _fit_normalizers(params, spec_mats)
@@ -287,7 +283,7 @@ def score_protocol(params, entries, features, embeddings):
         return []
     _check_coverage(entries, features, embeddings)
     texts = [embeddings[e.utt_id] for e in entries]
-    spec_mats = [_spec_matrix(features[e.utt_id]) for e in entries]
+    spec_mats = [md.as_matrix(features[e.utt_id], "spec features") for e in entries]
     md.check_inputs(spec_mats, texts, params)
     lengths = [m.shape[0] for m in spec_mats]
     scores = np.empty(len(entries))

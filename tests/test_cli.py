@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import atcadet
 import atcadet.cli as cli
 import atcadet.dsp as dsp
 import atcadet.errors as errors
@@ -828,6 +829,30 @@ class TestHostileInput:
         assert capsys.readouterr().err.startswith("ERROR BAD_JSON:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "score", "ensemble_fit", "ensemble_score"])
+    def test_blocks_of_two_widths_exit_two(self, pipeline, tmp_path, capsys, command):
+        # every other block cut to half its width: each call reads both widths
+        emb, out = tmp_path / "emb.bin", tmp_path / "out"
+        tx.write_embeddings(str(emb), [
+            tx.TextEmbedding(e.utt_id, e.matrix[:, :16] if i % 2 else e.matrix, e.style_spans)
+            for i, e in enumerate(tx.load_embeddings(str(pipeline["emb"])))])
+        if command == "train":
+            argv = ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(emb), "--track", "1", "--config", str(pipeline["config"]),
+                    "--out-ckpt", str(out)]
+        elif command == "score":
+            argv = _score_argv(pipeline, emb, out)
+        elif command == "ensemble_fit":
+            argv = ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(emb), "--protocol", pipeline["protocol"], "--split", "dev",
+                    "--folds", "3", "--seed", "0", "--out", str(out)]
+        else:
+            argv = _ensemble_score_argv(pipeline, pipeline["stack"], out)
+            argv[argv.index("--embeddings") + 1] = str(emb)
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("ERROR DIM_MISMATCH:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["magic", "nan"])
     def test_damaged_block_of_an_unscored_clip_is_not_read(self, pipeline, tmp_path, damage):
         emb, out = _damaged_embedding_copy(pipeline, tmp_path, "train", damage=damage)
@@ -985,6 +1010,23 @@ class TestStartup:
             [sys.executable, "-c", f"import sys, atcadet.cli; print([m in sys.modules for m in {lazy}])"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == str([False] * len(lazy))
+
+
+    def test_package_import_loads_no_module_of_its_own_or_numpy(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = ("import sys, atcadet; "
+                  "print(sorted(m for m in sys.modules if m.startswith(('atcadet.', 'numpy'))))")
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_one_version_in_the_cli_the_package_and_pyproject(self, capsys):
+        pyproject = os.path.join(os.path.dirname(cli.__file__), "..", "..", "pyproject.toml")
+        with open(pyproject, encoding="utf-8") as fh:
+            declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE).group(1)
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out.startswith(f"atcadet {declared} (formats:")
+        assert atcadet.__version__ == declared
 
 
 class TestSynthImports:

@@ -141,7 +141,7 @@ class TestStft:
 
     def test_silence(self):
         m = dsp.stft_logmel(Waveform(np.zeros(4096), 44100))
-        assert m.n_dims == 64
+        assert m.values.shape[1] == 64
         np.testing.assert_array_equal(m.values, math.log(1e-10))
 
     def test_determinism(self):

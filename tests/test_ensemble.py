@@ -76,16 +76,15 @@ class TestMetaExamples:
     def test_build_feature_length_is_bases_plus_text_dim(self):
         entries = _entries(["bonafide", "spoof"])
         sets = [[Trial("u0", 0.0), Trial("u1", 1.0)] for _ in range(3)]
-        embs = [_embedding("u0", np.zeros(7)), _embedding("u1", np.ones(7))]
+        embs = {"u0": _embedding("u0", np.zeros(7)), "u1": _embedding("u1", np.ones(7))}
         examples = es.build_meta_examples(sets, embs, entries)
         assert all(len(es.feature_vector(e)) == 3 + 7 for e in examples)
 
-    def test_build_accepts_embedding_list_or_dict(self):
+    def test_build_takes_an_embedding_dict(self):
         entries = _entries(["bonafide"])
         sets = [[Trial("u0", 0.5)]]
-        as_list = es.build_meta_examples(sets, [_embedding("u0", [1.0])], entries)
         as_dict = es.build_meta_examples(sets, {"u0": _embedding("u0", [1.0])}, entries)
-        assert as_list[0].text_feat.tolist() == as_dict[0].text_feat.tolist()
+        assert as_dict[0].text_feat.tolist() == [1.0]
 
     def test_coverage_mismatch_missing_and_extra(self):
         entries = _entries(["bonafide", "spoof"])

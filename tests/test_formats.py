@@ -13,6 +13,7 @@ format.
 """
 
 import ast
+import functools
 import json
 from pathlib import Path
 
@@ -202,20 +203,19 @@ def _cli_inputs(root):
     return {"train": (train, {"u0", "u1", "u2", "u3"}), "score": (score, {"u2", "u3"})}
 
 
-@pytest.mark.parametrize("target", ["emb.bin", "emb.bin.index.jsonl"], ids=["payload", "index"])
-def test_truncated_or_flipped_embeddings_exit_two_through_the_cli(tmp_path, capsys, target):
-    # each damaged file the loader rejects, for the clips a command reads,
-    # fails that command with exit 2 and the loader's typed error
-    commands = _cli_inputs(tmp_path)
-    for argv, _ in commands.values():
+def _rejects_through_the_cli(damaged, commands, capsys):
+    """Damage the file ``damaged`` every way ``_damaged`` does, and run each
+    of ``commands``, (name, argument list, loader call) triples, on each
+    damaged file its loader call rejects. Returns the number of such runs
+    and one line for each that did not exit 2 with the loader's typed error."""
+    for _, argv, _ in commands:
         assert cli.main(argv) == 0
-    damaged = tmp_path / target
     failures, rejected = [], 0
     for label, data in _damaged(damaged.read_bytes()):
         damaged.write_bytes(data)
-        for name, (argv, clips) in commands.items():
+        for name, argv, load in commands:
             try:
-                tx.load_embeddings(tmp_path / "emb.bin", clips)
+                load()
                 continue
             except AtcadetError as exc:
                 want = f"ERROR {exc.code}:"
@@ -225,6 +225,47 @@ def test_truncated_or_flipped_embeddings_exit_two_through_the_cli(tmp_path, caps
             rejected += 1
             if code != 2 or not err.startswith(want):
                 failures.append(f"{label}, {name}: exit {code}, {err.strip()!r}, wanted {want}")
+    return rejected, failures
+
+
+@pytest.mark.parametrize("target", ["emb.bin", "emb.bin.index.jsonl"], ids=["payload", "index"])
+def test_truncated_or_flipped_embeddings_exit_two_through_the_cli(tmp_path, capsys, target):
+    # each damaged file the loader rejects, for the clips a command reads,
+    # fails that command with exit 2 and the loader's typed error
+    commands = [(name, argv, functools.partial(tx.load_embeddings, tmp_path / "emb.bin", clips))
+                for name, (argv, clips) in _cli_inputs(tmp_path).items()]
+    rejected, failures = _rejects_through_the_cli(tmp_path / target, commands, capsys)
+    assert rejected > 100
+    assert failures == []
+
+
+def _model_file_inputs(root):
+    """``_cli_inputs``' clips, with an ensemble over two dev score files and
+    their 2-wide captions; for each command that loads a checkpoint or an
+    ensemble, the file it loads and its (name, argument list, loader call)."""
+    commands = {name: argv for name, (argv, _) in _cli_inputs(root).items()}
+    ckpt, stack = root / "model.atck", root / "stack.aten"
+    _ensemble(stack)
+    write_scores(root / "a.tsv", [Trial("u2", 0.25), Trial("u3", -1.5)])
+    write_scores(root / "b.tsv", [Trial("u2", 3.0), Trial("u3", 0.5)])
+    ensemble_score = ["ensemble", "score", "--model", str(stack),
+                      "--scores", f"{root / 'a.tsv'},{root / 'b.tsv'}",
+                      "--embeddings", str(root / "emb.bin"),
+                      "--protocol", str(root / "protocol_track1.tsv"), "--split", "dev",
+                      "--out", str(root / "ens.tsv"), "--force"]
+    load_ckpt = functools.partial(md.load_checkpoint, ckpt)
+    return {"params": (ckpt, ("params", ["params", "--ckpt", str(ckpt)], load_ckpt)),
+            "score": (ckpt, ("score", commands["score"], load_ckpt)),
+            "ensemble_score": (stack, ("ensemble_score", ensemble_score,
+                                       functools.partial(es.load_ensemble, stack)))}
+
+
+@pytest.mark.parametrize("command", ["params", "score", "ensemble_score"])
+def test_truncated_or_flipped_model_file_exits_two_through_the_cli(tmp_path, capsys, command):
+    # each damaged checkpoint or ensemble its loader rejects fails the
+    # command that loads it with exit 2 and the loader's typed error
+    damaged, call = _model_file_inputs(tmp_path)[command]
+    rejected, failures = _rejects_through_the_cli(damaged, [call], capsys)
     assert rejected > 100
     assert failures == []
 

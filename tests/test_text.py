@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from atcadet import text as tx
 from atcadet.errors import (
     BadJson,
+    DimMismatch,
     DuplicateUtt,
     BadHeader,
     EmptyCaption,
@@ -325,21 +326,28 @@ class TestRowInterning:
         for p, block_ids in zip(picks, ids):
             np.testing.assert_array_equal(block_ids, p)
 
-    def test_load_shares_one_table_per_width(self, tmp_path):
+    def test_load_shares_one_table_of_one_width(self, tmp_path):
         pool = _pool(3)
         embs = [TextEmbedding(f"u{i}", pool[p], ()) for i, p in enumerate([[0, 1, 0], [1, 2], [0]])]
-        embs.append(TextEmbedding("w", np.ones((2, 3), np.float32), ()))
         p = tmp_path / "emb.bin"
         tx.write_embeddings(p, embs)
         loaded = tx.load_embeddings(p)
         assert loaded[0].table is loaded[1].table is loaded[2].table
-        assert len(loaded[0].table) == 3 and len(loaded[3].table) == 1
+        assert len(loaded[0].table) == 3
         for got, want in zip(loaded, embs):
             assert got.matrix.dtype == np.float32 and not got.matrix.flags.writeable
             assert got.matrix.tobytes() == want.matrix.astype(np.float32).tobytes()
         sub = tx.load_embeddings(p, {"u1"})
         assert len(sub[0].table) == 2
         np.testing.assert_array_equal(sub[0].ids, [0, 1])
+        # a block of another width is refused when read, and only then
+        tx.write_embeddings(p, [*embs, TextEmbedding("w", np.ones((2, 3), np.float32), ())])
+        with pytest.raises(DimMismatch):
+            tx.load_embeddings(p)
+        with pytest.raises(DimMismatch):
+            tx.load_embeddings(p, {"u1", "w"})
+        assert len(tx.load_embeddings(p, {"u0", "u1", "u2"})[0].table) == 3
+        assert tx.load_embeddings(p, {"w"})[0].matrix.tobytes() == np.ones((2, 3), np.float32).tobytes()
 
     def test_two_index_lines_over_one_block(self, tmp_path):
         rng = np.random.default_rng(4)
