@@ -143,11 +143,22 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
     return GradientMap(bufs, keep)
 
 
-def sigmoid_values(v: np.ndarray) -> np.ndarray:
-    """Logistic function on a plain array, overflow-free on both tails:
-    ``1/(1+e^-v)`` for v >= 0 and ``e^v/(1+e^v)`` below."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+def sigmoid_values(v: np.ndarray, out=None) -> np.ndarray:
+    """Logistic function on a plain array, as ``0.5 * tanh(0.5 * v) + 0.5``:
+    four in-place ops, written into ``out`` when given (it may be ``v``).
+
+    It does not overflow on either tail and stays within 2**-53 of the
+    exact logistic (the exp form ``1/(1+e^-v)`` it replaced is up to 1.5 *
+    2**-53 off it). It gives 0 where the logistic is below about 3e-17, on
+    the far negative tail: at v = -40 the exp form gave 4.2e-18. NaN
+    passes through.
+    """
+    with np.errstate(under="ignore"):  # halving a subnormal rounds, an underflow to numpy
+        out = np.multiply(v, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0  # then halved: the bytes of 0.5 * t + 0.5, and no underflow
+    out *= 0.5
+    return out
 
 
 def weighted_ce_logits(logits: Tensor, labels: np.ndarray, class_weights) -> Tensor:

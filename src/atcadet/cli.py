@@ -78,10 +78,10 @@ def _guard_output(path, force: bool) -> None:
 def _load_features(features_dir, entries) -> dict:
     feats = {}
     for e in entries:
-        path = os.path.join(features_dir, f"{e.utt_id}.atfx")
-        if not os.path.exists(path):
-            raise MissingFeature(f"no feature file for {e.utt_id!r} under {features_dir}")
-        feats[e.utt_id] = dsp.load_external_features(path)
+        try:
+            feats[e.utt_id] = dsp.load_external_features(os.path.join(features_dir, f"{e.utt_id}.atfx"))
+        except FileNotFoundError as exc:
+            raise MissingFeature(f"no feature file for {e.utt_id!r} under {features_dir}") from exc
     return feats
 
 

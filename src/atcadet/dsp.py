@@ -26,8 +26,9 @@ from .errors import (
     TruncatedFile,
     UnsupportedFormat,
     atomic_write,
+    check_head,
     read_exact,
-    read_head,
+    truncated,
 )
 
 FEATURE_VERSION = 1
@@ -277,14 +278,23 @@ def write_block(fh, values: np.ndarray) -> None:
     fh.write(values.tobytes(order="C"))
 
 
+def _block_shape(head: bytes, path) -> tuple:
+    """The rows and dims of the ATFX block whose first ``_BLOCK_HEAD.size``
+    bytes, or all there are, are ``head``, its magic and version checked."""
+    check_head(head, path, FEATURE_MAGIC, FEATURE_VERSION, "a feature block")
+    if len(head) < _BLOCK_HEAD.size:
+        raise truncated(path, "block shape")
+    _, _, rows, dims = _BLOCK_HEAD.unpack_from(head)
+    if rows < 1 or dims < 1:
+        raise BadHeader(f"{path}: empty matrix {rows}x{dims}")
+    return rows, dims
+
+
 def read_block(fh, path) -> np.ndarray:
     """The matrix of the ATFX block at ``fh``'s position, as the read-only
     little-endian float32 it stores. A payload shorter than its head
     declares is a ShapeMismatch."""
-    read_head(fh, path, FEATURE_MAGIC, FEATURE_VERSION, "a feature block")
-    rows, dims = struct.unpack("<II", read_exact(fh, 8, path, "block shape"))
-    if rows < 1 or dims < 1:
-        raise BadHeader(f"{path}: empty matrix {rows}x{dims}")
+    rows, dims = _block_shape(fh.read(_BLOCK_HEAD.size), path)
     try:
         payload = read_exact(fh, 4 * rows * dims, path, f"a {rows}x{dims} matrix")
     except TruncatedFile as exc:
@@ -301,10 +311,18 @@ def write_features(path, matrix: FeatureMatrix) -> None:
 
 
 def load_external_features(path) -> FeatureMatrix:
+    """The matrix of a feature file, its one ATFX block, read in one read
+    and checked as :func:`read_block` checks a block; data past the block
+    is a ShapeMismatch."""
     with open(path, "rb") as fh:
-        values = read_block(fh, path)
-        if fh.read(1):
-            raise ShapeMismatch(f"{path}: trailing data after the matrix")
+        data = fh.read()
+    rows, dims = _block_shape(data[: _BLOCK_HEAD.size], path)
+    end = _BLOCK_HEAD.size + 4 * rows * dims
+    if len(data) < end:
+        raise ShapeMismatch(truncated(path, f"a {rows}x{dims} matrix").message)
+    if len(data) > end:
+        raise ShapeMismatch(f"{path}: trailing data after the matrix")
+    values = np.frombuffer(data, "<f4", rows * dims, _BLOCK_HEAD.size).reshape(rows, dims)
     try:
         return FeatureMatrix(values)
     except NonFinite as exc:

@@ -35,13 +35,15 @@ def read_text(path, error) -> str:
         raise error(f"{path}: not UTF-8: {exc}") from exc
 
 
-def parse_json(text, where):
+def parse_json(text, where, lineno=None):
     """The JSON value in ``text`` (a str, or UTF-8 bytes); text that does
-    not parse, however deeply it nests, raises BadJson naming ``where``."""
+    not parse, however deeply it nests, raises BadJson naming ``where``,
+    as ``where:lineno`` when a line number is given."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 faults
-        raise BadJson(f"{where}: {exc}") from exc
+        at = where if lineno is None else f"{where}:{lineno}"
+        raise BadJson(f"{at}: {exc}") from exc
 
 
 def read_json(path):
@@ -60,18 +62,26 @@ def read_exact(fh, n: int, path, what: str) -> bytes:
         data = fh.read(n)
         if len(data) == n:
             return data
-    raise TruncatedFile(f"{path}: unexpected end of file while reading {what}")
+    raise truncated(path, what)
 
 
-def read_head(fh, path, magic: bytes, version: int, what: str) -> None:
-    """Check a binary file's magic and u32 version. Another format's magic
+def truncated(path, what: str) -> "TruncatedFile":
+    """The TruncatedFile of a file that ends while ``what`` is read."""
+    return TruncatedFile(f"{path}: unexpected end of file while reading {what}")
+
+
+def check_head(head: bytes, path, magic: bytes, version: int, what: str) -> None:
+    """Check the magic and u32 version a binary file opens with, given its
+    first eight bytes, or all it has, as ``head``. Another format's magic
     is WrongKind, any other BadHeader; ``what`` names the expected kind."""
-    found = fh.read(4)
+    found = head[:4]
     if found != magic:
         if found in MAGICS:
             raise WrongKind(f"{path}: this is a {found.decode()} file, not {what}")
         raise BadHeader(f"{path}: not {what}")
-    (found_version,) = struct.unpack("<I", read_exact(fh, 4, path, "version"))
+    if len(head) < 8:
+        raise truncated(path, "version")
+    (found_version,) = struct.unpack_from("<I", head, 4)
     if found_version != version:
         raise BadHeader(f"{path}: unsupported {what} version {found_version}")
 
@@ -85,7 +95,7 @@ def write_blob(fh, magic: bytes, version: int, blob: bytes) -> None:
 
 def read_blob(fh, path, magic: bytes, version: int, what: str) -> bytes:
     """The blob :func:`write_blob` wrote, its head checked."""
-    read_head(fh, path, magic, version, what)
+    check_head(fh.read(8), path, magic, version, what)
     (length,) = struct.unpack("<I", read_exact(fh, 4, path, "blob length"))
     return read_exact(fh, length, path, f"{what} blob")
 

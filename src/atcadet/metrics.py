@@ -99,11 +99,11 @@ def write_scores(path, trials) -> None:
 
 def read_scores(path) -> list:
     trials = []
-    for where, (utt_id, raw) in read_tsv(path, 2):
+    for lineno, (utt_id, raw) in read_tsv(path, 2):
         try:
             score = float(raw)
         except ValueError as exc:
-            raise BadProtocol(f"{where}: bad score {raw!r}") from exc
+            raise BadProtocol(f"{path}:{lineno}: bad score {raw!r}") from exc
         trials.append(Trial(utt_id, score))
     return trials
 

@@ -237,17 +237,22 @@ def check_inputs(specs, texts, params: AtcaParams) -> None:
     inputs: ``train`` and ``score_protocol`` call this once per call
     instead of on every step.
 
-    Standardizing and its rounding are monotonic in each column, so a
-    spectrogram's frames all stay finite exactly when each column's
-    smallest and largest value do; only those are standardized here.
-    TextEmbedding matrices were checked when they were built.
+    Standardizing and its rounding are monotonic in each column, so the
+    frames of all the spectrograms stay finite exactly when each column's
+    smallest and largest value over all of them do: only those two rows
+    are standardized here, once per call. TextEmbedding matrices were
+    checked when they were built.
     """
-    mats = [as_matrix(spec, "spec features") for spec in specs]
-    # min and max carry a NaN through
-    if not all(np.isfinite(_spec_input(np.stack([m.min(axis=0), m.max(axis=0)]), None, params)).all()
-               for m in mats if len(m)):
-        raise NonFinite("standardized spectrogram frames must be finite")
     cfg = params.config
+    mats = [m for m in (_spec_values(spec, None, cfg) for spec in specs) if len(m)]
+    if mats:
+        # min and max carry a NaN through; an overflow is the verdict, not a warning
+        extremes = np.stack([np.min([m.min(axis=0) for m in mats], axis=0),
+                             np.max([m.max(axis=0) for m in mats], axis=0)])
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(_standardize(extremes, params)).all()
+        if not finite:
+            raise NonFinite("standardized spectrogram frames must be finite")
     if not all(isinstance(t, TextEmbedding) or np.isfinite(_text_input(t, cfg)).all() for t in texts):
         raise NonFinite("caption embeddings must be finite")
 
@@ -496,6 +501,13 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
     the weight and input gradients from those blocks, so it needs no
     whole-run copies.
 
+    Each iteration writes its z and r gates into its gate slot with the
+    tanh form of ``ad.sigmoid_values``, and its new state as ``c + z * (h
+    - c)`` in three in-place ops. These round unlike the exp-form gate and
+    ``z * h + (1 - z) * c`` they replaced (a gate at a pre-activation of
+    -40 is now 0, not 4.2e-18); the backward sweep reads z, r, c and h as
+    stored, so it is unchanged.
+
     Only the backward sweep and ``collect`` read past iterations. While a
     tape records or ``collect`` is given, every iteration keeps its ``ext``,
     gates and candidate, and ``x`` is copied into ``ext`` in one go.
@@ -545,10 +557,11 @@ def _run_gru(x: Tensor, params: AtcaParams, batch: int, h0=None, collect=None) -
             ext[i, lh:-1] = xs[k].T if k < steps else 0.0
         h = ext[i, :lh]
         pre = e @ ext[i]
-        gates[g] = ad.sigmoid_values(pre[: 2 * lh])
-        z, r = gates[g, :lh], gates[g, lh:]
-        np.tanh(pre[2 * lh :] + uh @ (r * h), out=cand[g])
-        np.add(z * h, (1.0 - z) * cand[g], out=ext[j, :lh])
+        z, r = ad.sigmoid_values(pre[: 2 * lh], out=gates[g])[:lh], gates[g, lh:]
+        c = np.tanh(pre[2 * lh :] + uh @ (r * h), out=cand[g])
+        h_next = np.subtract(h, c, out=ext[j, :lh])
+        h_next *= z
+        h_next += c
         if k < n_layers - 1:  # the layers above k have not started
             ext[j, (k + 1) * hid : lh] = init[(k + 1) * hid :]
 

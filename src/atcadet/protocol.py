@@ -32,21 +32,20 @@ class ProtocolEntry:
 
 
 def read_tsv(path, n_cols: int):
-    """Yield ``(where, cols)`` for each non-empty line of a headerless
-    UTF-8 TSV file, ``where`` being ``path:lineno``. Each line must hold
-    ``n_cols`` columns, the first an utt_id no earlier line holds."""
+    """Yield ``(lineno, cols)`` for each non-empty line of a headerless
+    UTF-8 TSV file; errors name the line as ``path:lineno``. Each line must
+    hold ``n_cols`` columns, the first an utt_id no earlier line holds."""
     seen = set()
     for lineno, line in enumerate(read_text(path, BadProtocol).split("\n"), start=1):
         if not line:
             continue
-        where = f"{path}:{lineno}"
         cols = line.split("\t")
         if len(cols) != n_cols:
-            raise BadProtocol(f"{where}: expected {n_cols} tab-separated columns, got {len(cols)}")
+            raise BadProtocol(f"{path}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}")
         if cols[0] in seen:
-            raise DuplicateUtt(f"{where}: duplicate utt_id {cols[0]!r}")
+            raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {cols[0]!r}")
         seen.add(cols[0])
-        yield where, cols
+        yield lineno, cols
 
 
 def read_protocol(path) -> list:

@@ -330,27 +330,31 @@ def write_embeddings(path, embeddings) -> None:
     write_embedding_index(index, write_embedding_payload(path, embeddings))
 
 
+# the types of a span's [style, start, end], as json.loads gives them
+_SPAN_TYPES = [str, int, int]
+
+
 def _is_index_entry(obj) -> bool:
     """True when obj has a string utt_id, an integer offset >= 0, integer
     L and Dt >= 1, as a block's shape is, and spans as a list of [style,
-    start, end] triples."""
-    return (
-        isinstance(obj, dict)
-        and isinstance(obj.get("utt_id"), str)
-        and all(type(obj.get(k)) is int and obj[k] >= least
-                for k, least in (("offset", 0), ("L", 1), ("Dt", 1)))
-        and isinstance(obj.get("spans"), list)
-        and all(
-            isinstance(sp, list) and len(sp) == 3 and isinstance(sp[0], str)
-            and type(sp[1]) is int and type(sp[2]) is int
-            for sp in obj["spans"]
-        )
-    )
+    start, end] triples. Types are those ``json.loads`` builds, so each is
+    tested exactly (a bool is no int here)."""
+    if type(obj) is not dict:
+        return False
+    offset, rows, dims, spans = obj.get("offset"), obj.get("L"), obj.get("Dt"), obj.get("spans")
+    if not (type(obj.get("utt_id")) is str and type(offset) is int and type(rows) is int
+            and type(dims) is int and type(spans) is list and offset >= 0 and rows >= 1 and dims >= 1):
+        return False
+    for span in spans:
+        if type(span) is not list or list(map(type, span)) != _SPAN_TYPES:
+            return False
+    return True
 
 
 def _read_index(path) -> list:
     """Index entries in file order, each line checked against the schema
-    write_embeddings produces and its offset against the payload size."""
+    write_embeddings produces and its offset against the payload size.
+    Each line is parsed alone: a value may not run on past its line."""
     where = index_path_for(path)
     try:
         lines = read_text(where, BadJson).split("\n")
@@ -360,9 +364,9 @@ def _read_index(path) -> list:
     entries = []
     seen = set()
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
-        obj = parse_json(line, f"{where}:{lineno}")
+        obj = parse_json(line, where, lineno)
         if not _is_index_entry(obj):
             raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L, Dt and spans fields")
         if obj["offset"] >= payload_size:

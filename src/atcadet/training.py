@@ -32,6 +32,7 @@ from .errors import (
 )
 from .metrics import Trial, compute_eer
 from .protocol import filter_split
+from .text import TextEmbedding
 
 
 @dataclass(frozen=True)
@@ -302,6 +303,8 @@ def score_protocol(params, entries, features, embeddings):
 
 
 def ablate_text(params, entries, features):
-    """Score with captions replaced by one zero token (audio-only path)."""
-    zero = np.zeros((1, params.config.d_text))
+    """Score with captions replaced by one zero token (audio-only path).
+    Every clip shares one TextEmbedding, so the front end projects the
+    zero row once per piece and ``check_inputs`` has no caption to check."""
+    zero = TextEmbedding("ablated", np.zeros((1, params.config.d_text)), ())
     return score_protocol(params, entries, features, {e.utt_id: zero for e in entries})

@@ -9,7 +9,11 @@ every caption row, with its own query-major attention, instead of the
 model's one batched kernel over each caption's distinct rows, the fake
 families written out one kind at a time instead of the corpus's parameter
 table, and a feature-block reader that widens to float64 instead of
-keeping the float32 the block stores.
+keeping the float32 the block stores. The GRU references gate with the
+exp-form logistic the model used before its tanh form. The embedding
+index, feature file and TSV loaders are kept as they were before they
+shed their per-line and per-read overhead, so that damaged files can be
+run through both.
 
 It also holds the log-mel linear baseline, a ridge fit on per-clip log-mel
 statistics that no CLI stage produces: the stacking criteria compare the
@@ -19,6 +23,8 @@ probe the memory guards share.
 
 import gc
 import math
+import os
+import struct
 import tracemalloc
 from dataclasses import dataclass
 
@@ -28,10 +34,29 @@ from atcadet import autodiff as ad
 from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet import model as md
+from atcadet import text as tx
 from atcadet.autodiff import Tensor
 from atcadet.ensemble import RidgeModel, fit_ridge, predict_ridge
-from atcadet.errors import EmptySplit, MissingFeature, ShapeMismatch
+from atcadet.errors import (
+    FEATURE_MAGIC,
+    MAGICS,
+    BadHeader,
+    BadJson,
+    BadProtocol,
+    DuplicateUtt,
+    EmptySplit,
+    MissingEmbedding,
+    MissingFeature,
+    NonFinite,
+    ShapeMismatch,
+    TruncatedFile,
+    WrongKind,
+    parse_json,
+    read_exact,
+    read_text,
+)
 from atcadet.metrics import Trial
+from atcadet.protocol import ProtocolEntry
 
 
 def fd_gradients(loss_fn, tensors, h=1e-5):
@@ -416,8 +441,15 @@ def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return ad._result(out_v, (x,), bwd)
 
 
+def sigmoid_values_ref(v: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, overflow-free on both tails:
+    ``1/(1+e^-v)`` for v >= 0 and ``e^v/(1+e^v)`` below."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    out_v = ad.sigmoid_values(x.values)
+    out_v = sigmoid_values_ref(x.values)
 
     def bwd(g, get_buf):
         gx = get_buf(x)
@@ -612,7 +644,7 @@ def gru_layer_ref(params, layer, x, batch, h0):
     cand = np.empty((steps, batch, hid))
     for t in range(steps):
         h = states[t]
-        gates[t] = ad.sigmoid_values(proj[t, :, : 2 * hid] + h @ u)
+        gates[t] = sigmoid_values_ref(proj[t, :, : 2 * hid] + h @ u)
         z, r = gates[t, :, :hid], gates[t, :, hid:]
         cand[t] = np.tanh(proj[t, :, 2 * hid :] + (r * h) @ uh)
         states[t + 1] = z * h + (1.0 - z) * cand[t]
@@ -819,12 +851,143 @@ def apply_fake_ref(wave, kind, params, seed):
 
 
 _read_block = dsp.read_block  # the reader as imported, whatever a test patches in later
+_load_features = dsp.load_external_features
 
 
 def read_block_f64_ref(fh, path):
     """The ATFX block reader as it was before loaded matrices stayed
     float32: the block's matrix widened to a float64 copy."""
     return _read_block(fh, path).astype(np.float64)
+
+
+def load_external_features_f64_ref(path):
+    """The feature-file loader as it was before loaded matrices stayed
+    float32: the file's matrix widened to a float64 copy."""
+    return dsp.FeatureMatrix(_load_features(path).values.astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# Loaders as they were before each shed its per-line or per-read overhead:
+# the embedding index parsed and type-checked line by line with generator
+# expressions, the feature file read field by field, and each TSV line's
+# ``path:lineno`` built before it was checked.
+
+
+def _is_index_entry_ref(obj) -> bool:
+    """True when obj has a string utt_id, an integer offset >= 0, integer
+    L and Dt >= 1, as a block's shape is, and spans as a list of [style,
+    start, end] triples."""
+    return (
+        isinstance(obj, dict)
+        and isinstance(obj.get("utt_id"), str)
+        and all(type(obj.get(k)) is int and obj[k] >= least
+                for k, least in (("offset", 0), ("L", 1), ("Dt", 1)))
+        and isinstance(obj.get("spans"), list)
+        and all(
+            isinstance(sp, list) and len(sp) == 3 and isinstance(sp[0], str)
+            and type(sp[1]) is int and type(sp[2]) is int
+            for sp in obj["spans"]
+        )
+    )
+
+
+def read_index_ref(path) -> list:
+    """Index entries in file order, each line checked against the schema
+    write_embeddings produces and its offset against the payload size."""
+    where = tx.index_path_for(path)
+    try:
+        lines = read_text(where, BadJson).split("\n")
+    except FileNotFoundError as exc:
+        raise MissingEmbedding(f"{where}: index sidecar not found") from exc
+    payload_size = os.path.getsize(path)
+    entries = []
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        obj = parse_json(line, f"{where}:{lineno}")
+        if not _is_index_entry_ref(obj):
+            raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L, Dt and spans fields")
+        if obj["offset"] >= payload_size:
+            raise BadHeader(f"{where}:{lineno}: offset {obj['offset']} lies past the payload end")
+        utt = obj["utt_id"]
+        if utt in seen:
+            raise DuplicateUtt(f"{where}:{lineno}: duplicate utt_id {utt!r}")
+        seen.add(utt)
+        entries.append(obj)
+    return entries
+
+
+def _read_head_ref(fh, path, magic: bytes, version: int, what: str) -> None:
+    """Check a binary file's magic and u32 version. Another format's magic
+    is WrongKind, any other BadHeader; ``what`` names the expected kind."""
+    found = fh.read(4)
+    if found != magic:
+        if found in MAGICS:
+            raise WrongKind(f"{path}: this is a {found.decode()} file, not {what}")
+        raise BadHeader(f"{path}: not {what}")
+    (found_version,) = struct.unpack("<I", read_exact(fh, 4, path, "version"))
+    if found_version != version:
+        raise BadHeader(f"{path}: unsupported {what} version {found_version}")
+
+
+def _read_block_ref(fh, path) -> np.ndarray:
+    """The matrix of the ATFX block at ``fh``'s position, as the read-only
+    little-endian float32 it stores. A payload shorter than its head
+    declares is a ShapeMismatch."""
+    _read_head_ref(fh, path, FEATURE_MAGIC, dsp.FEATURE_VERSION, "a feature block")
+    rows, dims = struct.unpack("<II", read_exact(fh, 8, path, "block shape"))
+    if rows < 1 or dims < 1:
+        raise BadHeader(f"{path}: empty matrix {rows}x{dims}")
+    try:
+        payload = read_exact(fh, 4 * rows * dims, path, f"a {rows}x{dims} matrix")
+    except TruncatedFile as exc:
+        raise ShapeMismatch(exc.message) from exc
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, dims)
+
+
+def load_external_features_ref(path) -> dsp.FeatureMatrix:
+    with open(path, "rb") as fh:
+        values = _read_block_ref(fh, path)
+        if fh.read(1):
+            raise ShapeMismatch(f"{path}: trailing data after the matrix")
+    try:
+        return dsp.FeatureMatrix(values)
+    except NonFinite as exc:
+        raise NonFinite(f"{path}: {exc.message}") from exc
+
+
+def read_tsv_ref(path, n_cols: int):
+    """Yield ``(where, cols)`` for each non-empty line of a headerless
+    UTF-8 TSV file, ``where`` being ``path:lineno``. Each line must hold
+    ``n_cols`` columns, the first an utt_id no earlier line holds."""
+    seen = set()
+    for lineno, line in enumerate(read_text(path, BadProtocol).split("\n"), start=1):
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise BadProtocol(f"{where}: expected {n_cols} tab-separated columns, got {len(cols)}")
+        if cols[0] in seen:
+            raise DuplicateUtt(f"{where}: duplicate utt_id {cols[0]!r}")
+        seen.add(cols[0])
+        yield where, cols
+
+
+def read_protocol_ref(path) -> list:
+    return [ProtocolEntry(*cols) for _, cols in read_tsv_ref(path, 5)]
+
+
+def read_scores_ref(path) -> list:
+    trials = []
+    for where, (utt_id, raw) in read_tsv_ref(path, 2):
+        try:
+            score = float(raw)
+        except ValueError as exc:
+            raise BadProtocol(f"{where}: bad score {raw!r}") from exc
+        trials.append(Trial(utt_id, score))
+    return trials
 
 
 # ---------------------------------------------------------------------------

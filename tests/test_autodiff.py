@@ -4,6 +4,7 @@ values and gradients."""
 
 import inspect
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -235,6 +236,60 @@ class TestTapeBehaviour:
         x = Tensor(rng.normal(size=(8, 8)) * 50)
         for op in (ops.sigmoid, ops.tanh, ops.softmax_rows):
             assert np.all(np.isfinite(op(x).values))
+
+
+class TestSigmoidValues:
+    """The tanh-form logistic against the logistic worked out to 40 digits
+    and against the exp form it replaced (``_oracles``), over a sweep that
+    takes in both tails, ±1e308, ±inf, ±0.0 and subnormals."""
+
+    EDGES = [1e308, -1e308, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+
+    def _sweep(self):
+        rng = np.random.default_rng(11)
+        return np.concatenate([np.linspace(-50.0, 50.0, 20001), rng.normal(scale=8.0, size=20000),
+                               self.EDGES])
+
+    def test_within_2_pow_minus_53_of_the_logistic(self):
+        v = self._sweep()
+        got = ad.sigmoid_values(v)
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for x, y in zip(v.tolist(), got.tolist()):
+                e = Decimal(-abs(x)).exp()  # of a number <= 0: no overflow
+                truth = 1 / (1 + e) if x >= 0 else e / (1 + e)
+                worst = max(worst, abs(Decimal(y) - truth))
+        assert worst <= Decimal(2.0**-53)
+
+    def test_near_the_exp_form_and_equal_at_the_edges(self):
+        # each form rounds: the exp form is off the logistic by up to 1.5 *
+        # 2**-53, so the two differ by up to 2**-52 (in about 0.3 % of the
+        # points of a dense sweep)
+        v = self._sweep()
+        with np.errstate(all="ignore"):  # the exp form underflows on the tails
+            want = ops.sigmoid_values_ref(v)
+        got = ad.sigmoid_values(v)
+        assert np.abs(got - want).max() <= 2.0**-52
+        edges = len(self.EDGES)
+        assert got[-edges:].tobytes() == want[-edges:].tobytes()
+        assert ad.sigmoid_values(np.array([-40.0]))[0] == 0.0 < want[v == -40.0][0]
+
+    def test_nan_passes_and_no_floating_point_fault(self):
+        v = np.append(self._sweep(), [np.nan, -np.nan])
+        with np.errstate(all="raise"):
+            got = ad.sigmoid_values(v)
+        assert np.isnan(got[-2:]).all()
+        assert ((got[:-2] >= 0.0) & (got[:-2] <= 1.0)).all()
+
+    def test_writes_out_in_place(self):
+        v = self._sweep()
+        want = ad.sigmoid_values(v)
+        out = np.full_like(v, np.nan)
+        assert ad.sigmoid_values(v, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert ad.sigmoid_values(v, out=v) is v  # over its own input
+        assert v.tobytes() == want.tobytes()
 
 
 def test_package_surface_is_the_engine_alone():

@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -33,7 +33,7 @@ from atcadet.metrics import Trial
 from atcadet.protocol import ProtocolEntry
 from atcadet.text import TextEmbedding
 
-from _oracles import logmel_stats, read_block_f64_ref, traced_peak
+from _oracles import load_external_features_f64_ref, logmel_stats, read_block_f64_ref, traced_peak
 
 pytestmark = pytest.mark.filterwarnings("ignore:processing 8000 Hz")
 
@@ -75,6 +75,18 @@ def _spec_sets(draw, max_mats=4):
 
 
 @st.composite
+def _split_extremes(draw):
+    """Spectrogram sets as ``_spec_sets`` draws them, of two clips or more,
+    in which the first clip holds each column's smallest value over the
+    set and the second its largest."""
+    mats = [m.copy() for m in draw(_spec_sets().filter(lambda mats: len(mats) > 1))]
+    for col in range(mats[0].shape[1]):
+        values = np.concatenate([m[:, col] for m in mats])
+        mats[0][0, col], mats[1][0, col] = values.min(), values.max()
+    return mats
+
+
+@st.composite
 def _batches(draw):
     """A same-length batch: float32 spectrograms and caption matrices."""
     d, d_text = draw(st.integers(1, 4)), draw(st.integers(1, 5))
@@ -94,10 +106,15 @@ class TestWidenedWhereRead:
         for name in ("norm_mu", "norm_sigma"):
             _assert_same(narrow.buffers[name], wide.buffers[name])
 
-    @given(_spec_sets(), st.lists(st.floats(-300.0, 3.0), min_size=2, max_size=2))
+    @given(st.one_of(_spec_sets(), _split_extremes()),
+           st.lists(st.floats(-300.0, 3.0), min_size=2, max_size=2))
+    @example([np.array([[-1.0]], np.float32), np.array([[1e30]], np.float32)], [-300.0, -290.0])
     @settings(max_examples=60, deadline=None)
     def test_check_inputs_verdicts(self, mats, exps):
-        """Normalizers from 1e-300 to 1e3 make some standardized frames overflow."""
+        """Normalizers from 1e-300 to 1e3 make some standardized frames
+        overflow. The verdict is that of standardizing every frame of every
+        clip, also when a column's extremes lie in different clips: in the
+        example only the second clip's frame overflows."""
         params = _params(mats[0].shape[1], 3)
         params.buffers["norm_mu"][:] = 10.0 ** exps[0]
         params.buffers["norm_sigma"][:] = 10.0 ** exps[1]
@@ -110,8 +127,10 @@ class TestWidenedWhereRead:
                 return False
             return True
 
-        assert (verdict([FeatureMatrix(m) for m in mats], [t.astype(np.float32) for t in texts])
-                == verdict([FeatureMatrix(_wide(m)) for m in mats], texts))
+        narrow = verdict([FeatureMatrix(m) for m in mats], [t.astype(np.float32) for t in texts])
+        assert narrow == verdict([FeatureMatrix(_wide(m)) for m in mats], texts)
+        with np.errstate(all="ignore"):
+            assert narrow == all(np.isfinite(md._standardize(m, params)).all() for m in mats)
 
     @given(_spec_sets(max_mats=1))
     @settings(max_examples=60, deadline=None)
@@ -226,7 +245,7 @@ def test_pipeline_bytes_match_float64_loading(tmp_path, monkeypatch):
     (tmp_path / "f32").mkdir()
     (tmp_path / "f64").mkdir()
     narrow = _run_pipeline(tmp_path / "f32")
-    monkeypatch.setattr(dsp, "read_block", read_block_f64_ref)
+    monkeypatch.setattr(dsp, "load_external_features", load_external_features_f64_ref)
     monkeypatch.setattr(tx, "read_block", read_block_f64_ref)
     wide = _run_pipeline(tmp_path / "f64")
     assert sorted(narrow) == sorted(wide)

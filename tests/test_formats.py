@@ -32,6 +32,8 @@ from atcadet.errors import AtcadetError, BadJson, DataError, UsageError
 from atcadet.metrics import Trial, read_scores, write_scores
 from atcadet.protocol import ProtocolEntry, read_protocol, write_protocol
 
+from _oracles import load_external_features_ref, read_index_ref, read_protocol_ref, read_scores_ref
+
 
 def _wav(path):
     dsp.write_wav(path, dsp.Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 40), 8000))
@@ -268,6 +270,101 @@ def test_truncated_or_flipped_model_file_exits_two_through_the_cli(tmp_path, cap
     rejected, failures = _rejects_through_the_cli(damaged, [call], capsys)
     assert rejected > 100
     assert failures == []
+
+
+def _atfx_inputs(root):
+    """``_cli_inputs``' ``train`` and ``score``, which both read the features
+    of clip u2, with the feature file of u2 and the call that loads it."""
+    target = root / "feats" / "u2.atfx"
+    load = functools.partial(dsp.load_external_features, target)
+    return target, [(name, argv, load) for name, (argv, _) in _cli_inputs(root).items()]
+
+
+def _protocol_inputs(root):
+    """``_cli_inputs``' ``score`` and an ``eer`` on the dev scores it writes,
+    which both read the protocol, with the protocol and the call that loads it."""
+    protocol = root / "protocol_track1.tsv"
+    score, _ = _cli_inputs(root)["score"]
+    eer = ["eer", "--scores", str(root / "dev.tsv"), "--protocol", str(protocol)]
+    load = functools.partial(read_protocol, protocol)
+    return protocol, [("score", score, load), ("eer", eer, load)]
+
+
+@pytest.mark.parametrize("inputs", [_atfx_inputs, _protocol_inputs], ids=["atfx", "protocol"])
+def test_truncated_or_flipped_features_or_protocol_exit_two_through_the_cli(tmp_path, capsys, inputs):
+    # each damaged feature file or protocol its loader rejects fails every
+    # command that reads it with exit 2 and the loader's typed error
+    damaged, commands = inputs(tmp_path)
+    rejected, failures = _rejects_through_the_cli(damaged, commands, capsys)
+    assert rejected > 100
+    assert failures == []
+
+
+def _index_of_joined_and_split_lines(path):
+    """Embeddings whose index is hand-made: its second line holds two
+    entries, and its third entry runs over two lines."""
+    _embeddings(path)
+    lines = tx.index_path_for(path)
+    first, second = (json.dumps(entry) for entry in tx._read_index(path))
+    split_at = second.index('"spans"')
+    Path(lines).write_text(f"{first}\n{first}{second}\n{second[:split_at]}\n{second[split_at:]}\n")
+
+
+def _outcome(load, path, key):
+    """What ``load(path)`` gives: its error's class and message, or ``key``
+    of what it returns."""
+    try:
+        return "returned", key(load(path))
+    except AtcadetError as exc:
+        return type(exc), exc.message
+
+
+def _matrix(features):
+    return features.values.dtype, features.values.shape, features.values.tobytes()
+
+
+def _same(value):
+    return value
+
+
+# format -> (writer, the file it corrupts, loader, the loader as it was, kept
+# in _oracles, and what of a result is compared)
+LOADERS = {
+    "embedding_index": (_embeddings, "f.index.jsonl", tx._read_index, read_index_ref, _same),
+    "embedding_index_by_hand": (_index_of_joined_and_split_lines, "f.index.jsonl",
+                                tx._read_index, read_index_ref, _same),
+    "atfx": (_features, "f", dsp.load_external_features, load_external_features_ref, _matrix),
+    "protocol": (_protocol, "f", read_protocol, read_protocol_ref, _same),
+    "scores": (_scores, "f", read_scores, read_scores_ref, _same),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LOADERS))
+def test_damaged_files_load_as_the_former_loaders_load_them(tmp_path, fmt):
+    # the same error class and message, or equal results, for every case
+    write, target, load, load_ref, key = LOADERS[fmt]
+    write(tmp_path / "f")
+    damaged = tmp_path / target
+    data = damaged.read_bytes()
+    differ = []
+    for label, case in [("as written", data), ("a byte appended", data + b"\n"), *_damaged(data)]:
+        damaged.write_bytes(case)
+        got, want = (_outcome(f, tmp_path / "f", key) for f in (load, load_ref))
+        if got != want:
+            differ.append(f"{label}: {got!r}, was {want!r}")
+    assert differ == []
+
+
+def test_index_lines_that_join_or_split_entries_are_rejected(tmp_path):
+    path = tmp_path / "emb.bin"
+    _index_of_joined_and_split_lines(path)
+    index = Path(tx.index_path_for(path))
+    with pytest.raises(BadJson, match=r"index\.jsonl:2: Extra data"):
+        tx._read_index(path)
+    lines = index.read_text().split("\n")
+    index.write_text("\n".join([lines[0], *lines[2:]]))  # the joined line gone
+    with pytest.raises(BadJson, match=r"index\.jsonl:2: Expecting"):
+        tx._read_index(path)
 
 
 @pytest.mark.parametrize("damage", [b"\xff", b"[" * 200_000], ids=["not_utf8", "deep"])

@@ -241,8 +241,11 @@ class TestEmbeddingFiles:
         (lambda e: json.dumps({**e, "offset": 2**70}).encode(), BadHeader),
         (lambda e: json.dumps({**e, "spans": "audioset"}).encode(), BadJson),
         (lambda e: json.dumps(e).encode().replace(b'"u0"', b'"u\xff"'), BadJson),
+        (lambda e: json.dumps({**e, "L": True}).encode(), BadJson),
+        (lambda e: json.dumps({**e, "spans": [["audioset", False, 1]]}).encode(), BadJson),
+        (lambda e: json.dumps({**e, "spans": [["audioset", 0]]}).encode(), BadJson),
     ], ids=["not_object", "no_utt_id", "negative_offset", "offset_past_end",
-            "spans_not_list", "not_utf8"])
+            "spans_not_list", "not_utf8", "bool_rows", "bool_in_span", "short_span"])
     def test_malformed_index_line_is_typed(self, tmp_path, fault, error):
         p = tmp_path / "emb.bin"
         tx.write_embeddings(p, self._random_embeddings(np.random.default_rng(10), n=1))

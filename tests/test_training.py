@@ -461,13 +461,21 @@ class TestAblateText:
         b = tr.ablate_text(params, entries, features)
         assert [t.score for t in a] == [t.score for t in b]
 
-    def test_ablated_ignores_embeddings_entirely(self):
+    def test_ablated_ignores_embeddings_entirely(self, monkeypatch):
+        # the same bytes as plain zero matrices, which each piece interns;
+        # the shared zero-row embedding is never interned
         entries, features, embeddings = _toy_data()
         params = md.AtcaParams.init(TOY_CFG, seed=8)
-        a = tr.ablate_text(params, entries, features)
         zero = np.zeros((1, TOY_CFG.d_text))
         b = tr.score_protocol(params, entries, features, {e.utt_id: zero for e in entries})
-        assert [t.score for t in a] == [t.score for t in b]
+
+        def no_interning(blocks):
+            raise AssertionError("ablated captions interned")
+
+        monkeypatch.setattr(md, "intern_rows", no_interning)
+        a = tr.ablate_text(params, entries, features)
+        assert [t.utt_id for t in a] == [t.utt_id for t in b]
+        assert np.array([t.score for t in a]).tobytes() == np.array([t.score for t in b]).tobytes()
 
 
 class TestLinearBaseline:
