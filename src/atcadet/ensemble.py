@@ -427,6 +427,10 @@ def predict_forest(m: ForestModel, x_rows: np.ndarray) -> np.ndarray:
 # Stacking
 
 
+# the most combine-weight candidates a grid_step may ask simplex_grid for
+MAX_GRID_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class StackConfig:
     ridge_lambda: float = 1.0
@@ -447,9 +451,13 @@ class StackConfig:
                      flags=("bootstrap",))
         if self.ridge_lambda < 0:
             raise BadConfig("ridge lambda must be >= 0")
-        # simplex_grid divides by round(1 / grid_step)
-        if self.grid_step <= 0 or round(1.0 / self.grid_step) < 1:
+        # simplex_grid divides by n = round(1 / grid_step) and makes (n + 1)(n + 2) / 2 + 1 points;
+        # 1 / grid_step is capped first, since it overflows to inf for a subnormal step
+        n = round(min(1.0 / self.grid_step, 1e9)) if self.grid_step > 0 else 0
+        if n < 1:
             raise BadConfig(f"grid_step must give at least one grid division, got {self.grid_step}")
+        if (n + 1) * (n + 2) // 2 + 1 > MAX_GRID_POINTS:
+            raise BadConfig(f"grid_step {self.grid_step} gives more than {MAX_GRID_POINTS} simplex grid points")
 
 
 @dataclass

@@ -126,42 +126,176 @@ class TextEmbedding:
 _PRINT_MULTIPLIERS = np.array([0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F,
                                0x165667B1, 0xD3A2646D, 0xFD7046C5, 0xB55A4F09], np.uint32)
 
-# rows compared with the first rows of their groups at a time
+# rows compared with their leads at a time
 _COMPARE_ROWS = 64
 
+# values checked for finiteness at a time
+_CHECK_VALUES = 1 << 15
 
-def _intern(rows: np.ndarray) -> tuple:
-    """The distinct rows of ``rows``, a C-contiguous float32 or float64
-    matrix, in the order they first occur, read-only; and the id, int32,
-    of each row among them, so that ``table[ids]`` has the bytes of
-    ``rows``. When no row repeats, the table is ``rows`` itself.
+# the bytes of rows copied onto the end of a table between two interning
+# passes: 1024 rows of the stock 768-wide float32 captions
+_STAGE_BYTES = 3 << 20
 
-    Rows are grouped by a 32-bit print of eight of their words, spread
-    along them, and each row is compared word for word with the first row
-    of its group. The rows that differ from it, and only those, are then
-    grouped by all their bytes.
-    """
+
+def _prints(rows: np.ndarray) -> np.ndarray:
+    """A 32-bit print of each row of ``rows``, a C-contiguous float32 or
+    float64 matrix, from eight of its words spread along it."""
     words = rows.view(np.uint32)
     prints = np.zeros(len(rows), np.uint32)
     for at, multiplier in zip(np.linspace(0, words.shape[1] - 1, 8).astype(np.intp), _PRINT_MULTIPLIERS):
         prints ^= words[:, at] * multiplier
-    _, first, group = np.unique(prints, return_index=True, return_inverse=True)
-    lead = first[group]  # the first row with each row's print
-    repeat = lead != np.arange(len(rows))
-    differ = np.zeros(len(rows), bool)
-    for lo in range(0, len(rows), _COMPARE_ROWS):
-        at = slice(lo, lo + _COMPARE_ROWS)
-        if repeat[at].any():
-            differ[at] = (words[at] != words[lead[at]]).any(axis=1)
-    other = np.flatnonzero(differ)
-    if len(other):  # all rows equal to one of these are among them too
-        whole = words[other].view(np.dtype((np.void, 4 * words.shape[1])))
-        _, first, group = np.unique(whole.ravel(), return_index=True, return_inverse=True)
-        lead[other] = other[first[group]]
-    kept = np.flatnonzero(lead == np.arange(len(rows)))
-    table = rows if len(kept) == len(rows) else rows[kept]
-    table.flags.writeable = False
-    return table, np.searchsorted(kept, lead).astype(np.int32)
+    return prints
+
+
+class _Interner:
+    """The distinct rows of same-width blocks, added one at a time, held
+    once each in the order they first occur; and each block's int32 row ids
+    among them, so that ``table[ids]`` has the block's bytes.
+
+    A block is copied onto the end of the table. Before a stage of rows
+    waiting there would outgrow ``_STAGE_BYTES``, :meth:`_intern` keeps
+    those of them that repeat no earlier row, so the table holds the
+    distinct rows and at most one stage more. While stages repeat most of
+    their rows, the table grows in place by at most a stage. Once a stage
+    keeps most of its rows, the rows are unlikely to repeat: the table is
+    made anew with room for the ``room`` rows still declared to come, as
+    one buffer of every row would be.
+
+    With ``names``, the name of each block to come, a kept row that is not
+    finite is a NonFinite that names its block: a row equal to a kept row
+    is finite when that row is.
+    """
+
+    def __init__(self, dims: int, dtype, room: int, names=None):
+        self.table = np.empty((0, dims), dtype)
+        self.stage_rows = max(1, _STAGE_BYTES // (dims * self.table.itemsize))
+        self.room, self.held, self.staged, self.names = room, 0, 0, names
+        self.spread = False  # a stage kept most of its rows
+        self.keys = np.empty(0, np.uint64)  # print << 32 | row of each held row, sorted
+        self.stage_ids, self.blocks = [], []  # each block's stage, first row and rows
+
+    def add(self, block: np.ndarray) -> None:
+        rows, staged = len(block), self.staged
+        if staged + rows > self.stage_rows:
+            self._intern()
+            staged = 0
+        end = self.held + staged + rows
+        self.room -= rows
+        table = self.table
+        if end > len(table) and self.spread:
+            # a new table, which numpy backs with huge pages when it is large
+            table = np.empty((max(end + max(0, self.room), 2 * len(table)), table.shape[1]), table.dtype)
+            table[: end - rows] = self.table[: end - rows]
+            self.table = table
+        elif end > len(table):
+            self._resize(end + max(0, min(self.room, self.stage_rows - staged - rows)))
+            table = self.table
+        table[end - rows : end] = block
+        self.blocks.append((len(self.stage_ids), staged, rows))
+        self.staged = staged + rows
+
+    def finish(self) -> tuple:
+        """The table, read-only, and each block's ids, in the order added."""
+        self._intern()
+        if 2 * self.held < len(self.table):
+            # copied out, so that the spare rows are freed, not shrunk in place: glibc then raises its
+            # mmap threshold past them, and the call's later multi-MB temporaries reuse heap memory
+            # instead of faulting in fresh pages each time (ensemble fit: 11k minor faults, not 95k)
+            self.table = self.table[: self.held].copy()
+        elif len(self.table) > self.held:
+            self._resize(self.held)
+        self.table.flags.writeable = False
+        return self.table, [self.stage_ids[s][at : at + rows] for s, at, rows in self.blocks]
+
+    def check_staged(self) -> None:
+        """Raise NonFinite for the first staged block that holds a row that is
+        not finite, if one does."""
+        self._check(np.arange(self.staged))
+
+    def _resize(self, rows: int) -> None:
+        # in place; no view of the table outlives the method that makes it,
+        # so the reference check, which a tracer's frames trip, is skipped
+        self.table.resize((rows, self.table.shape[1]), refcheck=False)
+
+    def _check(self, places: np.ndarray) -> None:
+        """Raise NonFinite, naming its block, for the first row that is not
+        finite of the rows that follow the held rows, whose places among
+        the staged rows are ``places``."""
+        rows = self.table[self.held : self.held + len(places)]
+        step = max(1, _CHECK_VALUES // rows.shape[1])
+        for lo in range(0, len(rows), step):
+            if not np.isfinite(rows[lo : lo + step]).all():
+                place = places[lo + np.argmin(np.isfinite(rows[lo : lo + step]).all(axis=1))]
+                block = next(b for b in range(len(self.blocks) - 1, -1, -1) if self.blocks[b][1] <= place)
+                raise NonFinite(f"{self.names[block]}: embedding contains non-finite values")
+
+    def _intern(self) -> None:
+        """Keep the staged rows that repeat no row before them, in order, and
+        give each staged row its id."""
+        held, n = self.held, self.staged
+        if not n:
+            return
+        prints = _prints(self.table[held : held + n])
+        kept, ids = self._keep(prints)
+        self.staged = 0  # before the check, so that a failed one leaves no stage to check again
+        if self.names is not None:
+            self._check(kept)
+        self.stage_ids.append(ids)
+        self._hold(prints[kept])
+        self.spread = self.spread or 2 * len(kept) > n
+
+    def _keep(self, prints: np.ndarray) -> tuple:
+        """Move the staged rows that repeat no row before them, in order, to
+        follow the held rows: their places among the staged rows, and each
+        staged row's id."""
+        held, n = self.held, len(prints)
+        lead = self._leads(prints)
+        kept = np.flatnonzero(lead == np.arange(held, held + n))
+        ids = np.where(lead < held, lead, held + np.searchsorted(kept, lead - held)).astype(np.int32)
+        if len(kept) < n:
+            self.table[held : held + len(kept)] = self.table[held + kept]
+        return kept, ids
+
+    def _leads(self, prints: np.ndarray) -> np.ndarray:
+        """The first row, held or staged, equal to each staged row.
+
+        Each staged row is compared word for word with its lead: the first
+        held row with its print, else the first staged one. The rows that
+        differ from it, and only those, are then grouped by all their bytes
+        with the held rows that share their prints.
+        """
+        held, n = self.held, len(prints)
+        words = self.table[: held + n].view(np.uint32)
+        distinct, first, group = np.unique(prints, return_index=True, return_inverse=True)
+        lead = held + first  # of each distinct print
+        if len(self.keys):
+            near = self.keys[np.minimum(np.searchsorted(self.keys, distinct.astype(np.uint64) << 32),
+                                        len(self.keys) - 1)]
+            found = (near >> 32) == distinct
+            lead[found] = near[found] & 0xFFFFFFFF
+        lead = lead[group]
+        own = np.arange(held, held + n)
+        differ = np.zeros(n, bool)
+        starts = np.arange(0, n, _COMPARE_ROWS)
+        for lo in starts[np.logical_or.reduceat(lead != own, starts)]:
+            at = slice(lo, lo + _COMPARE_ROWS)
+            differ[at] = (words[own[at]] != words[lead[at]]).any(axis=1)
+        other = np.flatnonzero(differ)
+        if len(other):  # a row equal to one of these shares its print: held, or staged and differing too
+            shared = self.keys[np.isin(self.keys >> 32, prints[other])] & 0xFFFFFFFF
+            rows = np.concatenate([shared.astype(np.intp), own[other]])
+            whole = words[rows].view(np.dtype((np.void, 4 * words.shape[1])))
+            _, first, group = np.unique(whole.ravel(), return_index=True, return_inverse=True)
+            lead[other] = rows[first[group[len(rows) - len(other) :]]]
+        return lead
+
+    def _hold(self, prints: np.ndarray) -> None:
+        """Count the rows of ``prints`` as held, after the rows held so far."""
+        rows = np.arange(self.held, self.held + len(prints), dtype=np.uint64)
+        fresh = np.sort(prints.astype(np.uint64) << 32 | rows)
+        # two sorted runs, which a stable sort merges in one pass
+        self.keys = np.sort(np.concatenate([self.keys, fresh]), kind="stable") if len(self.keys) else fresh
+        self.held += len(prints)
 
 
 def intern_rows(blocks) -> tuple:
@@ -169,8 +303,10 @@ def intern_rows(blocks) -> tuple:
     and each block's row ids into it. The table has the blocks' common
     dtype."""
     blocks = list(blocks)
-    table, ids = _intern(np.concatenate(blocks, dtype=np.result_type(*blocks)))
-    return table, np.split(ids, np.cumsum([len(b) for b in blocks[:-1]]))
+    interner = _Interner(blocks[0].shape[1], np.result_type(*blocks), sum(map(len, blocks)))
+    for block in blocks:
+        interner.add(block)
+    return interner.finish()
 
 
 @dataclass(frozen=True)
@@ -380,52 +516,53 @@ def _read_index(path) -> list:
 
 
 def _read_blocks(path, entries) -> tuple:
-    """The blocks of ``entries``, checked, copied as they are read into one
-    float32 buffer sized from the index, each as wide as the first: the
-    buffer's rows, and each entry's first row and spans."""
-    room = sum(entry["L"] for entry in entries)  # the rows the index declares
-    payload_size = os.path.getsize(path)
-    buf, count, read = None, 0, []
+    """The blocks of ``entries``, checked, each as wide as the first, and
+    added as they are read to an :class:`_Interner`, which checks the
+    finiteness of their distinct rows; and each entry's spans. A check
+    that fails on a block first lets the interner check the rows it has
+    not yet, so the first failing check in block order is the one raised.
+    The interner is returned unfinished, so that the last block read is
+    freed before its last stage is interned."""
+    interner, spans = None, []
     with open(path, "rb") as fh:
         for entry in entries:
             utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
-            fh.seek(entry["offset"])
-            values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})")
-            if values.shape != (rows, dims):
-                raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
-                                    f"block is {values.shape[0]}x{values.shape[1]}")
-            if buf is None:
-                buf = values[:0]
-            elif dims != buf.shape[1]:
-                raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, not {buf.shape[1]}")
-            _checked_matrix(utt, values)
-            spans = _checked_spans(utt, entry["spans"], rows)
-            if count + rows > len(buf):  # the first block, or lines that share blocks
-                # never past what the payload holds, whatever the index declares
-                grown = np.empty((max(count + rows, 2 * len(buf),
-                                      min(room, payload_size // (4 * dims))), dims), buf.dtype)
-                grown[:count] = buf[:count]
-                buf = grown
-            buf[count : count + rows] = values
-            read.append((count, spans))
-            count += rows
-    return buf[:count], read
+            try:
+                fh.seek(entry["offset"])
+                values = read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})")
+                if values.shape != (rows, dims):
+                    raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
+                                        f"block is {values.shape[0]}x{values.shape[1]}")
+                if interner is None:  # the rows the index declares, never past what the payload holds
+                    room = min(sum(e["L"] for e in entries), os.path.getsize(path) // (4 * dims))
+                    interner = _Interner(dims, values.dtype, room, [e["utt_id"] for e in entries])
+                elif dims != interner.table.shape[1]:
+                    raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, "
+                                      f"not {interner.table.shape[1]}")
+                interner.add(values)
+                spans.append(_checked_spans(utt, entry["spans"], rows))
+            except Exception:
+                if interner is not None:
+                    interner.check_staged()
+                raise
+    return interner, spans
 
 
 def load_embeddings(path, utt_ids=None) -> list:
     """The embeddings of ``path`` in index order. Every index line is
     checked; only the blocks of ``utt_ids`` are read and returned, or every
     block when ``utt_ids`` is None. The blocks read share one width (else
-    DimMismatch) and one table of their distinct rows (:func:`_intern`)."""
+    DimMismatch) and one table of their distinct rows, kept as the blocks
+    are read (:func:`_read_blocks`)."""
     entries = _read_index(path)
     if utt_ids is not None:
         entries = [e for e in entries if e["utt_id"] in utt_ids]
     if not entries:
         return []
-    rows, read = _read_blocks(path, entries)
-    table, ids = _intern(rows)
-    return [TextEmbedding.from_rows(entry["utt_id"], table, ids[at : at + entry["L"]], spans)
-            for (at, spans), entry in zip(read, entries)]
+    interner, spans = _read_blocks(path, entries)
+    table, ids = interner.finish()
+    return [TextEmbedding.from_rows(entry["utt_id"], table, entry_ids, entry_spans)
+            for entry, entry_ids, entry_spans in zip(entries, ids, spans)]
 
 
 def embedding_width(path, default: int) -> int:

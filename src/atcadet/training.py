@@ -180,6 +180,7 @@ class _Adam:
 def _fit_normalizers(params: md.AtcaParams, spec_mats) -> None:
     """Column mean and standard deviation of the train frames, in one
     float64 stack: the deviation is ``np.std``'s own steps done in place."""
+    # one stack, not streamed sums: freeing it lifts glibc's mmap threshold, so steps reuse heap memory
     stacked = np.concatenate(spec_mats, axis=0, dtype=np.float64)
     mu = stacked.mean(axis=0, keepdims=True)
     stacked -= mu

@@ -13,7 +13,8 @@ keeping the float32 the block stores. The GRU references gate with the
 exp-form logistic the model used before its tanh form. The embedding
 index, feature file and TSV loaders are kept as they were before they
 shed their per-line and per-read overhead, so that damaged files can be
-run through both.
+run through both; and the embedding loader as it was before it interned
+caption rows as it read them, copying every block into one buffer first.
 
 It also holds the log-mel linear baseline, a ridge fit on per-clip log-mel
 statistics that no CLI stage produces: the stacking criteria compare the
@@ -43,6 +44,7 @@ from atcadet.errors import (
     BadHeader,
     BadJson,
     BadProtocol,
+    DimMismatch,
     DuplicateUtt,
     EmptySplit,
     MissingEmbedding,
@@ -988,6 +990,102 @@ def read_scores_ref(path) -> list:
             raise BadProtocol(f"{where}: bad score {raw!r}") from exc
         trials.append(Trial(utt_id, score))
     return trials
+
+
+# ---------------------------------------------------------------------------
+# The embedding loader as it was before it interned rows as it read them:
+# every block a call reads copied into one buffer, whose distinct rows are
+# then kept in one pass.
+
+# odd, so each word's bits all reach its product
+_PRINT_MULTIPLIERS_REF = np.array([0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F,
+                                   0x165667B1, 0xD3A2646D, 0xFD7046C5, 0xB55A4F09], np.uint32)
+
+# rows compared with the first rows of their groups at a time
+_COMPARE_ROWS_REF = 64
+
+
+def intern_ref(rows: np.ndarray) -> tuple:
+    """The distinct rows of ``rows``, a C-contiguous float32 or float64
+    matrix, in the order they first occur, read-only; and the id, int32,
+    of each row among them, so that ``table[ids]`` has the bytes of
+    ``rows``. When no row repeats, the table is ``rows`` itself.
+
+    Rows are grouped by a 32-bit print of eight of their words, spread
+    along them, and each row is compared word for word with the first row
+    of its group. The rows that differ from it, and only those, are then
+    grouped by all their bytes.
+    """
+    words = rows.view(np.uint32)
+    prints = np.zeros(len(rows), np.uint32)
+    for at, multiplier in zip(np.linspace(0, words.shape[1] - 1, 8).astype(np.intp), _PRINT_MULTIPLIERS_REF):
+        prints ^= words[:, at] * multiplier
+    _, first, group = np.unique(prints, return_index=True, return_inverse=True)
+    lead = first[group]  # the first row with each row's print
+    repeat = lead != np.arange(len(rows))
+    differ = np.zeros(len(rows), bool)
+    for lo in range(0, len(rows), _COMPARE_ROWS_REF):
+        at = slice(lo, lo + _COMPARE_ROWS_REF)
+        if repeat[at].any():
+            differ[at] = (words[at] != words[lead[at]]).any(axis=1)
+    other = np.flatnonzero(differ)
+    if len(other):  # all rows equal to one of these are among them too
+        whole = words[other].view(np.dtype((np.void, 4 * words.shape[1])))
+        _, first, group = np.unique(whole.ravel(), return_index=True, return_inverse=True)
+        lead[other] = other[first[group]]
+    kept = np.flatnonzero(lead == np.arange(len(rows)))
+    table = rows if len(kept) == len(rows) else rows[kept]
+    table.flags.writeable = False
+    return table, np.searchsorted(kept, lead).astype(np.int32)
+
+
+def _read_blocks_ref(path, entries) -> tuple:
+    """The blocks of ``entries``, checked, copied as they are read into one
+    float32 buffer sized from the index, each as wide as the first: the
+    buffer's rows, and each entry's first row and spans."""
+    room = sum(entry["L"] for entry in entries)  # the rows the index declares
+    payload_size = os.path.getsize(path)
+    buf, count, read = None, 0, []
+    with open(path, "rb") as fh:
+        for entry in entries:
+            utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
+            fh.seek(entry["offset"])
+            values = _read_block(fh, f"{path} (block of {utt!r} at offset {entry['offset']})")
+            if values.shape != (rows, dims):
+                raise ShapeMismatch(f"{path}: index declares {rows}x{dims} for {utt!r}, "
+                                    f"block is {values.shape[0]}x{values.shape[1]}")
+            if buf is None:
+                buf = values[:0]
+            elif dims != buf.shape[1]:
+                raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, not {buf.shape[1]}")
+            tx._checked_matrix(utt, values)
+            spans = tx._checked_spans(utt, entry["spans"], rows)
+            if count + rows > len(buf):  # the first block, or lines that share blocks
+                # never past what the payload holds, whatever the index declares
+                grown = np.empty((max(count + rows, 2 * len(buf),
+                                      min(room, payload_size // (4 * dims))), dims), buf.dtype)
+                grown[:count] = buf[:count]
+                buf = grown
+            buf[count : count + rows] = values
+            read.append((count, spans))
+            count += rows
+    return buf[:count], read
+
+
+def load_embeddings_ref(path, utt_ids=None) -> list:
+    """The embeddings of ``path`` in index order. Every index line is
+    checked; only the blocks of ``utt_ids`` are read and returned, or every
+    block when ``utt_ids`` is None. The blocks read share one width (else
+    DimMismatch) and one table of their distinct rows (:func:`intern_ref`)."""
+    entries = tx._read_index(path)
+    if utt_ids is not None:
+        entries = [e for e in entries if e["utt_id"] in utt_ids]
+    if not entries:
+        return []
+    rows, read = _read_blocks_ref(path, entries)
+    table, ids = intern_ref(rows)
+    return [tx.TextEmbedding.from_rows(entry["utt_id"], table, ids[at : at + entry["L"]], spans)
+            for (at, spans), entry in zip(read, entries)]
 
 
 # ---------------------------------------------------------------------------

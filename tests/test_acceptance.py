@@ -489,7 +489,8 @@ def _tree_bytes(root) -> dict:
     for dirpath, _, filenames in os.walk(root):
         for name in filenames:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 

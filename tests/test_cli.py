@@ -14,6 +14,7 @@ import pytest
 import atcadet
 import atcadet.cli as cli
 import atcadet.dsp as dsp
+import atcadet.ensemble as es
 import atcadet.errors as errors
 import atcadet.model as md
 import atcadet.text as tx
@@ -21,6 +22,8 @@ from atcadet.metrics import read_scores
 from atcadet.model import AtcaConfig, AtcaParams
 from atcadet.protocol import filter_split, read_protocol
 from atcadet.training import load_report
+
+from _oracles import load_embeddings_ref, traced_peak
 
 pytestmark = pytest.mark.filterwarnings("ignore:processing 8000 Hz")
 
@@ -330,8 +333,9 @@ class TestErrorMapping:
                                                                     capsys):
         corpus, ckpt = tmp_path / "corpus", tmp_path / "m.atck"
         corpus.mkdir()
-        rows = [line for line in open(pipeline["protocol"]).read().splitlines()
-                if line.endswith("\teval")]
+        with open(pipeline["protocol"]) as fh:
+            lines = fh.read().splitlines()
+        rows = [line for line in lines if line.endswith("\teval")]
         (corpus / "protocol_track1.tsv").write_text("\n".join(rows) + "\n")
         assert run(["train", "--corpus", str(corpus), "--features", str(pipeline["feats"]),
                     "--embeddings", str(pipeline["emb"]), "--track", "1",
@@ -535,6 +539,27 @@ class TestErrorMapping:
                     "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
                     "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_step", [1e-6, 5e-324])
+    def test_grid_step_past_the_point_bound_exit_one_before_any_work(self, pipeline, tmp_path, capsys,
+                                                                      monkeypatch, grid_step):
+        # 1e-6 asks simplex_grid for about 5e11 points; 5e-324 makes 1 / grid_step inf
+        def no_work(*args):
+            raise AssertionError("read the scores before checking the config")
+
+        monkeypatch.setattr(cli, "_meta_examples", no_work)
+        config, out = tmp_path / "run.json", tmp_path / "stack.aten"
+        config.write_text(json.dumps({"ensemble": {"grid_step": grid_step}}))
+        code, peak = traced_peak(lambda: run([
+            "ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+            "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+            "--config", str(config), "--out", str(out)]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG: grid_step") and err.count("ERROR") == 1
+        assert f"more than {es.MAX_GRID_POINTS}" in err
+        assert peak < 1 << 20, peak
         assert not out.exists()
 
     def test_unexpected_exception_exit_three(self, pipeline, capsys, monkeypatch):
@@ -852,6 +877,54 @@ class TestHostileInput:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("ERROR DIM_MISMATCH:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage,code", [("nan", "NON_FINITE"), ("width", "DIM_MISMATCH"),
+                                             ("truncated", "SHAPE_MISMATCH"), ("shape", "SHAPE_MISMATCH")])
+    @pytest.mark.parametrize("command", ["train", "score", "ensemble_score"])
+    def test_damaged_block_past_the_first_stage_exit_two(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                         command, damage, code):
+        # stages of 64 rows, so the last block a command reads lies past its
+        # first stage: the error line is the one the former loader gives
+        monkeypatch.setattr(tx, "_STAGE_BYTES", 64 * 32 * 4)
+        entries = read_protocol(pipeline["protocol"])
+        splits = ("train", "dev") if command == "train" else ("eval",)
+        used = {e.utt_id for e in entries if e.split in splits}
+        embs = tx.load_embeddings(str(pipeline["emb"]))
+        target = [e.utt_id for e in embs if e.utt_id in used][-1]
+        assert sum(len(e.ids) for e in embs if e.utt_id in used and e.utt_id != target) >= 64
+        emb, out, report = tmp_path / "emb.bin", tmp_path / "out", tmp_path / "report.json"
+        tx.write_embeddings(str(emb), [
+            tx.TextEmbedding(e.utt_id, e.matrix[:, :16], ()) if damage == "width" and e.utt_id == target
+            else e
+            for e in embs])
+        index = tmp_path / "emb.bin.index.jsonl"
+        lines = [json.loads(line) for line in index.read_text().splitlines()]
+        line = next(line for line in lines if line["utt_id"] == target)
+        data = bytearray(emb.read_bytes())
+        if damage == "nan":
+            at = line["offset"] + 16 + 4 * (line["L"] * line["Dt"] - 1)  # its last value
+            data[at : at + 4] = struct.pack("<f", float("nan"))
+        elif damage == "truncated":  # the head asks for more rows than the file holds
+            data[line["offset"] + 8 : line["offset"] + 12] = struct.pack("<I", 1 << 24)
+        elif damage == "shape":
+            line["L"] += 1
+        emb.write_bytes(bytes(data))
+        index.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(errors.AtcadetError) as want:
+            load_embeddings_ref(str(emb), used)
+        if command == "train":
+            argv = ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(emb), "--track", "1", "--config", str(pipeline["config"]),
+                    "--out-ckpt", str(out), "--out-report", str(report)]
+        elif command == "score":
+            argv = _score_argv(pipeline, emb, out)
+        else:
+            argv = _ensemble_score_argv(pipeline, pipeline["stack"], out)
+            argv[argv.index("--embeddings") + 1] = str(emb)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"ERROR {code}: {want.value.message}\n"
+        assert want.value.code == code and target in want.value.message
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("damage", ["magic", "nan"])
     def test_damaged_block_of_an_unscored_clip_is_not_read(self, pipeline, tmp_path, damage):

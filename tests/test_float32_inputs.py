@@ -8,8 +8,9 @@ Three kinds of pins:
   the loaders as they are and with a reader that widens every block to a
   float64 copy, as the loaders did before;
 - memory guards: loading allocates about the float32 payload, not a
-  second, float64 copy of it, and ``embed`` writes each caption's matrix
-  as it is made instead of holding them all.
+  second, float64 copy of it; a caption load holds its distinct rows and
+  one stage of blocks, not every row it reads; and ``embed`` writes each
+  caption's matrix as it is made instead of holding them all.
 """
 
 import json
@@ -274,6 +275,21 @@ def test_load_embeddings_holds_the_float32_payload(tmp_path):
     for got, want in zip(loaded, embs):
         assert got.matrix.dtype == np.float32 and not got.matrix.flags.writeable
         _assert_same(got.matrix, want.matrix)
+
+
+def test_load_embeddings_holds_its_distinct_rows_and_one_stage(tmp_path):
+    # 400 blocks of 24 rows drawn from 30 distinct rows: the load interns its
+    # blocks as it reads them, so it holds the 30 rows and one stage of
+    # blocks, never a buffer of every row it reads
+    rng = np.random.default_rng(4)
+    pool = rng.normal(size=(30, 768)).astype(np.float32)
+    path = str(tmp_path / "emb.bin")
+    tx.write_embeddings(path, (TextEmbedding(f"u{i:03d}", pool[rng.integers(0, 30, 24)], ())
+                               for i in range(400)))
+    payload = 4 * 400 * 24 * 768
+    loaded, peak = traced_peak(lambda: tx.load_embeddings(path))
+    assert peak < payload / 4, peak / payload
+    assert len(loaded) == 400 and len(loaded[0].table) <= 30
 
 
 def test_load_features_holds_the_float32_payload(tmp_path):

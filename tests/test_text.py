@@ -1,8 +1,12 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atcadet import text as tx
@@ -12,10 +16,13 @@ from atcadet.errors import (
     DuplicateUtt,
     BadHeader,
     EmptyCaption,
+    NonFinite,
     ShapeMismatch,
     UnknownStyle,
 )
 from atcadet.text import CaptionSet, TextEmbedding, ToyEmbedderConfig
+
+from _oracles import load_embeddings_ref
 
 
 def _oracle_fnv1a64(data: bytes) -> int:
@@ -363,6 +370,131 @@ class TestRowInterning:
         a, b = tx.load_embeddings(p)
         assert a.matrix.tobytes() == b.matrix.tobytes() == emb.matrix.tobytes()
         assert len(a.table) == 5
+
+
+# the bytes of one row of the width-20 float32 pools below
+_ROW_BYTES = 80
+
+
+def _staged_pool(seed):
+    """``_pool``'s rows, then a row that is 0.0 but for a -0.0 in word 1,
+    which the print does not read: it shares its print with the zero row."""
+    pool = _pool(seed)
+    signed = np.zeros((1, 20), np.float32)
+    signed[0, 1] = -0.0
+    return np.concatenate([pool, signed])
+
+
+def _write_blocks(path, blocks, shared=()):
+    """``blocks`` written as u0, u1, ...; the even ones split into two
+    styles. Each block named in ``shared`` gets a second index line, vN."""
+    embs = [TextEmbedding(f"u{i}", b, (("audioset", 0, 1), ("clotho", 1, len(b))) if i % 2 == 0 and len(b) > 1
+                          else ()) for i, b in enumerate(blocks)]
+    tx.write_embeddings(path, embs)
+    index = Path(tx.index_path_for(path))
+    lines = index.read_text().splitlines()
+    lines += [json.dumps({**json.loads(lines[i]), "utt_id": f"v{i}"})
+              for i in sorted(set(shared)) if i < len(blocks)]
+    index.write_text("\n".join(lines) + "\n")
+
+
+def _assert_loads_as_one_pass(path, utt_ids, stage_rows):
+    with mock.patch.object(tx, "_STAGE_BYTES", _ROW_BYTES * stage_rows):
+        got = tx.load_embeddings(path, utt_ids)
+    want = load_embeddings_ref(path, utt_ids)
+    assert [e.utt_id for e in got] == [e.utt_id for e in want]
+    if want:
+        table = got[0].table
+        assert table.dtype == want[0].table.dtype and table.shape == want[0].table.shape
+        assert table.tobytes() == want[0].table.tobytes()
+        assert not table.flags.writeable
+    for g, w in zip(got, want):
+        assert g.table is got[0].table
+        assert g.ids.dtype == np.int32 and g.ids.tobytes() == w.ids.tobytes()
+        assert g.style_spans == w.style_spans
+
+
+class TestStagedLoading:
+    """A load interns its blocks a stage at a time, against the rows kept
+    before each stage; its table, ids and spans have the bytes one pass
+    over every row it reads gives (the former loader)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["pool", "fresh", "same"]),
+           picks=st.lists(st.lists(st.integers(0, 10), min_size=1, max_size=9), min_size=1, max_size=24),
+           stage_rows=st.sampled_from([1, 2, 5, 16, 4096]),
+           keep=st.one_of(st.none(), st.integers(0, (1 << 24) - 1)),
+           shared=st.lists(st.integers(0, 23), max_size=3),
+           seed=st.integers(0, 3))
+    @example(kind="same", picks=[[0] * 7] * 6, stage_rows=5, keep=None, shared=[], seed=0)
+    @example(kind="pool", picks=[[8, 10, 9], [10, 8], [9, 9, 10, 8]], stage_rows=2, keep=None, shared=[1],
+             seed=0)
+    @example(kind="fresh", picks=[[0] * 5] * 9, stage_rows=4, keep=None, shared=[2, 7], seed=1)
+    def test_same_bytes_as_one_pass(self, kind, picks, stage_rows, keep, shared, seed):
+        # "pool" repeats rows across stage boundaries, with print collisions
+        # and -0.0 against 0.0; "fresh" rows never repeat; "same" has one row
+        rng = np.random.default_rng(seed)
+        pool = _staged_pool(seed)
+        if kind == "fresh":
+            blocks = [rng.normal(size=(len(p), 20)).astype(np.float32) for p in picks]
+        else:
+            blocks = [pool[[0] * len(p) if kind == "same" else p] for p in picks]
+        utt_ids = None if keep is None else ({f"u{i}" for i in range(len(blocks)) if keep >> i & 1}
+                                             | {f"v{i}" for i in shared if keep >> i & 2})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "emb.bin")
+            _write_blocks(path, blocks, shared)
+            _assert_loads_as_one_pass(path, utt_ids, stage_rows)
+
+    @pytest.mark.parametrize("stage_rows", [1, 3, 8, 4096])
+    @pytest.mark.parametrize("later", ["none", "nan", "inf", "width", "shape", "truncated", "spans", "magic"])
+    @pytest.mark.parametrize("first", [None, 2, 5])
+    def test_first_failing_check_in_block_order(self, tmp_path, first, later, stage_rows):
+        # a non-finite row in block ``first``, and a later fault in block 6:
+        # the same error class and message as the former loader gives
+        pool = _staged_pool(0)
+        blocks = [pool[[i % 4, (i + 1) % 4, 8]] for i in range(8)]
+        if later == "width":
+            blocks[6] = np.ones((3, 12), np.float32)
+        path = str(tmp_path / "emb.bin")
+        _write_blocks(path, blocks)
+        index = Path(tx.index_path_for(path))
+        lines = [json.loads(line) for line in index.read_text().splitlines()]
+        data = bytearray(Path(path).read_bytes())
+
+        def put(block, row, col, value):  # past the block's 16-byte head
+            at = lines[block]["offset"] + 16 + 4 * (20 * row + col)
+            data[at : at + 4] = struct.pack("<f", value)
+
+        if first is not None:
+            put(first, 1, 3, np.nan)
+        if later in ("nan", "inf"):
+            put(6, 2, 0, np.nan if later == "nan" else -np.inf)
+        elif later == "shape":
+            lines[6]["L"] = 4
+        elif later == "spans":
+            lines[6]["spans"] = [["audioset", 0, 2]]
+        elif later == "truncated":  # the head asks for more rows than the file holds
+            data[lines[6]["offset"] + 8 : lines[6]["offset"] + 12] = struct.pack("<I", 1 << 24)
+        elif later == "magic":
+            data[lines[6]["offset"] : lines[6]["offset"] + 4] = b"XXXX"
+        Path(path).write_bytes(bytes(data))
+        index.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        try:
+            load_embeddings_ref(path)
+        except Exception as exc:  # noqa: BLE001 - the former loader's error, whatever it is
+            want = exc
+        else:
+            want = None
+        with mock.patch.object(tx, "_STAGE_BYTES", _ROW_BYTES * stage_rows):
+            if want is None:
+                tx.load_embeddings(path)
+                return
+            with pytest.raises(type(want)) as got:
+                tx.load_embeddings(path)
+        assert str(got.value) == str(want)
+        if first is not None:
+            assert isinstance(want, NonFinite) and f"u{first}:" in str(want)
 
 
 class TestSpanValidation:
