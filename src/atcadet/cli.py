@@ -70,6 +70,12 @@ def _section_config(cls, d: dict):
         raise BadConfig(f"bad {cls.__name__} fields: {exc}") from exc
 
 
+def _override(cfg, **flags):
+    """``cfg`` with each flag that is set in place of its field. The file's
+    values were checked when ``cfg`` was built; ``replace`` checks the flags'."""
+    return dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+
+
 def _guard_output(path, force: bool) -> None:
     if os.path.exists(path) and not force:
         raise OutputExists(f"{path} already exists; pass --force to overwrite")
@@ -111,9 +117,7 @@ def corpus_group():
 def corpus_synth(config_path, out_dir, seed, force):
     """Generate a labeled synthetic corpus of real and faked clips."""
     run = load_run_config(config_path)
-    cfg = cp.CorpusConfig.from_dict(run.get("corpus", {}))
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+    cfg = _override(cp.CorpusConfig.from_dict(run.get("corpus", {})), seed=seed)
     _guard_output(os.path.join(out_dir, "manifest.json"), force)
     manifest = cp.build_corpus(cfg, out_dir)
     click.echo(f"wrote {len(manifest.clips)} clips to {out_dir}")
@@ -191,14 +195,11 @@ def embed_import(src_dir, out_path, force):
     if not names:
         raise MissingFeature(f"no .atfx files under {src_dir}")
     embeddings = []
-    width = None
     for name in names:
         feat = dsp.load_external_features(os.path.join(src_dir, name))
-        if width is None:
-            width = feat.values.shape[1]
-        elif feat.values.shape[1] != width:
+        if embeddings and feat.values.shape[1] != embeddings[0].table.shape[1]:
             raise DimMismatch(
-                f"{name}: embedding width {feat.values.shape[1]} != {width}")
+                f"{name}: embedding width {feat.values.shape[1]} != {embeddings[0].table.shape[1]}")
         # empty spans mark an externally produced, unsegmented matrix
         embeddings.append(tx.TextEmbedding(name[: -len(".atfx")], feat.values, ()))
     _guard_output(out_path, force)
@@ -245,12 +246,8 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
               epochs, batch_size, lr, seed, patience, ckpt_path, report_path, force):
     """Train the cross-attention detector on one corpus track."""
     run = load_run_config(config_path)
-    train_dict = dict(run.get("train", {}))
-    for key, value in (("epochs", epochs), ("batch_size", batch_size), ("lr", lr),
-                       ("seed", seed), ("patience", patience)):
-        if value is not None:
-            train_dict[key] = value
-    tcfg = _section_config(tr.TrainConfig, train_dict)
+    tcfg = _override(_section_config(tr.TrainConfig, run.get("train", {})), epochs=epochs,
+                     batch_size=batch_size, lr=lr, seed=seed, patience=patience)
 
     entries = read_protocol(os.path.join(corpus_dir, f"protocol_track{track}.tsv"))
     if fraction is not None:
@@ -262,16 +259,17 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
     embeddings = _load_embedding_map(embeddings_path, needed)
 
     feat_dim = next(iter(features.values())).values.shape[1]
-    # a file that covers none of the clips has the width its index declares,
-    # so it fails on the missing embedding and not on the model's d_text
-    emb_dim = (next(iter(embeddings.values())).matrix.shape[1] if embeddings
-               else tx.embedding_width(embeddings_path, 768))
-    model_dict = {"d_spec": feat_dim, "d_text": emb_dim}
+    model_dict = {"d_spec": feat_dim}
+    # a file that covers none of the clips leaves d_text to the run config:
+    # training then fails on the first missing embedding
+    if embeddings:
+        emb_dim = next(iter(embeddings.values())).table.shape[1]
+        model_dict["d_text"] = emb_dim
     model_dict.update(run.get("model", {}))
-    model_cfg = _section_config(md.AtcaConfig, model_dict)
+    model_cfg = _section_config(md.AtcaConfig, model_dict).bounded()
     if model_cfg.d_spec != feat_dim:
         raise DimMismatch(f"model d_spec {model_cfg.d_spec} != feature width {feat_dim}")
-    if model_cfg.d_text != emb_dim:
+    if embeddings and model_cfg.d_text != emb_dim:
         raise DimMismatch(f"model d_text {model_cfg.d_text} != embedding width {emb_dim}")
 
     _guard_output(ckpt_path, force)
@@ -340,15 +338,7 @@ def eer_cmd(scores_path, protocol_path, split):
         entries = [e for e in entries if e.utt_id in scored]
     result = compute_eer(merge_with_protocol(trials, entries))
     click.echo(f"EER (%): {result.eer * 100.0:.2f}")
-    click.echo(json.dumps(
-        {
-            "eer": result.eer,
-            "threshold": result.threshold,
-            "n_bonafide": result.n_bonafide,
-            "n_spoof": result.n_spoof,
-        },
-        sort_keys=True,
-    ))
+    click.echo(json.dumps(dataclasses.asdict(result), sort_keys=True))
 
 
 def _read_score_sets(spec: str):
@@ -394,9 +384,7 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
                  folds, seed, out_path, force):
     """Fit the stacked regression ensemble on out-of-fold base scores."""
     run = load_run_config(config_path)
-    cfg = _section_config(es.StackConfig, run.get("ensemble", {}))
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+    cfg = _override(_section_config(es.StackConfig, run.get("ensemble", {})), seed=seed)
     _guard_output(out_path, force)
     examples = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
     model = es.fit_stacked(examples, folds=folds, cfg=cfg)

@@ -53,6 +53,9 @@ from .text import TextEmbedding, intern_rows
 
 CHECKPOINT_VERSION = 1
 
+# the most entries a model may ask for in its parameters, or in its GRU wavefront matrix
+MAX_MODEL_ENTRIES = 10**7
+
 
 @dataclass(frozen=True)
 class AtcaConfig:
@@ -76,6 +79,15 @@ class AtcaConfig:
             raise BadConfig(f"class_weights must be a pair of positive reals, got {pair!r}")
         object.__setattr__(self, "class_weights", tuple(float(w) for w in pair))
 
+    def bounded(self) -> "AtcaConfig":
+        """This config, unless its model asks for more than MAX_MODEL_ENTRIES parameters or
+        GRU wavefront entries (BadConfig): the cost bound of a config that is to be allocated."""
+        lh = self.gru_layers * self.gru_hidden  # first, as it bounds the layers count_params_for walks
+        if 3 * lh * (lh + self.d_model + 1) > MAX_MODEL_ENTRIES or count_params_for(self) > MAX_MODEL_ENTRIES:
+            raise BadConfig(f"model widths ask for more than {MAX_MODEL_ENTRIES} parameters "
+                            "or GRU wavefront entries")
+        return self
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
@@ -85,7 +97,7 @@ class AtcaConfig:
         it is a data error."""
         d = parse_json(blob, "model config")
         try:
-            return cls(**d)
+            return cls(**d).bounded()
         except (TypeError, ValueError, BadConfig) as exc:
             raise BadJson(f"bad model config: {exc}") from exc
 

@@ -329,8 +329,7 @@ class ToyEmbedderConfig:
 
 
 def load_captions(path) -> list:
-    sets = []
-    seen = set()
+    sets = {}  # by utt_id, in file order
     for lineno, line in enumerate(read_text(path, BadJson).split("\n"), start=1):
         if not line.strip():
             continue
@@ -340,11 +339,10 @@ def load_captions(path) -> list:
         if not isinstance(obj["captions"], dict):
             raise BadJson(f"{path}:{lineno}: captions must be an object")
         cs = CaptionSet(str(obj["utt_id"]), dict(obj["captions"]))
-        if cs.utt_id in seen:
+        if cs.utt_id in sets:
             raise DuplicateUtt(f"{path}:{lineno}: duplicate utt_id {cs.utt_id!r}")
-        seen.add(cs.utt_id)
-        sets.append(cs)
-    return sets
+        sets[cs.utt_id] = cs
+    return list(sets.values())
 
 
 def write_captions(path, caption_sets) -> None:
@@ -497,8 +495,7 @@ def _read_index(path) -> list:
     except FileNotFoundError as exc:
         raise MissingEmbedding(f"{where}: index sidecar not found") from exc
     payload_size = os.path.getsize(path)
-    entries = []
-    seen = set()
+    entries = {}  # by utt_id, in file order
     for lineno, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue
@@ -508,11 +505,10 @@ def _read_index(path) -> list:
         if obj["offset"] >= payload_size:
             raise BadHeader(f"{where}:{lineno}: offset {obj['offset']} lies past the payload end")
         utt = obj["utt_id"]
-        if utt in seen:
+        if utt in entries:
             raise DuplicateUtt(f"{where}:{lineno}: duplicate utt_id {utt!r}")
-        seen.add(utt)
-        entries.append(obj)
-    return entries
+        entries[utt] = obj
+    return list(entries.values())
 
 
 def _read_blocks(path, entries) -> tuple:
@@ -563,10 +559,3 @@ def load_embeddings(path, utt_ids=None) -> list:
     table, ids = interner.finish()
     return [TextEmbedding.from_rows(entry["utt_id"], table, entry_ids, entry_spans)
             for entry, entry_ids, entry_spans in zip(entries, ids, spans)]
-
-
-def embedding_width(path, default: int) -> int:
-    """``Dt`` of the first block the index of ``path`` lists, or ``default``
-    when it lists none."""
-    entries = _read_index(path)
-    return entries[0]["Dt"] if entries else default

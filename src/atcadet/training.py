@@ -25,6 +25,7 @@ from .errors import (
     EmptySplit,
     MissingEmbedding,
     MissingFeature,
+    NonFinite,
     atomic_write,
     check_fields,
     is_real,
@@ -74,13 +75,7 @@ class TrainReport:
     class_weights: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": [float(v) for v in self.train_loss],
-            "val_eer": [float(v) for v in self.val_eer],
-            "best_epoch": int(self.best_epoch),
-            "wall_seconds": float(self.wall_seconds),
-            "class_weights": [float(w) for w in self.class_weights],
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainReport":
@@ -98,7 +93,7 @@ class TrainReport:
 
 def write_report(path, report: TrainReport) -> None:
     with atomic_write(path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(report.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -132,17 +127,11 @@ def _check_coverage(entries, features, embeddings):
 
 def _batches_same_length(indices, lengths, batch_size):
     """Chunk shuffled indices into batches of equal sequence length."""
-    groups = {}
-    order = []
+    groups = {}  # in the order each length first appears
     for i in indices:
-        t = lengths[i]
-        if t not in groups:
-            groups[t] = []
-            order.append(t)
-        groups[t].append(i)
+        groups.setdefault(lengths[i], []).append(i)
     out = []
-    for t in order:
-        g = groups[t]
+    for g in groups.values():
         for k in range(0, len(g), batch_size):
             out.append(g[k : k + batch_size])
     return out
@@ -158,10 +147,7 @@ class _Adam:
     def step(self, params: md.AtcaParams, grads: dict) -> None:
         cfg = self.cfg
         if cfg.grad_clip is not None:
-            total = 0.0
-            for g in grads.values():
-                total += float(np.sum(g * g))
-            norm = np.sqrt(total)
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             if norm > cfg.grad_clip:
                 scale = cfg.grad_clip / norm
                 grads = {n: g * scale for n, g in grads.items()}
@@ -201,6 +187,11 @@ def _train_step(params, adam, spec_mats, texts, labels, weights, batch, lr) -> t
         grad_map = ad.backward(tape, loss)
         adam.step(params, {n: grad_map[t] for n, t in params.tensors.items()})
     return loss.item(), float(weights[labels[batch]].sum())
+
+
+def _diverged(epoch: int, step: int, what: str) -> BadConfig:
+    """A diverged run's error: its inputs were checked, so its config is at fault."""
+    return BadConfig(f"training diverged at epoch {epoch}, step {step}: non-finite {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +236,23 @@ def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaCon
         order = rng.permutation(len(train_e))
         num = 0.0
         den = 0.0
-        for batch in _batches_same_length(list(order), lengths, cfg.batch_size):
-            loss, w_batch = _train_step(params, adam, spec_mats, texts, labels, weights, batch, cfg.lr)
-            num += loss * w_batch
-            den += w_batch
+        # a run that diverges raises one BadConfig, and no numpy warning
+        with np.errstate(all="ignore"):
+            for step, batch in enumerate(_batches_same_length(list(order), lengths, cfg.batch_size)):
+                loss, w_batch = _train_step(params, adam, spec_mats, texts, labels, weights, batch, cfg.lr)
+                num += loss * w_batch
+                den += w_batch
+                if not (np.isfinite(num) and np.isfinite(den)):  # the step's loss, or the epoch's sums
+                    raise _diverged(epoch, step, "loss")
+            if not all(np.isfinite(t.values).all() for t in params.tensors.values()):
+                raise _diverged(epoch, step, "parameters")
+            try:
+                dev_trials = score_protocol(params, dev_e, features, embeddings)
+            except NonFinite as exc:  # a dev clip's input, checked again here, or the run's scores
+                md.check_inputs([features[e.utt_id] for e in dev_e], [embeddings[e.utt_id] for e in dev_e], params)
+                raise _diverged(epoch, step, "dev score") from exc
         loss_curve.append(num / den)
 
-        dev_trials = score_protocol(params, dev_e, features, embeddings)
         eer = compute_eer(dev_trials).eer
         eer_curve.append(eer)
         if eer < best_eer:

@@ -1,12 +1,15 @@
 """Subcommand pipeline, exit codes, and stderr formatting."""
 
 import filecmp
+import importlib
+import inspect
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -160,6 +163,23 @@ class TestPipeline:
                     "--config", str(pipeline["config"]), "--fraction", "0.5",
                     "--epochs", "1", "--out-ckpt", str(ckpt2)]) == 0
         assert ckpt2.exists()
+
+    def test_train_flags_replace_their_file_values(self, pipeline, tmp_path, monkeypatch):
+        # the run config's train section: epochs 2, batch 8, lr 1e-3, seed 0, patience 5
+        used = []
+        train = cli.tr.train
+
+        def recorded(entries, features, embeddings, cfg, model_cfg):
+            used.append(cfg)
+            return train(entries, features, embeddings, cfg, model_cfg)
+
+        monkeypatch.setattr(cli.tr, "train", recorded)
+        assert run(["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1",
+                    "--config", str(pipeline["config"]), "--epochs", "1", "--batch-size", "4",
+                    "--lr", "0.01", "--seed", "3", "--patience", "7",
+                    "--out-ckpt", str(tmp_path / "m.atck")]) == 0
+        assert used == [cli.tr.TrainConfig(epochs=1, batch_size=4, lr=0.01, seed=3, patience=7)]
 
     def test_corpus_rebuild_is_byte_identical(self, pipeline, tmp_path):
         again = tmp_path / "corpus2"
@@ -540,6 +560,80 @@ class TestErrorMapping:
                     "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
         assert not out.exists()
+
+    # a flag replaces a field of the config its section builds, so the
+    # file's value is checked whether or not a flag is given
+    @pytest.mark.parametrize("command", ["corpus_synth", "train", "ensemble_fit"])
+    def test_flag_over_a_bad_file_value_exit_one(self, pipeline, tmp_path, capsys, command):
+        config, out = tmp_path / "run.json", tmp_path / "out"
+        if command == "corpus_synth":
+            section = {"corpus": {"n_clips": 12, "duration_s": 0.5, "sample_rate": 8000, "seed": -1}}
+            argv = ["corpus", "synth", "--seed", "0", "--out", str(out)]
+            out = out / "manifest.json"
+        elif command == "train":
+            section = {"train": {"epochs": 0}, "model": json.loads(pipeline["config"].read_text())["model"]}
+            argv = ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1", "--epochs", "1",
+                    "--out-ckpt", str(out)]
+        else:
+            section = {"ensemble": {"seed": -1}}
+            argv = ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--seed", "0", "--out", str(out)]
+        config.write_text(json.dumps(section))
+        assert run(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
+        assert not out.exists()
+
+    # training checks its loss, parameters and dev scores: a run config that
+    # makes them non-finite is a usage error, reported before anything is written
+    @pytest.mark.parametrize("section", [
+        {"train": {"lr": 1e300}},
+        {"model": {"class_weights": [1e308, 1e308]}, "train": {"auto_class_weights": False}},
+    ], ids=["huge_lr", "huge_class_weights"])
+    def test_diverging_run_exit_one_and_nothing_written(self, pipeline, tmp_path, capsys, section):
+        config = json.loads(pipeline["config"].read_text())
+        for name, fields in section.items():
+            config[name] = {**config[name], **fields}
+        path, ckpt, report = tmp_path / "run.json", tmp_path / "m.atck", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        # a numpy warning would fail the call with exit 3, as the suite turns warnings into errors
+        assert run(["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1", "--config", str(path),
+                    "--epochs", "1", "--out-ckpt", str(ckpt), "--out-report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG: training diverged at epoch 0") and err.count("\n") == 1
+        assert not ckpt.exists() and not report.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"d_model": 100000, "d_k": 100000}, {"d_text": 10**6},
+        {"gru_layers": 200, "gru_hidden": 10}, {"gru_layers": 10**9},
+    ], ids=["wide_model", "wide_text", "deep_wavefront", "layers_1e9"])
+    def test_model_past_the_cost_bound_exit_one_before_allocating(self, pipeline, tmp_path, capsys,
+                                                                   monkeypatch, model):
+        # the text width is the file's unless the config sets it: d_text 10**6
+        # is past the bound before it is found to differ from the file
+        def no_init(*args, **kwargs):
+            raise AssertionError("allocated a model past the cost bound")
+
+        monkeypatch.setattr(md.AtcaParams, "init", no_init)
+        path, ckpt = tmp_path / "run.json", tmp_path / "m.atck"
+        path.write_text(json.dumps({"model": model}))
+        assert run(["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1", "--config", str(path),
+                    "--epochs", "1", "--out-ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR BAD_CONFIG: model widths ask for more than {md.MAX_MODEL_ENTRIES}")
+        assert err.count("ERROR") == 1
+        assert not ckpt.exists()
+
+    def test_checkpoint_past_the_cost_bound_is_bad_json(self, tmp_path, capsys):
+        blob = json.dumps({"d_model": 100000, "d_k": 100000}).encode("utf-8")
+        path = tmp_path / "big.atck"
+        path.write_bytes(errors.CHECKPOINT_MAGIC + struct.pack("<II", md.CHECKPOINT_VERSION, len(blob)) + blob)
+        assert run(["params", "--ckpt", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_JSON:") and f"more than {md.MAX_MODEL_ENTRIES}" in err
 
     @pytest.mark.parametrize("grid_step", [1e-6, 5e-324])
     def test_grid_step_past_the_point_bound_exit_one_before_any_work(self, pipeline, tmp_path, capsys,
@@ -1053,10 +1147,12 @@ class TestSubsetReads:
                     "--out-ckpt", str(ckpt)]) == 0
         assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
 
-    @pytest.mark.parametrize("d_text", [None, 32], ids=["width_from_file", "width_in_config"])
+    @pytest.mark.parametrize("d_text", [None, 32, 24],
+                             ids=["width_from_file", "width_in_config", "other_width_in_config"])
     def test_train_on_a_file_without_its_clips_exit_two(self, pipeline, tmp_path, capsys,
                                                         d_text):
-        # the file holds only the eval clips, 32 wide
+        # the file holds only the eval clips, 32 wide; with none of the clips
+        # it reads, the file sets no width, so a config's d_text is not a mismatch
         eval_ids = {e.utt_id for e in filter_split(read_protocol(pipeline["protocol"]), "eval")}
         emb = tmp_path / "eval_only.bin"
         tx.write_embeddings(str(emb), [e for e in tx.load_embeddings(str(pipeline["emb"]))
@@ -1071,6 +1167,40 @@ class TestSubsetReads:
                     "--track", "1", "--config", str(path), "--out-ckpt", str(ckpt)]) == 2
         assert capsys.readouterr().err.startswith("ERROR MISSING_EMBEDDING:")
         assert not ckpt.exists()
+
+
+def _perfbench_tracing():
+    """The benchmark's ``perfbench/tracing.py``, run from its source, so no
+    bytecode is written next to it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    module = types.ModuleType("perfbench_tracing")
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+class TestBenchmarkNames:
+    """The package names and signatures the benchmark's traced run calls:
+    a fold that renames, inlines or re-signs one fails here, and not only
+    in a traced benchmark run."""
+
+    def test_every_traced_target_is_a_package_function(self):
+        tracing = _perfbench_tracing()
+        for module_name, fn_name, _ in tracing.TARGETS:
+            fn = getattr(importlib.import_module(module_name), fn_name, None)
+            assert inspect.isfunction(fn) and fn.__module__.startswith("atcadet."), (module_name, fn_name)
+        # the apply_fake span is named from its generator argument
+        assert list(inspect.signature(importlib.import_module("atcadet.corpus").apply_fake).parameters)[1] == "gen"
+
+    def test_step_metrics_runs_on_the_pipeline(self, pipeline):
+        problems = []
+        metrics = _perfbench_tracing().step_metrics(
+            str(pipeline["corpus"]), str(pipeline["feats"]), str(pipeline["emb"]), str(pipeline["ckpt"]),
+            1, problems)
+        assert problems == []
+        assert metrics["autodiff.tape_nodes"] == 4
+        assert all(np.isfinite(value) for value in metrics.values())
 
 
 class TestStartup:

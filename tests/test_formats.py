@@ -15,6 +15,7 @@ format.
 import ast
 import functools
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -205,11 +206,13 @@ def _cli_inputs(root):
     return {"train": (train, {"u0", "u1", "u2", "u3"}), "score": (score, {"u2", "u3"})}
 
 
-def _rejects_through_the_cli(damaged, commands, capsys):
+def _rejects_through_the_cli(damaged, commands, capsys, outputs=()):
     """Damage the file ``damaged`` every way ``_damaged`` does, and run each
     of ``commands``, (name, argument list, loader call) triples, on each
-    damaged file its loader call rejects. Returns the number of such runs
-    and one line for each that did not exit 2 with the loader's typed error."""
+    damaged file its loader call rejects, with none of the files or
+    directories ``outputs`` in place. Returns the number of such runs and
+    one line for each that did not exit 2 with the loader's typed error,
+    or printed to stdout, or left one of ``outputs``."""
     for _, argv, _ in commands:
         assert cli.main(argv) == 0
     failures, rejected = [], 0
@@ -221,12 +224,19 @@ def _rejects_through_the_cli(damaged, commands, capsys):
                 continue
             except AtcadetError as exc:
                 want = f"ERROR {exc.code}:"
+            for path in outputs:
+                if path.is_dir():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink(missing_ok=True)
             capsys.readouterr()
             code = cli.main(argv)
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             rejected += 1
-            if code != 2 or not err.startswith(want):
-                failures.append(f"{label}, {name}: exit {code}, {err.strip()!r}, wanted {want}")
+            left = [path.name for path in outputs if path.exists()]
+            if code != 2 or not err.startswith(want) or out or left:
+                failures.append(f"{label}, {name}: exit {code}, {err.strip()!r}, wanted {want}, "
+                                f"printed {out!r}, left {left}")
     return rejected, failures
 
 
@@ -296,6 +306,72 @@ def test_truncated_or_flipped_features_or_protocol_exit_two_through_the_cli(tmp_
     # command that reads it with exit 2 and the loader's typed error
     damaged, commands = inputs(tmp_path)
     rejected, failures = _rejects_through_the_cli(damaged, commands, capsys)
+    assert rejected > 100
+    assert failures == []
+
+
+def _score_file_inputs(root):
+    """Eight dev clips with 2-wide captions and two score files over them;
+    ``eer``, ``ensemble fit`` and ``ensemble score`` on the first of those
+    files, each with the call that loads it, and the files they write."""
+    rng = np.random.default_rng(6)
+    entries = [ProtocolEntry(f"u{i}", f"wav/u{i}.wav", ("bonafide", "spoof")[i % 2], "g", "dev")
+               for i in range(8)]
+    protocol, scores = root / "protocol.tsv", root / "a.tsv"
+    write_protocol(protocol, entries)
+    tx.write_embeddings(root / "emb.bin", [tx.TextEmbedding(e.utt_id, rng.normal(size=(1, 2)), ())
+                                           for e in entries])
+    for path in (scores, root / "b.tsv"):
+        write_scores(path, [Trial(e.utt_id, float(rng.normal())) for e in entries])
+    _ensemble(root / "stack.aten")  # over two base scores and 2-wide captions
+    (root / "run.json").write_text(json.dumps({"ensemble": {
+        "gbm_rounds": 1, "gbm_depth": 1, "forest_trees": 1, "forest_depth": 1}}))
+    common = ["--scores", f"{scores},{root / 'b.tsv'}", "--embeddings", str(root / "emb.bin"),
+              "--protocol", str(protocol), "--split", "dev", "--force"]
+    load = functools.partial(read_scores, scores)
+    fit, ens = root / "fit.aten", root / "ens.tsv"
+    return scores, [
+        ("eer", ["eer", "--scores", str(scores), "--protocol", str(protocol)], load),
+        ("ensemble_fit", ["ensemble", "fit", *common, "--config", str(root / "run.json"),
+                          "--folds", "2", "--out", str(fit)], load),
+        ("ensemble_score", ["ensemble", "score", "--model", str(root / "stack.aten"), *common,
+                            "--out", str(ens)], load),
+    ], [fit, ens]
+
+
+def _caption_inputs(root):
+    """``embed`` on a corpus directory holding only captions, with the call
+    that loads them and the files it writes."""
+    captions, emb = root / "captions.jsonl", root / "emb.bin"
+    _captions(captions)
+    argv = ["embed", "--corpus", str(root), "--out", str(emb), "--dim", "8", "--force"]
+    return captions, [("embed", argv, functools.partial(tx.load_captions, captions))], \
+        [emb, Path(tx.index_path_for(emb))]
+
+
+def _manifest_inputs(root):
+    """``featurize`` on a corpus of two short 44.1 kHz clips, with the call
+    that loads its manifest and the directory it writes."""
+    rng = np.random.default_rng(7)
+    clips = [cp.ClipRecord(f"u{i}", "g", "bonafide", ("dog",), 0.05, (0, i)) for i in range(2)]
+    manifest = root / "manifest.json"
+    cp.write_manifest(manifest, cp.CorpusManifest(clips, {"track1": {"train": ["u0"], "dev": ["u1"]}}, 0.0))
+    (root / "wav").mkdir()
+    for clip in clips:
+        dsp.write_wav(root / "wav" / f"{clip.utt_id}.wav", dsp.Waveform(rng.uniform(-0.5, 0.5, 2205), 44100))
+    argv = ["featurize", "--corpus", str(root), "--out", str(root / "feats"),
+            "--n-fft", "512", "--hop", "256", "--n-mels", "8", "--force"]
+    return manifest, [("featurize", argv, functools.partial(cp.load_manifest, manifest))], [root / "feats"]
+
+
+@pytest.mark.parametrize("inputs", [_score_file_inputs, _caption_inputs, _manifest_inputs],
+                         ids=["scores", "captions", "manifest"])
+def test_truncated_or_flipped_text_file_exits_two_through_the_cli(tmp_path, capsys, inputs):
+    # each damaged score file, caption file or manifest its loader rejects
+    # fails every command that reads it with exit 2 and the loader's typed
+    # error, and the command prints and writes nothing
+    damaged, commands, outputs = inputs(tmp_path)
+    rejected, failures = _rejects_through_the_cli(damaged, commands, capsys, outputs)
     assert rejected > 100
     assert failures == []
 

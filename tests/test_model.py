@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from atcadet.dsp import FeatureMatrix
 from atcadet.errors import (
     BadConfig,
     BadHeader,
+    BadJson,
     NonFinite,
     ShapeMismatch,
     TruncatedFile,
@@ -898,6 +900,21 @@ class TestCountParams:
         b = md.count_params_for(_tiny_cfg(n_heads=2, d_k=2))
         c = md.count_params_for(_tiny_cfg(n_heads=4, d_k=1))
         assert a == b == c
+
+    def test_cost_bound(self):
+        stock = AtcaConfig()  # 29,330 parameters and a 96 x 49 wavefront matrix
+        assert md.count_params_for(stock) == 29330
+        assert stock.bounded() is stock
+        # 29,330 + 32 * (312,351 - 768) = 9,999,986 parameters: the bound is inclusive
+        assert AtcaConfig(d_text=312351).bounded()
+        deep = AtcaConfig(gru_layers=200, gru_hidden=10)  # a 6000 x 2017 wavefront matrix
+        assert md.count_params_for(deep) < md.MAX_MODEL_ENTRIES
+        # 10**9 layers are rejected on the wavefront, before count_params_for walks them
+        for cfg in (AtcaConfig(d_text=312352), deep, AtcaConfig(gru_layers=10**9)):
+            with pytest.raises(BadConfig, match=f"more than {md.MAX_MODEL_ENTRIES}"):
+                cfg.bounded()
+        with pytest.raises(BadJson, match=f"more than {md.MAX_MODEL_ENTRIES}"):
+            AtcaConfig.from_json(json.dumps({"d_text": 312352}))
 
     def test_large_config_no_overflow(self):
         cfg = AtcaConfig(

@@ -193,6 +193,67 @@ class TestTrain:
         assert again.to_dict() == report.to_dict()
 
 
+class TestDivergence:
+    """A run whose loss, parameters or dev scores turn non-finite raises one
+    BadConfig naming the epoch and step, and no numpy warning: the suite
+    turns warnings into errors."""
+
+    def test_huge_lr_is_a_bad_config(self):
+        entries, features, embeddings = _toy_data()
+        with pytest.raises(BadConfig, match=r"^training diverged at epoch 0, step \d+: non-finite"):
+            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=2, batch_size=2, lr=1e300), TOY_CFG)
+
+    def test_huge_class_weights_are_a_bad_config(self):
+        entries, features, embeddings = _toy_data()
+        cfg = dataclasses.replace(TOY_CFG, class_weights=(1e308, 1e308))
+        with pytest.raises(BadConfig, match="epoch 0, step 0: non-finite loss"):
+            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=1, auto_class_weights=False), cfg)
+
+    def test_class_weights_that_overflow_the_epoch_sums_are_a_bad_config(self):
+        # each step's loss is finite, but two steps' summed weights are not
+        entries, features, embeddings = _toy_data()
+        cfg = dataclasses.replace(TOY_CFG, class_weights=(5e307, 5e307))
+        with pytest.raises(BadConfig, match="epoch 0, step 1: non-finite loss"):
+            tr.train(entries, features, embeddings,
+                     tr.TrainConfig(epochs=1, batch_size=2, auto_class_weights=False), cfg)
+
+    def test_non_finite_parameters_are_a_bad_config(self, monkeypatch):
+        # the step's loss was taken before its update, so only the parameter check sees this
+        def overflow(adam, params, grads):
+            params["head_b"].values = np.full_like(params["head_b"].values, np.inf)
+
+        monkeypatch.setattr(tr._Adam, "step", overflow)
+        entries, features, embeddings = _toy_data()
+        with pytest.raises(BadConfig, match="epoch 0, step 0: non-finite parameters"):
+            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=1, batch_size=8), TOY_CFG)
+
+    def test_non_finite_dev_score_is_a_bad_config(self, monkeypatch):
+        def diverged(*args):
+            raise NonFinite("u8: non-finite score")
+
+        monkeypatch.setattr(tr, "score_protocol", diverged)
+        entries, features, embeddings = _toy_data()
+        with pytest.raises(BadConfig, match="epoch 0, step 0: non-finite dev score"):
+            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=1, batch_size=8), TOY_CFG)
+
+    def test_non_finite_dev_input_stays_a_data_error(self):
+        entries, features, embeddings = _toy_data()
+        features["u8"][0, 0] = np.nan  # a dev clip
+        with pytest.raises(NonFinite, match="standardized spectrogram frames"):
+            tr.train(entries, features, embeddings, tr.TrainConfig(epochs=1), TOY_CFG)
+
+    def test_report_holding_a_nan_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            tr.write_report(tmp_path / "report.json",
+                            tr.TrainReport([float("nan")], [0.5], 0, 1.0, (1.0, 1.0)))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_batches_keep_each_length_in_the_order_it_first_appears():
+    lengths = [5, 7, 5, 7, 5]
+    assert tr._batches_same_length([3, 0, 1, 2, 4], lengths, 2) == [[3, 1], [0, 2], [4]]
+
+
 class TestLossSmoothness:
     def test_full_batch_gd_non_increasing_first_steps(self):
         # plain gradient descent with a small step on a fixed batch
