@@ -152,7 +152,8 @@ def featurize(corpus_dir, out_dir, n_fft, hop, n_mels, force):
             raise NotWav(f"{wav}: listed in the manifest but not found")
         _guard_output(path, force)
     os.makedirs(out_dir, exist_ok=True)
-    with temps_swept_on_error(out_dir, [os.path.basename(path) for _, path in targets]):
+    # a run that fails leaves no feature file of its targets, so no rerun meets them
+    with temps_swept_on_error(out_dir, [os.path.basename(path) for _, path in targets], finished=True):
         run_shares(_featurize_share, targets, stft_cfg)
     click.echo(f"wrote {len(targets)} feature files to {out_dir}")
 
@@ -174,8 +175,8 @@ def embed(ctx, corpus_dir, out_path, dim, seed, force):
         return
     if corpus_dir is None or out_path is None:
         raise UsageError("embed requires --corpus and --out")
-    captions = tx.load_captions(os.path.join(corpus_dir, "captions.jsonl"))
     cfg = tx.ToyEmbedderConfig(dim=dim, seed=seed)
+    captions = tx.load_captions(os.path.join(corpus_dir, "captions.jsonl"))
     _guard_output(out_path, force)
     # each caption's matrix is written as it is made and then dropped
     tx.write_embeddings(out_path, (tx.toy_embed(cs, cfg) for cs in captions))
@@ -248,6 +249,9 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
     run = load_run_config(config_path)
     tcfg = _override(_section_config(tr.TrainConfig, run.get("train", {})), epochs=epochs,
                      batch_size=batch_size, lr=lr, seed=seed, patience=patience)
+    if tcfg.auto_class_weights and "class_weights" in run.get("model", {}):
+        raise BadConfig("model.class_weights is ignored while train.auto_class_weights is true; "
+                        "set auto_class_weights to false to use them")
 
     entries = read_protocol(os.path.join(corpus_dir, f"protocol_track{track}.tsv"))
     if fraction is not None:
@@ -351,11 +355,12 @@ def _read_score_sets(spec: str):
     return [read_scores(p) for p in paths]
 
 
-def _meta_examples(scores_spec, embeddings_path, protocol_path, split) -> list:
-    """The meta examples of one split: each base score file's scores and each clip's caption."""
+def _meta_examples(scores_spec, embeddings_path, protocol_path, split) -> tuple:
+    """The protocol rows of one split, and their meta features and targets
+    from each base score file's scores and each clip's caption."""
     entries = filter_split(read_protocol(protocol_path), split)
     score_sets = _read_score_sets(scores_spec)
-    return es.build_meta_examples(score_sets, _load_embedding_map(embeddings_path, entries), entries)
+    return entries, *es.build_meta_examples(score_sets, _load_embedding_map(embeddings_path, entries), entries)
 
 
 @cli.group(name="ensemble")
@@ -386,8 +391,8 @@ def ensemble_fit(scores_spec, embeddings_path, protocol_path, split, config_path
     run = load_run_config(config_path)
     cfg = _override(_section_config(es.StackConfig, run.get("ensemble", {})), seed=seed)
     _guard_output(out_path, force)
-    examples = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
-    model = es.fit_stacked(examples, folds=folds, cfg=cfg)
+    _, x, y = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
+    model = es.fit_stacked(x, y, folds=folds, cfg=cfg)
     es.save_ensemble(out_path, model)
     weights = ", ".join(f"{w:.2f}" for w in model.combine_weights)
     click.echo(f"wrote ensemble to {out_path} (combine weights {weights})")
@@ -412,9 +417,8 @@ def ensemble_score(model_path, scores_spec, embeddings_path, protocol_path, spli
     """Score a split with a fitted ensemble over base score files."""
     _guard_output(out_path, force)
     model = es.load_ensemble(model_path)
-    examples = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
-    preds = es.predict_stacked(model, np.stack([es.feature_vector(ex) for ex in examples]))
-    trials = [Trial(ex.utt_id, float(p)) for ex, p in zip(examples, preds)]
+    entries, x, _ = _meta_examples(scores_spec, embeddings_path, protocol_path, split)
+    trials = [Trial(e.utt_id, float(p)) for e, p in zip(entries, es.predict_stacked(model, x))]
     write_scores(out_path, trials)
     click.echo(f"wrote {len(trials)} ensemble scores to {out_path}")
 

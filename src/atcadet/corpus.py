@@ -376,6 +376,11 @@ def scaled_generator(gen: GeneratorSpec, strength: float, sample_rate: int) -> G
 # ---------------------------------------------------------------------------
 # Corpus assembly
 
+# the largest corpus: clips, and samples per clip (synthesis peaks near
+# 100 bytes a sample, so about 1 GB a clip)
+MAX_CLIPS = 10**5
+MAX_CLIP_SAMPLES = 10**7
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -398,6 +403,12 @@ class CorpusConfig:
                      flags=("caption_generator_hints",))
         if self.duration_s < 0.5:
             raise BadConfig("clip duration must be >= 0.5 s")
+        if self.n_clips > MAX_CLIPS:
+            raise BadConfig(f"n_clips must be <= {MAX_CLIPS}, got {self.n_clips}")
+        # compared as a division: a huge integer sample_rate does not convert to float
+        if self.sample_rate > MAX_CLIP_SAMPLES / self.duration_s:
+            raise BadConfig(f"a {self.duration_s} s clip at {self.sample_rate} Hz holds more than "
+                            f"{MAX_CLIP_SAMPLES} samples")
         if not 0.0 < self.bonafide_fraction < 1.0:
             raise BadConfig("bonafide fraction must be in (0, 1)")
         if not 0.0 < self.blackbox_fraction <= 1.0:

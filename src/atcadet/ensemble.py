@@ -1,7 +1,7 @@
 """Stacked regression ensemble over base-detector scores.
 
-Meta examples pair each utterance's base-system scores with its pooled
-text feature vector. Three regressors (gradient boosting, random
+Each utterance's meta-feature row holds its base-system scores and its
+pooled text feature vector. Three regressors (gradient boosting, random
 forest, ridge) are fit to {0,1} targets under MSE; their convex
 combination weights are tuned on out-of-fold predictions over a simplex
 grid, then all three are refit on the full data.
@@ -21,7 +21,6 @@ from .errors import (
     BadConfig,
     BadHeader,
     BadJson,
-    CoverageMismatch,
     DimMismatch,
     MissingEmbedding,
     NonFinite,
@@ -33,61 +32,30 @@ from .errors import (
     read_blob,
     write_blob,
 )
+from .metrics import merge_with_protocol
 from .shares import run_shares
 from .text import pool_text_vector
 
 ENSEMBLE_VERSION = 1
 
 
-@dataclass(frozen=True, eq=False)
-class MetaExample:
-    utt_id: str
-    base_scores: np.ndarray
-    text_feat: np.ndarray
-    target: Optional[float] = None
-
-    def __post_init__(self):
-        base = np.asarray(self.base_scores, dtype=np.float64).reshape(-1)
-        feat = np.asarray(self.text_feat, dtype=np.float64).reshape(-1)
-        if base.size < 1:
-            raise DimMismatch(f"{self.utt_id}: need at least one base score")
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(feat))):
-            raise NonFinite(f"{self.utt_id}: non-finite meta features")
-        object.__setattr__(self, "base_scores", base)
-        object.__setattr__(self, "text_feat", feat)
-
-
-def feature_vector(example: MetaExample) -> np.ndarray:
-    return np.concatenate([example.base_scores, example.text_feat])
-
-
-def build_meta_examples(score_sets, embeddings, entries) -> list:
-    """Align B score lists with protocol entries and an ``{utt_id: embedding}`` dict.
-
-    Every score set must cover exactly the protocol's utterance set.
+def build_meta_examples(score_sets, embeddings, entries) -> tuple:
+    """The meta-feature matrix ``x`` and targets ``y`` of protocol ``entries``:
+    one float64 row per entry, in order, of its score in each of the B score
+    lists (aligned by ``metrics.merge_with_protocol``, as ``eer`` aligns them),
+    then its pooled text vector from the ``{utt_id: embedding}`` dict.
     Targets come from protocol labels (bonafide=1, spoof=0).
     """
-    protocol_utts = [e.utt_id for e in entries]
-    want = set(protocol_utts)
-    maps = []
-    for i, trials in enumerate(score_sets):
-        got = {t.utt_id for t in trials}
-        if got != want:
-            missing = sorted(want - got)[:3]
-            extra = sorted(got - want)[:3]
-            raise CoverageMismatch(
-                f"score set {i} does not match the protocol (missing {missing}, extra {extra})"
-            )
-        maps.append({t.utt_id: t.score for t in trials})
-    examples = []
+    if not score_sets:
+        raise DimMismatch("need at least one base score set")
+    scores = [[t.score for t in merge_with_protocol(trials, entries)] for trials in score_sets]
     for entry in entries:
         if entry.utt_id not in embeddings:
             raise MissingEmbedding(f"no embedding for {entry.utt_id!r}")
-        scores = np.array([m[entry.utt_id] for m in maps])
-        feat = pool_text_vector(embeddings[entry.utt_id])
-        target = 1.0 if entry.label == "bonafide" else 0.0
-        examples.append(MetaExample(entry.utt_id, scores, feat, target))
-    return examples
+    text = [pool_text_vector(embeddings[e.utt_id]) for e in entries]
+    x = np.column_stack([np.array(scores).T, np.array(text)])
+    y = np.array([1.0 if e.label == "bonafide" else 0.0 for e in entries])
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +522,9 @@ def choose_combine_weights(preds: np.ndarray, y: np.ndarray, step: float = 0.05)
     mses = np.mean(errs * errs, axis=0)
     best = float(mses.min())
     band = best * (1.0 + 1e-9) + 1e-18
-    uniform = combos[-1]
-    if mses[-1] <= band:
-        return uniform
-    for combo, mse in zip(combos, mses):
-        if mse <= band:
-            return combo
-    raise AssertionError("unreachable: minimum not within its own band")
+    within = mses <= band
+    # the uniform candidate is last; the minimum lies within its own band
+    return combos[-1] if within[-1] else combos[int(np.argmax(within))]
 
 
 def _fit_trees(jobs, x, y, fold_of, cfg: StackConfig) -> list:
@@ -580,8 +544,9 @@ def _fit_trees(jobs, x, y, fold_of, cfg: StackConfig) -> list:
     return out
 
 
-def fit_stacked(examples, folds: int = 5, cfg: StackConfig = StackConfig(), return_diagnostics: bool = False):
-    """Fit the stack on ``examples`` with ``folds``-fold out-of-fold
+def fit_stacked(x, y, folds: int = 5, cfg: StackConfig = StackConfig(), return_diagnostics: bool = False):
+    """Fit the stack on the meta features ``x`` and targets ``y`` that
+    :func:`build_meta_examples` returns, with ``folds``-fold out-of-fold
     combine weights.
 
     The GBM and forest fits are independent of each other, so they run
@@ -592,14 +557,11 @@ def fit_stacked(examples, folds: int = 5, cfg: StackConfig = StackConfig(), retu
     """
     if folds < 2:
         raise BadConfig("need at least 2 folds")
-    examples = list(examples)
-    if len(examples) < folds:
-        raise TooFewExamples(f"{len(examples)} examples cannot fill {folds} folds")
-    if any(e.target is None for e in examples):
-        raise BadConfig("every example needs a target to fit the stack")
-    x = np.stack([feature_vector(e) for e in examples])
-    y = np.array([e.target for e in examples], dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     n = len(y)
+    if n < folds:
+        raise TooFewExamples(f"{n} examples cannot fill {folds} folds")
 
     rng = np.random.default_rng(cfg.seed)
     fold_of = np.empty(n, dtype=np.int64)

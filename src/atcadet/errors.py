@@ -117,16 +117,18 @@ def atomic_write(path, mode: str = "wb"):
 
 
 @contextmanager
-def temps_swept_on_error(directory, names):
+def temps_swept_on_error(directory, names, finished=False):
     """Run the block; if it fails, remove from ``directory`` the temp files
     ``atomic_write`` leaves for any of ``names`` when its process is killed
-    mid-write (a forked worker, say), then re-raise."""
+    mid-write (a forked worker, say), and with ``finished`` the files
+    ``names`` themselves, then re-raise."""
     try:
         yield
     except BaseException:
         prefixes = tuple(f".{name}." for name in names)
+        doomed = set(names) if finished else set()
         for entry in os.listdir(directory):
-            if entry.startswith(prefixes) and entry.endswith(".tmp"):
+            if entry in doomed or entry.startswith(prefixes) and entry.endswith(".tmp"):
                 os.remove(os.path.join(directory, entry))
         raise
 
@@ -261,10 +263,6 @@ class EmptySplit(DataError):
 
 
 # ensemble_stack
-class CoverageMismatch(DataError):
-    code = "COVERAGE_MISMATCH"
-
-
 class TooFewExamples(DataError):
     code = "TOO_FEW_EXAMPLES"
 

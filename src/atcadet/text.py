@@ -309,6 +309,11 @@ def intern_rows(blocks) -> tuple:
     return interner.finish()
 
 
+# the widest embedding the hashing embedder makes: each token's row is
+# drawn whole, in float64
+MAX_EMBED_DIM = 10**5
+
+
 @dataclass(frozen=True)
 class ToyEmbedderConfig:
     dim: int = 768
@@ -316,8 +321,8 @@ class ToyEmbedderConfig:
     vocab_hash_buckets: int = 1 << 20
 
     def __post_init__(self):
-        if self.dim < 8:
-            raise BadConfig(f"embedding dim must be >= 8, got {self.dim}")
+        if not 8 <= self.dim <= MAX_EMBED_DIM:
+            raise BadConfig(f"embedding dim must be in [8, {MAX_EMBED_DIM}], got {self.dim}")
         if self.vocab_hash_buckets < 1:
             raise BadConfig("vocab_hash_buckets must be positive")
         if not 0 <= self.seed <= _MASK64:

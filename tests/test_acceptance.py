@@ -286,12 +286,11 @@ def test_c07_stack_matches_best_base(hinted_runs):
         ]
         dev_sets = [run["full_dev"], run["abl_dev"], hinted_runs["base_dev"]]
         stack_cfg = es.StackConfig(seed=seed, forest_trees=50, gbm_rounds=50)
-        model = es.fit_stacked(
-            es.build_meta_examples(dev_sets, embeddings, dev_entries),
-            folds=5, cfg=stack_cfg)
+        model = es.fit_stacked(*es.build_meta_examples(dev_sets, embeddings, dev_entries),
+                               folds=5, cfg=stack_cfg)
         eval_sets = [run["full_eval"], run["abl_eval"], hinted_runs["base_eval"]]
-        examples = es.build_meta_examples(eval_sets, embeddings, eval_entries)
-        preds = es.predict_stacked(model, np.stack([es.feature_vector(ex) for ex in examples]))
+        x, _ = es.build_meta_examples(eval_sets, embeddings, eval_entries)
+        preds = es.predict_stacked(model, x)
         stacked = [Trial(e.utt_id, float(p), e.label)
                    for e, p in zip(eval_entries, preds)]
         stacked_eer = compute_eer(stacked).eer
@@ -422,12 +421,10 @@ def test_c10_format_round_trips(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
     for i in range(3):
-        examples = [
-            es.MetaExample(f"u{j:03d}", rng.normal(size=3), rng.normal(size=2),
-                           float(rng.integers(0, 2)))
-            for j in range(24)
-        ]
-        model = es.fit_stacked(examples, folds=3,
+        # per row: three base scores, two text features, a target
+        rows = np.array([[*rng.normal(size=3), *rng.normal(size=2), rng.integers(0, 2)]
+                         for _ in range(24)])
+        model = es.fit_stacked(rows[:, :5], rows[:, 5], folds=3,
                                cfg=es.StackConfig(gbm_rounds=5, forest_trees=3, seed=i))
         first = tmp_path / f"e{i}a.aten"
         second = tmp_path / f"e{i}b.aten"

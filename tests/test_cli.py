@@ -16,6 +16,7 @@ import pytest
 
 import atcadet
 import atcadet.cli as cli
+import atcadet.corpus as cp
 import atcadet.dsp as dsp
 import atcadet.ensemble as es
 import atcadet.errors as errors
@@ -656,6 +657,73 @@ class TestErrorMapping:
         assert peak < 1 << 20, peak
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["corpus", "synth"], {"corpus": {"n_clips": 8, "duration_s": 1e12}}),
+        (["corpus", "synth"], {"corpus": {"n_clips": 8, "sample_rate": 10**400}}),
+        (["corpus", "synth"], {"corpus": {"n_clips": 10**15}}),
+        (["embed", "--dim", "1000000000000000"], None),
+    ], ids=["duration_1e12", "sample_rate_1e400", "n_clips_1e15", "dim_1e15"])
+    def test_corpus_or_embedding_past_the_cost_bound_exit_one_before_any_work(
+            self, pipeline, tmp_path, capsys, monkeypatch, argv, config):
+        def no_work(*args):
+            raise AssertionError("started work past the cost bound")
+
+        monkeypatch.setattr(cli.cp, "build_corpus", no_work)
+        monkeypatch.setattr(cli.tx, "load_captions", no_work)
+        out = tmp_path / "out"
+        if config is None:
+            argv = [*argv, "--corpus", str(pipeline["corpus"])]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "run.json")]
+        code, peak = traced_peak(lambda: run([*argv, "--out", str(out)]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG:") and err.count("\n") == 1
+        assert peak < 1 << 20, peak
+        assert not out.exists()
+
+    def test_corpus_and_embedding_bounds_are_inclusive(self):
+        samples = cp.MAX_CLIP_SAMPLES
+        assert cp.CorpusConfig(n_clips=cp.MAX_CLIPS, duration_s=samples / 8000, sample_rate=8000)
+        for fields in ({"n_clips": cp.MAX_CLIPS + 1}, {"duration_s": samples / 8000, "sample_rate": 8001}):
+            with pytest.raises(errors.BadConfig):
+                cp.CorpusConfig(**fields)
+        assert tx.ToyEmbedderConfig(dim=tx.MAX_EMBED_DIM)
+        with pytest.raises(errors.BadConfig):
+            tx.ToyEmbedderConfig(dim=tx.MAX_EMBED_DIM + 1)
+
+    def _train_with_weights(self, pipeline, tmp_path, train):
+        config = json.loads(pipeline["config"].read_text())
+        config["model"]["class_weights"] = [1.0, 5.0]
+        config["train"] = {**config["train"], **train}
+        path, ckpt, report = tmp_path / "run.json", tmp_path / "m.atck", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        code = run(["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1", "--config", str(path),
+                    "--epochs", "1", "--out-ckpt", str(ckpt), "--out-report", str(report)])
+        return code, ckpt, report
+
+    def test_class_weights_under_auto_weights_exit_one_before_reading_data(self, pipeline, tmp_path,
+                                                                          capsys, monkeypatch):
+        # auto_class_weights (true by default) would replace them unseen
+        def no_read(path):
+            raise AssertionError("read the protocol before checking the config")
+
+        monkeypatch.setattr(cli, "read_protocol", no_read)
+        code, ckpt, report = self._train_with_weights(pipeline, tmp_path, {})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG:") and err.count("\n") == 1
+        assert "class_weights" in err and "auto_class_weights" in err
+        assert not ckpt.exists() and not report.exists()
+
+    def test_class_weights_without_auto_weights_reach_the_checkpoint(self, pipeline, tmp_path):
+        code, ckpt, report = self._train_with_weights(pipeline, tmp_path, {"auto_class_weights": False})
+        assert code == 0
+        assert md.load_checkpoint(ckpt).config.class_weights == (1.0, 5.0)
+        assert load_report(report).class_weights == (1.0, 5.0)
+
     def test_unexpected_exception_exit_three(self, pipeline, capsys, monkeypatch):
         def boom(path):
             raise RuntimeError("wires crossed")
@@ -745,7 +813,8 @@ class TestErrorMapping:
         {"train": {"seed": 1.5}}, {"train": {"patience": True}},
         {"train": {"auto_class_weights": "no"}}, {"train": {"grad_clip": "5"}},
         {"model": {"d_model": 8.0}}, {"model": {"gru_layers": "2"}},
-        {"model": {"class_weights": [1, "a"]}}, {"model": {"class_weights": 2}},
+        {"model": {"class_weights": [1, "a"]}, "train": {"auto_class_weights": False}},
+        {"model": {"class_weights": 2}, "train": {"auto_class_weights": False}},
     ], ids=["fractional_epochs", "epochs_as_str", "fractional_batch", "fractional_seed",
             "bool_patience", "auto_weights_as_str", "grad_clip_as_str", "float_d_model",
             "gru_layers_as_str", "weight_as_str", "weights_not_pair"])
@@ -1069,7 +1138,7 @@ class TestExitCodes:
 
     def test_codes_are_unique(self):
         codes = [cls.code for cls in _error_classes()]
-        assert len(codes) > 30
+        assert len(codes) >= 30
         assert len(set(codes)) == len(codes)
 
     def test_exit_code_follows_the_family(self):

@@ -16,16 +16,17 @@ from atcadet.errors import (
     BadConfig,
     BadHeader,
     BadJson,
-    CoverageMismatch,
     DimMismatch,
     MissingEmbedding,
+    MissingScore,
     NonFinite,
     SingularSystem,
     TooFewExamples,
     TruncatedFile,
+    UnknownUtt,
     WrongKind,
 )
-from atcadet.metrics import Trial, write_scores
+from atcadet.metrics import Trial, read_scores, write_scores
 from atcadet.protocol import ProtocolEntry, write_protocol
 from atcadet.text import TextEmbedding, write_embeddings
 
@@ -49,16 +50,28 @@ SMALL_CFG = es.StackConfig(gbm_rounds=10, forest_trees=5, forest_depth=3)
 
 class TestMetaExamples:
     def test_feature_vector_concatenates(self):
-        ex = es.MetaExample("u0", [0.5, -1.0], [3.0, 4.0, 5.0], 1.0)
-        assert es.feature_vector(ex).tolist() == [0.5, -1.0, 3.0, 4.0, 5.0]
+        # a row holds the base scores, then the pooled text vector
+        entries = _entries(["bonafide"])
+        x, _ = es.build_meta_examples([[Trial("u0", 0.5)], [Trial("u0", -1.0)]],
+                                      {"u0": _embedding("u0", [3.0, 4.0, 5.0])}, entries)
+        assert x.dtype == np.float64
+        assert x.tolist() == [[0.5, -1.0, 3.0, 4.0, 5.0]]
 
     def test_rejects_empty_scores_and_nonfinite(self):
+        entries = _entries(["bonafide", "spoof"])
+        embs = {e.utt_id: _embedding(e.utt_id, [1.0]) for e in entries}
         with pytest.raises(DimMismatch):
-            es.MetaExample("u0", [], [1.0])
+            es.build_meta_examples([], embs, entries)
         with pytest.raises(NonFinite):
-            es.MetaExample("u0", [np.nan], [1.0])
+            es.build_meta_examples([[Trial("u0", np.nan), Trial("u1", 0.0)]], embs, entries)
         with pytest.raises(NonFinite):
-            es.MetaExample("u0", [0.0], [np.inf])
+            _embedding("u1", [np.inf])
+        # a pooled text vector that overflows stops the fit
+        with np.errstate(over="ignore"):
+            huge = {"u0": TextEmbedding("u0", np.full((2, 1), 1e308), ()), "u1": embs["u1"]}
+            x, y = es.build_meta_examples([[Trial("u0", 0.0), Trial("u1", 1.0)]], huge, entries)
+        with pytest.raises(NonFinite):
+            es.fit_stacked(np.vstack([x] * 2), np.tile(y, 2), folds=2, cfg=SMALL_CFG)
 
     def test_build_aligns_to_protocol_order(self):
         entries = _entries(["bonafide", "spoof", "bonafide"])
@@ -66,35 +79,33 @@ class TestMetaExamples:
         set_a = [Trial("u2", 0.2), Trial("u0", 0.0), Trial("u1", 0.1)]
         set_b = [Trial("u1", 1.1), Trial("u2", 1.2), Trial("u0", 1.0)]
         embs = {e.utt_id: _embedding(e.utt_id, [float(i), 0.0]) for i, e in enumerate(entries)}
-        examples = es.build_meta_examples([set_a, set_b], embs, entries)
-        assert [e.utt_id for e in examples] == ["u0", "u1", "u2"]
-        assert examples[1].base_scores.tolist() == [0.1, 1.1]
-        assert examples[1].target == 0.0
-        assert examples[0].target == 1.0 and examples[2].target == 1.0
-        assert examples[2].text_feat.tolist() == [2.0, 0.0]
+        x, y = es.build_meta_examples([set_a, set_b], embs, entries)
+        assert x[:, :2].tolist() == [[0.0, 1.0], [0.1, 1.1], [0.2, 1.2]]
+        assert y.tolist() == [1.0, 0.0, 1.0]
+        assert x[2, 2:].tolist() == [2.0, 0.0]
 
     def test_build_feature_length_is_bases_plus_text_dim(self):
         entries = _entries(["bonafide", "spoof"])
         sets = [[Trial("u0", 0.0), Trial("u1", 1.0)] for _ in range(3)]
         embs = {"u0": _embedding("u0", np.zeros(7)), "u1": _embedding("u1", np.ones(7))}
-        examples = es.build_meta_examples(sets, embs, entries)
-        assert all(len(es.feature_vector(e)) == 3 + 7 for e in examples)
+        x, y = es.build_meta_examples(sets, embs, entries)
+        assert x.shape == (2, 3 + 7) and y.shape == (2,)
 
     def test_build_takes_an_embedding_dict(self):
         entries = _entries(["bonafide"])
         sets = [[Trial("u0", 0.5)]]
-        as_dict = es.build_meta_examples(sets, {"u0": _embedding("u0", [1.0])}, entries)
-        assert as_dict[0].text_feat.tolist() == [1.0]
+        x, _ = es.build_meta_examples(sets, {"u0": _embedding("u0", [1.0])}, entries)
+        assert x[0, 1:].tolist() == [1.0]
 
-    def test_coverage_mismatch_missing_and_extra(self):
+    def test_missing_and_extra_score_rows(self):
+        # eer's rule: a protocol row without a score, or a score without a row
         entries = _entries(["bonafide", "spoof"])
         embs = {e.utt_id: _embedding(e.utt_id, [0.0]) for e in entries}
-        with pytest.raises(CoverageMismatch):
-            es.build_meta_examples([[Trial("u0", 0.0)]], embs, entries)
-        with pytest.raises(CoverageMismatch):
-            es.build_meta_examples(
-                [[Trial("u0", 0.0), Trial("u1", 0.1), Trial("stray", 9.0)]], embs, entries
-            )
+        full = [Trial("u0", 0.0), Trial("u1", 0.1)]
+        with pytest.raises(MissingScore, match="'u1' has no score"):
+            es.build_meta_examples([full, [Trial("u0", 0.0)]], embs, entries)
+        with pytest.raises(UnknownUtt, match="'stray' not in protocol"):
+            es.build_meta_examples([full, [*full, Trial("stray", 9.0)]], embs, entries)
 
     def test_missing_embedding(self):
         entries = _entries(["bonafide", "spoof"])
@@ -648,35 +659,30 @@ class TestCombineWeights:
         assert len(es.simplex_grid(0.05)) == (n + 1) * (n + 2) // 2 + 1
 
 
-def _toy_examples(n, d_text=4, seed=0):
+def _toy_xy(n, d_text=4, seed=0):
+    """``n`` meta-feature rows, two noisy base scores and ``d_text`` text
+    features each, and their alternating targets."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        target = float(i % 2)
-        base = target + 0.3 * rng.normal(size=2)
-        text = rng.normal(size=d_text)
-        out.append(es.MetaExample(f"u{i}", base, text, target))
-    return out
+    y = np.arange(n) % 2.0
+    x = np.array([np.concatenate([t + 0.3 * rng.normal(size=2), rng.normal(size=d_text)]) for t in y])
+    return x, y
 
 
 class TestStacking:
     def test_fold_partition_is_leak_free(self):
-        examples = _toy_examples(23)
-        model, diag = es.fit_stacked(
-            examples, folds=5, cfg=SMALL_CFG, return_diagnostics=True
-        )
+        x, y = _toy_xy(23)
+        model, diag = es.fit_stacked(x, y, folds=5, cfg=SMALL_CFG, return_diagnostics=True)
         fold_of = diag["fold_of"]
         assert sorted(np.unique(fold_of)) == [0, 1, 2, 3, 4]
         for k, rest in enumerate(diag["fold_train_indices"]):
             held = np.flatnonzero(fold_of == k)
             assert np.intersect1d(held, rest).size == 0
-            assert len(held) + len(rest) == len(examples)
+            assert len(held) + len(rest) == len(x)
 
     def test_oof_rows_reproducible_from_fold_models(self):
-        examples = _toy_examples(15)
-        model, diag = es.fit_stacked(examples, folds=3, cfg=SMALL_CFG, return_diagnostics=True)
-        x = np.stack([es.feature_vector(e) for e in examples])
-        y = diag["targets"]
+        x, y = _toy_xy(15)
+        model, diag = es.fit_stacked(x, y, folds=3, cfg=SMALL_CFG, return_diagnostics=True)
+        assert np.array_equal(diag["targets"], y)
         k = 0
         rest = diag["fold_train_indices"][k]
         held = np.flatnonzero(diag["fold_of"] == k)
@@ -691,8 +697,7 @@ class TestStacking:
         assert np.array_equal(diag["oof_predictions"][held, 2], es.predict_ridge(ridge, x[held]))
 
     def test_weights_come_from_oof_grid_search(self):
-        examples = _toy_examples(20, seed=3)
-        model, diag = es.fit_stacked(examples, folds=4, cfg=SMALL_CFG, return_diagnostics=True)
+        model, diag = es.fit_stacked(*_toy_xy(20, seed=3), folds=4, cfg=SMALL_CFG, return_diagnostics=True)
         expect = es.choose_combine_weights(
             diag["oof_predictions"], diag["targets"], SMALL_CFG.grid_step
         )
@@ -700,22 +705,26 @@ class TestStacking:
 
     def test_too_few_examples(self):
         with pytest.raises(TooFewExamples):
-            es.fit_stacked(_toy_examples(4), folds=5, cfg=SMALL_CFG)
+            es.fit_stacked(*_toy_xy(4), folds=5, cfg=SMALL_CFG)
 
     def test_bad_fold_count(self):
         with pytest.raises(BadConfig):
-            es.fit_stacked(_toy_examples(10), folds=1, cfg=SMALL_CFG)
+            es.fit_stacked(*_toy_xy(10), folds=1, cfg=SMALL_CFG)
 
-    def test_missing_target_rejected(self):
-        examples = _toy_examples(10)
-        examples[3] = es.MetaExample("u3", examples[3].base_scores, examples[3].text_feat, None)
-        with pytest.raises(BadConfig):
-            es.fit_stacked(examples, folds=2, cfg=SMALL_CFG)
+    def test_every_row_has_its_target(self):
+        # each protocol row gives its meta features and its label's target
+        # together, so the stack fits one target per row
+        entries = _entries(["spoof", "bonafide"] * 5)
+        embs = {e.utt_id: _embedding(e.utt_id, [float(i)]) for i, e in enumerate(entries)}
+        sets = [[Trial(e.utt_id, i + 0.5) for i, e in enumerate(entries)]]
+        x, y = es.build_meta_examples(sets, embs, entries)
+        assert len(x) == len(y) == 10 and y.tolist() == [0.0, 1.0] * 5
+        model, diag = es.fit_stacked(x, y, folds=2, cfg=SMALL_CFG, return_diagnostics=True)
+        assert np.array_equal(diag["targets"], y)
 
     def test_predict_corner_weights_select_component(self):
-        examples = _toy_examples(12, seed=5)
-        model = es.fit_stacked(examples, folds=3, cfg=SMALL_CFG)
-        x = np.stack([es.feature_vector(e) for e in examples])
+        x, y = _toy_xy(12, seed=5)
+        model = es.fit_stacked(x, y, folds=3, cfg=SMALL_CFG)
         for corner, fn, sub in (
             ((1.0, 0.0, 0.0), es.predict_gbm, model.gbm),
             ((0.0, 1.0, 0.0), es.predict_forest, model.forest),
@@ -725,9 +734,8 @@ class TestStacking:
             assert np.allclose(es.predict_stacked(model, x), fn(sub, x), atol=0.0)
 
     def test_predict_is_convex_combination(self):
-        examples = _toy_examples(14, seed=6)
-        model = es.fit_stacked(examples, folds=2, cfg=SMALL_CFG)
-        x = np.stack([es.feature_vector(e) for e in examples])
+        x, y = _toy_xy(14, seed=6)
+        model = es.fit_stacked(x, y, folds=2, cfg=SMALL_CFG)
         parts = [
             es.predict_gbm(model.gbm, x),
             es.predict_forest(model.forest, x),
@@ -738,14 +746,13 @@ class TestStacking:
         assert np.allclose(es.predict_stacked(model, x), want, atol=1e-15)
 
     def test_predict_dim_mismatch(self):
-        model = es.fit_stacked(_toy_examples(10), folds=2, cfg=SMALL_CFG)
+        model = es.fit_stacked(*_toy_xy(10), folds=2, cfg=SMALL_CFG)
         with pytest.raises(DimMismatch):
             es.predict_stacked(model, np.zeros((2, model.n_features + 1)))
 
     def test_predict_one_matches_batch(self):
-        examples = _toy_examples(10, seed=7)
-        model = es.fit_stacked(examples, folds=2, cfg=SMALL_CFG)
-        x = np.stack([es.feature_vector(e) for e in examples])
+        x, y = _toy_xy(10, seed=7)
+        model = es.fit_stacked(x, y, folds=2, cfg=SMALL_CFG)
         batch = es.predict_stacked(model, x)
         for i in range(len(x)):
             assert es.predict_stacked(model, x[i : i + 1])[0] == batch[i]
@@ -753,7 +760,7 @@ class TestStacking:
 
 class TestEnsembleFile:
     def _model(self, seed=0):
-        return es.fit_stacked(_toy_examples(12, seed=seed), folds=3, cfg=SMALL_CFG)
+        return es.fit_stacked(*_toy_xy(12, seed=seed), folds=3, cfg=SMALL_CFG)
 
     def test_write_read_write_is_byte_identical(self, tmp_path):
         p1 = tmp_path / "a.aten"
@@ -875,16 +882,43 @@ def _fit_inputs(root, n=11):
             "--seed", "3", "--out", str(root / "stack.aten")]
 
 
+@pytest.mark.parametrize("edit, code", [
+    (lambda trials: trials[:-1], "MISSING_SCORE"),
+    (lambda trials: [*trials, Trial("stray", 0.5)], "UNKNOWN_UTT"),
+], ids=["missing_row", "extra_row"])
+def test_score_file_off_the_protocol_exits_as_in_eer(tmp_path, capsys, edit, code):
+    # ensemble fit and ensemble score align each score file with the
+    # protocol by eer's rule, so a missing or extra row fails all three
+    # with eer's code, and neither ensemble command writes its output
+    fit = _fit_inputs(tmp_path)
+    assert main(fit) == 0
+    write_scores(tmp_path / "b.tsv", edit(read_scores(tmp_path / "b.tsv")))
+    common = fit[2:8] + ["--split", "dev"]
+    fit_out, score_out = tmp_path / "refit.aten", tmp_path / "ens.tsv"
+    calls = {
+        "eer": ["eer", "--scores", str(tmp_path / "b.tsv"), *fit[6:8], "--split", "dev"],
+        "ensemble fit": ["ensemble", "fit", *common, "--out", str(fit_out)],
+        "ensemble score": ["ensemble", "score", "--model", str(tmp_path / "stack.aten"), *common,
+                           "--out", str(score_out)],
+    }
+    capsys.readouterr()
+    for name, argv in calls.items():
+        assert main(argv) == 2, name
+        out, err = capsys.readouterr()
+        assert err.startswith(f"ERROR {code}:") and err.count("\n") == 1 and not out, name
+    assert not fit_out.exists() and not score_out.exists()
+
+
 class TestShares:
     """The twelve GBM and forest fits dealt out over the CPUs: share 0 in
     this process, the others in forked workers; ridge in this process."""
 
     def test_same_model_and_diagnostics_at_any_share_count(self, tmp_path, set_cpus):
-        examples = _toy_examples(23, seed=4)
+        x, y = _toy_xy(23, seed=4)
         fits = []
         for n in (1, 2, 3, 13):  # 13: more shares than jobs
             set_cpus(n)
-            model, diag = es.fit_stacked(examples, folds=5, cfg=SMALL_CFG, return_diagnostics=True)
+            model, diag = es.fit_stacked(x, y, folds=5, cfg=SMALL_CFG, return_diagnostics=True)
             assert multiprocessing.active_children() == []
             es.save_ensemble(tmp_path / f"{n}.aten", model)
             fits.append(((tmp_path / f"{n}.aten").read_bytes(), diag))
@@ -911,7 +945,7 @@ class TestShares:
                 here.append(kind)
                 return fit(*args)
             monkeypatch.setattr(es, kind, recording)
-        es.fit_stacked(_toy_examples(12), folds=5, cfg=SMALL_CFG)
+        es.fit_stacked(*_toy_xy(12), folds=5, cfg=SMALL_CFG)
         assert multiprocessing.active_children() == []
         got = (here.count("fit_gbm"), here.count("fit_forest"))
         assert min(got) >= 1

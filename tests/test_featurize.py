@@ -70,8 +70,8 @@ def test_bad_wav_reaches_cli_as_in_serial_run(corpus, tmp_path, set_cpus, capsys
         assert _featurize(src, out) == 2
         lines.append(capsys.readouterr().err.strip())
         assert multiprocessing.active_children() == []
-        assert not (out / f"{bad}.atfx").exists()
-        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+        # a failed run leaves no feature file, so a rerun without --force is not blocked
+        assert list(out.iterdir()) == []
     assert lines[0].startswith(f"ERROR {code}:")
     assert str(wav) in lines[0]
     assert lines[1] == lines[0]
@@ -96,6 +96,5 @@ def test_worker_killed_mid_write_leaves_no_temp_file(corpus, tmp_path, set_cpus,
     assert _featurize(corpus, out) == 3
     assert capsys.readouterr().err.startswith("ERROR INTERNAL:")
     assert multiprocessing.active_children() == []
-    names = sorted(p.name for p in out.iterdir())
-    assert "u0001.atfx" not in names and "u0000.atfx" in names
-    assert [name for name in names if name.endswith(".tmp")] == []
+    # nor the feature files the run finished
+    assert list(out.iterdir()) == []

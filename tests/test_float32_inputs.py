@@ -180,14 +180,13 @@ class TestWidenedWhereRead:
             embs = {e.utt_id: TextEmbedding(e.utt_id, t, ()) for e, t in zip(entries, texts)}
             trials = tr.score_protocol(params, entries, feats, embs)
             bases = [Trial(t.utt_id, t.score) for t in trials]
-            examples = es.build_meta_examples([bases], embs, entries)
-            return [t.score for t in trials], [es.feature_vector(ex) for ex in examples]
+            x, _ = es.build_meta_examples([bases], embs, entries)
+            return [t.score for t in trials], x
 
-        scores, vectors = run(specs, texts)
-        want_scores, want_vectors = run([_wide(s) for s in specs], [_wide(t) for t in texts])
+        scores, x = run(specs, texts)
+        want_scores, want_x = run([_wide(s) for s in specs], [_wide(t) for t in texts])
         _assert_same(np.array(scores), np.array(want_scores))
-        for got, want in zip(vectors, want_vectors):
-            _assert_same(got, want)
+        _assert_same(x, want_x)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from atcadet import ensemble as es
 from atcadet import model as md
 from atcadet import text as tx
 from atcadet import training as tr
-from atcadet.errors import AtcadetError, BadJson, DataError, UsageError
+from atcadet.errors import AtcadetError, BadConfig, BadJson, DataError, UsageError
 from atcadet.metrics import Trial, read_scores, write_scores
 from atcadet.protocol import ProtocolEntry, read_protocol, write_protocol
 
@@ -51,10 +51,10 @@ def _checkpoint(path):
 
 def _ensemble(path):
     rng = np.random.default_rng(2)
-    examples = [es.MetaExample(f"u{i}", float(i % 2) + 0.3 * rng.normal(size=2), rng.normal(size=2),
-                               float(i % 2)) for i in range(8)]
+    y = np.arange(8) % 2.0
+    x = np.array([[*(t + 0.3 * rng.normal(size=2)), *rng.normal(size=2)] for t in y])
     cfg = es.StackConfig(gbm_rounds=1, gbm_depth=1, forest_trees=1, forest_depth=1)
-    es.save_ensemble(path, es.fit_stacked(examples, folds=2, cfg=cfg))
+    es.save_ensemble(path, es.fit_stacked(x, y, folds=2, cfg=cfg))
 
 
 def _embeddings(path):
@@ -211,8 +211,9 @@ def _rejects_through_the_cli(damaged, commands, capsys, outputs=()):
     of ``commands``, (name, argument list, loader call) triples, on each
     damaged file its loader call rejects, with none of the files or
     directories ``outputs`` in place. Returns the number of such runs and
-    one line for each that did not exit 2 with the loader's typed error,
-    or printed to stdout, or left one of ``outputs``."""
+    one line for each that did not exit with the loader's typed error and
+    its exit code (2 for a DataError, 1 for a run-config UsageError), or
+    printed to stdout, or left one of ``outputs``."""
     for _, argv, _ in commands:
         assert cli.main(argv) == 0
     failures, rejected = [], 0
@@ -223,7 +224,7 @@ def _rejects_through_the_cli(damaged, commands, capsys, outputs=()):
                 load()
                 continue
             except AtcadetError as exc:
-                want = f"ERROR {exc.code}:"
+                want, want_code = f"ERROR {exc.code}:", exc.exit_code
             for path in outputs:
                 if path.is_dir():
                     shutil.rmtree(path)
@@ -234,8 +235,8 @@ def _rejects_through_the_cli(damaged, commands, capsys, outputs=()):
             out, err = capsys.readouterr()
             rejected += 1
             left = [path.name for path in outputs if path.exists()]
-            if code != 2 or not err.startswith(want) or out or left:
-                failures.append(f"{label}, {name}: exit {code}, {err.strip()!r}, wanted {want}, "
+            if code != want_code or not err.startswith(want) or out or left:
+                failures.append(f"{label}, {name}: exit {code}, {err.strip()!r}, wanted {want_code} {want}, "
                                 f"printed {out!r}, left {left}")
     return rejected, failures
 
@@ -371,6 +372,73 @@ def test_truncated_or_flipped_text_file_exits_two_through_the_cli(tmp_path, caps
     # fails every command that reads it with exit 2 and the loader's typed
     # error, and the command prints and writes nothing
     damaged, commands, outputs = inputs(tmp_path)
+    rejected, failures = _rejects_through_the_cli(damaged, commands, capsys, outputs)
+    assert rejected > 100
+    assert failures == []
+
+
+def _wav_inputs(root, set_cpus):
+    """``featurize`` on a corpus of two short clips, on one CPU, with the WAV
+    of the second clip, the call that loads it, and the feature files it
+    writes: the first clip's is written before the second WAV is read."""
+    set_cpus(1)
+    rng = np.random.default_rng(8)
+    clips = [cp.ClipRecord(f"u{i}", "g", "bonafide", ("dog",), 0.01, (0, i)) for i in range(2)]
+    cp.write_manifest(root / "manifest.json",
+                      cp.CorpusManifest(clips, {"track1": {"train": ["u0"], "dev": ["u1"]}}, 0.0))
+    (root / "wav").mkdir()
+    for clip in clips:
+        dsp.write_wav(root / "wav" / f"{clip.utt_id}.wav", dsp.Waveform(rng.uniform(-0.5, 0.5, 441), 44100))
+    wav = root / "wav" / "u1.wav"
+    argv = ["featurize", "--corpus", str(root), "--out", str(root / "feats"),
+            "--n-fft", "256", "--hop", "128", "--n-mels", "8", "--force"]
+    return wav, [("featurize", argv, functools.partial(dsp.load_wav, wav))], \
+        [root / "feats" / f"{clip.utt_id}.atfx" for clip in clips]
+
+
+def _train_configs(path):
+    """What ``train`` builds from a run config before it reads any data,
+    with ``_cli_inputs``' feature and caption widths."""
+    run = cli.load_run_config(path)
+    if (cli._section_config(tr.TrainConfig, run.get("train", {})).auto_class_weights
+            and "class_weights" in run.get("model", {})):
+        raise BadConfig("class_weights with auto_class_weights")
+    cli._section_config(md.AtcaConfig, {"d_spec": 3, "d_text": 2, **run.get("model", {})}).bounded()
+
+
+def _run_config_inputs(root, set_cpus):
+    """``corpus synth``, ``train`` on ``_cli_inputs``' clips and ``ensemble
+    fit`` on ``_score_file_inputs``' files, all on one run config, each with
+    the configs it builds from that file, and the files they write."""
+    set_cpus(1)
+    config = root / "config.json"
+    _run_config(config)
+    for name in ("t", "e"):
+        (root / name).mkdir()
+    train, _ = _cli_inputs(root / "t")["train"]
+    train[train.index("--config") + 1] = str(config)
+    _, score_calls, (fit, _) = _score_file_inputs(root / "e")
+    ensemble_fit = score_calls[1][1]
+    ensemble_fit[ensemble_fit.index("--config") + 1] = str(config)
+
+    def built(section, make):
+        return lambda: make(cli.load_run_config(config).get(section, {}))
+
+    synth_out = root / "corpus"
+    return config, [
+        ("corpus_synth", ["corpus", "synth", "--config", str(config), "--out", str(synth_out), "--force"],
+         built("corpus", cp.CorpusConfig.from_dict)),
+        ("train", train, functools.partial(_train_configs, config)),
+        ("ensemble_fit", ensemble_fit, built("ensemble", functools.partial(cli._section_config, es.StackConfig))),
+    ], [synth_out, root / "t" / "out.atck", fit]
+
+
+@pytest.mark.parametrize("inputs", [_wav_inputs, _run_config_inputs], ids=["wav", "run_config"])
+def test_truncated_or_flipped_wav_or_run_config_exits_through_the_cli(tmp_path, capsys, set_cpus, inputs):
+    # each damaged WAV or run config its loader rejects fails every command
+    # that reads it with the loader's typed error and exit code, and the
+    # command prints and writes nothing
+    damaged, commands, outputs = inputs(tmp_path, set_cpus)
     rejected, failures = _rejects_through_the_cli(damaged, commands, capsys, outputs)
     assert rejected > 100
     assert failures == []

@@ -27,9 +27,9 @@ def _checkpoint(seed):
 
 def _ensemble(seed):
     rng = np.random.default_rng(seed)
-    examples = [es.MetaExample(f"u{i}", float(i % 2) + 0.3 * rng.normal(size=2), rng.normal(size=4), float(i % 2))
-                for i in range(12)]
-    return es.fit_stacked(examples, folds=3, cfg=es.StackConfig(gbm_rounds=3, forest_trees=2, forest_depth=2))
+    y = np.arange(12) % 2.0
+    x = np.array([[*(t + 0.3 * rng.normal(size=2)), *rng.normal(size=4)] for t in y])
+    return es.fit_stacked(x, y, folds=3, cfg=es.StackConfig(gbm_rounds=3, forest_trees=2, forest_depth=2))
 
 
 def _report(seed):
