@@ -91,6 +91,15 @@ def _load_features(features_dir, entries) -> dict:
     return feats
 
 
+def _protocol_rows(path, *splits) -> list:
+    """The rows of protocol ``path`` in ``splits``; a split without rows is an EmptySplit."""
+    entries = read_protocol(path)
+    for split in splits:
+        if not any(e.split == split for e in entries):
+            raise EmptySplit(f"{path}: protocol has no {split} entries")
+    return [e for e in entries if e.split in splits]
+
+
 def _load_embedding_map(path, entries) -> dict:
     """The embeddings of the clips of the protocol rows ``entries``, by utt_id."""
     return {emb.utt_id: emb for emb in tx.load_embeddings(path, {e.utt_id for e in entries})}
@@ -117,7 +126,7 @@ def corpus_group():
 def corpus_synth(config_path, out_dir, seed, force):
     """Generate a labeled synthetic corpus of real and faked clips."""
     run = load_run_config(config_path)
-    cfg = _override(cp.CorpusConfig.from_dict(run.get("corpus", {})), seed=seed)
+    cfg = _override(_section_config(cp.CorpusConfig, run.get("corpus", {})), seed=seed)
     _guard_output(os.path.join(out_dir, "manifest.json"), force)
     manifest = cp.build_corpus(cfg, out_dir)
     click.echo(f"wrote {len(manifest.clips)} clips to {out_dir}")
@@ -249,32 +258,23 @@ def train_cmd(corpus_dir, features_dir, embeddings_path, track, config_path, fra
     run = load_run_config(config_path)
     tcfg = _override(_section_config(tr.TrainConfig, run.get("train", {})), epochs=epochs,
                      batch_size=batch_size, lr=lr, seed=seed, patience=patience)
-    if tcfg.auto_class_weights and "class_weights" in run.get("model", {}):
+    model = run.get("model", {})
+    if tcfg.auto_class_weights and "class_weights" in model:
         raise BadConfig("model.class_weights is ignored while train.auto_class_weights is true; "
                         "set auto_class_weights to false to use them")
+    if {"d_spec", "d_text"} & set(model):
+        raise BadConfig("model.d_spec and model.d_text are taken from the features and the embeddings; "
+                        "remove them from the run config")
 
-    entries = read_protocol(os.path.join(corpus_dir, f"protocol_track{track}.tsv"))
+    entries = _protocol_rows(os.path.join(corpus_dir, f"protocol_track{track}.tsv"), "train", "dev")
     if fraction is not None:
         entries = _subsample_train(entries, fraction, tcfg.seed)
-    needed = [e for e in entries if e.split in ("train", "dev")]
-    if not needed:
-        raise EmptySplit("protocol has no train entries")
-    features = _load_features(features_dir, needed)
-    embeddings = _load_embedding_map(embeddings_path, needed)
-
-    feat_dim = next(iter(features.values())).values.shape[1]
-    model_dict = {"d_spec": feat_dim}
-    # a file that covers none of the clips leaves d_text to the run config:
-    # training then fails on the first missing embedding
-    if embeddings:
-        emb_dim = next(iter(embeddings.values())).table.shape[1]
-        model_dict["d_text"] = emb_dim
-    model_dict.update(run.get("model", {}))
-    model_cfg = _section_config(md.AtcaConfig, model_dict).bounded()
-    if model_cfg.d_spec != feat_dim:
-        raise DimMismatch(f"model d_spec {model_cfg.d_spec} != feature width {feat_dim}")
-    if embeddings and model_cfg.d_text != emb_dim:
-        raise DimMismatch(f"model d_text {model_cfg.d_text} != embedding width {emb_dim}")
+    features = _load_features(features_dir, entries)
+    embeddings = _load_embedding_map(embeddings_path, entries)
+    tr.check_coverage(entries, features, embeddings)  # each clip's rows, before their widths are taken
+    model_cfg = _section_config(md.AtcaConfig, {
+        **model, "d_spec": next(iter(features.values())).values.shape[1],
+        "d_text": next(iter(embeddings.values())).table.shape[1]}).bounded()
 
     _guard_output(ckpt_path, force)
     if report_path is not None:
@@ -311,7 +311,7 @@ def score_cmd(ckpt_path, protocol_path, features_dir, embeddings_path, split,
     if embeddings_path is None and not ablate_text:
         raise UsageError("score requires --embeddings unless --ablate-text is set")
     params = md.load_checkpoint(ckpt_path)
-    entries = filter_split(read_protocol(protocol_path), split)
+    entries = _protocol_rows(protocol_path, split)
     features = _load_features(features_dir, entries)
     if ablate_text:
         trials = tr.ablate_text(params, entries, features)
@@ -358,7 +358,7 @@ def _read_score_sets(spec: str):
 def _meta_examples(scores_spec, embeddings_path, protocol_path, split) -> tuple:
     """The protocol rows of one split, and their meta features and targets
     from each base score file's scores and each clip's caption."""
-    entries = filter_split(read_protocol(protocol_path), split)
+    entries = _protocol_rows(protocol_path, split)
     score_sets = _read_score_sets(scores_spec)
     return entries, *es.build_meta_examples(score_sets, _load_embedding_map(embeddings_path, entries), entries)
 

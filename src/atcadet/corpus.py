@@ -25,10 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
-from .errors import (
-    BadConfig, BadJson, InsufficientFamilies, WrongKind, atomic_write, check_fields, read_json,
-    temps_swept_on_error,
-)
+from .errors import BadConfig, BadJson, atomic_write, check_fields, is_real, read_json, temps_swept_on_error
 from .protocol import ProtocolEntry, write_protocol
 from .shares import run_shares
 from .text import CaptionSet, write_captions
@@ -72,8 +69,8 @@ _FAMILIES = {
         "smear": _Param(0.5, lambda v: 0.0 <= v <= 1.0, draw=lambda rng: rng.uniform(0.2, 0.7)),
     }),
     "fake_spectral_quantize": ("grainy", {
-        # at most the largest float: synthesis divides by it as a float
-        "levels": _Param(10, lambda v: 2 <= v <= sys.float_info.max,
+        # at most the largest float, as every number here: synthesis divides by it as a float
+        "levels": _Param(10, lambda v: v >= 2,
                          lambda v, s, nyq: max(2, int(round(v / s))),
                          lambda rng: rng.uniform(8.0, _BLACKBOX_MAX_LEVELS)),
     }),
@@ -95,9 +92,10 @@ _GENERATOR_HINTS = {kind: hint for kind, (hint, _) in _FAMILIES.items()}
 class GeneratorSpec:
     """One clip source: the real recorder or a parametric fake family.
 
-    ``params`` may set any parameter of the kind's ``_FAMILIES`` entry and
-    defaults the rest; an integer parameter takes an int, a float one an
-    int or a float (stored as a float), and each must lie in its range.
+    ``params``, a dict, may set any parameter of the kind's ``_FAMILIES``
+    entry and defaults the rest; an integer parameter takes an int, a float
+    one an int or a float (stored as a float), each within the finite
+    floats and its range.
     """
 
     id: str
@@ -105,22 +103,23 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.id:
-            raise BadConfig("generator id must be non-empty")
-        if self.kind not in _FAMILIES:
-            raise WrongKind(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.id, str) or not self.id:
+            raise BadConfig(f"generator id must be a non-empty string, got {self.id!r}")
+        if self.kind not in GENERATOR_KINDS:
+            raise BadConfig(f"generator {self.id!r}: unknown kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise BadConfig(f"generator {self.id!r}: params must be an object, got {self.params!r}")
         _, table = _FAMILIES[self.kind]
-        p = dict(self.params)
-        extra = set(p) - set(table)
+        extra = set(self.params) - set(table)
         if extra:
             raise BadConfig(f"generator {self.id!r}: unknown params {sorted(extra)}")
         clean = {}
         for name, param in table.items():
-            value = p.get(name, param.default)
+            value = self.params.get(name, param.default)
             number = numbers.Integral if isinstance(param.default, int) else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise BadConfig(f"generator {self.id!r}: {name} must be "
-                                f"of type {type(param.default).__name__}, got {value!r}")
+            if not (is_real(value) and isinstance(value, number)):
+                raise BadConfig(f"generator {self.id!r}: {name} must be of type "
+                                f"{type(param.default).__name__} within the float range, got {value!r}")
             value = type(param.default)(value)
             if not param.ok(value):
                 raise BadConfig(f"generator {self.id!r}: {name}={value} out of range")
@@ -351,7 +350,7 @@ def _corrupt(x: np.ndarray, sample_rate: int, rng, kind: str, params: dict) -> n
 def apply_fake(wave: Waveform, gen: GeneratorSpec, seed) -> Waveform:
     """Corrupt a real clip with the family's artifact; seeded, quantized."""
     if gen.kind == "real":
-        raise WrongKind("the real generator does not produce fakes")
+        raise BadConfig("the real generator does not produce fakes")
     x = np.asarray(wave.samples, dtype=np.float64)
     y = _corrupt(x, wave.sample_rate, np.random.default_rng(seed), gen.kind, gen.params)
     peak = float(np.max(np.abs(y)))
@@ -419,11 +418,20 @@ class CorpusConfig:
             self.train_fraction + self.dev_fraction >= 1.0
         ):
             raise BadConfig("train+dev fractions must leave room for eval")
-        gens = tuple(self.fake_generators)
+        try:  # each entry a GeneratorSpec, or an object of exactly id, kind and, optionally, params
+            gens = tuple(g if isinstance(g, GeneratorSpec) else GeneratorSpec(**g) for g in self.fake_generators)
+        except TypeError as exc:
+            raise BadConfig(f"fake_generators must be a list of objects of id, kind and params: {exc}") from exc
         if any(g.kind == "real" for g in gens):
             raise BadConfig("fake_generators must not contain the real kind")
         if len({g.id for g in gens}) != len(gens):
             raise BadConfig("duplicate generator ids")
+        if len(gens) < 2:
+            raise BadConfig(f"need at least 2 fake generator families, got {len(gens)}")
+        n_real = round(self.n_clips * self.bonafide_fraction)
+        if n_real < 1 or self.n_clips - n_real < len(gens):
+            raise BadConfig(f"{self.n_clips} clips give {n_real} real and {self.n_clips - n_real} fake: "
+                            f"need a real clip and a fake clip of each of the {len(gens)} families")
         object.__setattr__(self, "fake_generators", gens)
         # scale every family, and the black box's largest levels draw, here:
         # a strength too small for them must fail before synthesis starts
@@ -439,19 +447,6 @@ class CorpusConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusConfig":
-        d = dict(d)
-        gens = d.pop("fake_generators", None)
-        try:
-            if gens is not None:
-                d["fake_generators"] = tuple(
-                    GeneratorSpec(g["id"], g["kind"], g.get("params", {})) for g in gens
-                )
-            return cls(**d)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadConfig(f"malformed corpus config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -543,18 +538,12 @@ def _split_group(rng, ids, train_frac, dev_frac):
 
 def plan_corpus(cfg: CorpusConfig):
     """Per-clip (utt_id, generator) plan plus both tracks' split maps."""
-    if len(cfg.fake_generators) < 2:
-        raise InsufficientFamilies("need at least 2 fake generator families")
-    n_real = int(round(cfg.n_clips * cfg.bonafide_fraction))
+    n_real = round(cfg.n_clips * cfg.bonafide_fraction)
     n_fake = cfg.n_clips - n_real
-    if n_real < 1 or n_fake < 1:
-        raise BadConfig("both labels need at least one clip")
     fams = cfg.fake_generators
     counts = [n_fake // len(fams)] * len(fams)
     for i in range(n_fake - sum(counts)):
         counts[i] += 1
-    if min(counts) < 1:
-        raise InsufficientFamilies("too few fake clips to cover every family")
 
     plan = [(f"u{i:04d}", REAL_GENERATOR) for i in range(n_real)]
     k = n_real

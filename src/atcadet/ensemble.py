@@ -370,7 +370,7 @@ def fit_forest(
         raise BadConfig("n_trees must be >= 1")
     _require_finite(x)
     d = x.shape[1]
-    n_feats = max(1, min(d, math.ceil(feature_frac * d)))
+    n_feats = max(1, math.ceil(min(feature_frac, 1.0) * d))  # any fraction past 1 is every feature
     cols = _Columns(x)
     trees = []
     seeds = []
@@ -397,6 +397,8 @@ def predict_forest(m: ForestModel, x_rows: np.ndarray) -> np.ndarray:
 
 # the most combine-weight candidates a grid_step may ask simplex_grid for
 MAX_GRID_POINTS = 10**6
+# the most trees of each kind, 100 times the stock count
+MAX_TREES = 10**4
 
 
 @dataclass(frozen=True)
@@ -419,6 +421,8 @@ class StackConfig:
                      flags=("bootstrap",))
         if self.ridge_lambda < 0:
             raise BadConfig("ridge lambda must be >= 0")
+        if max(self.gbm_rounds, self.forest_trees) > MAX_TREES:
+            raise BadConfig(f"gbm_rounds and forest_trees must be <= {MAX_TREES}")
         # simplex_grid divides by n = round(1 / grid_step) and makes (n + 1)(n + 2) / 2 + 1 points;
         # 1 / grid_step is capped first, since it overflows to inf for a subnormal step
         n = round(min(1.0 / self.grid_step, 1e9)) if self.grid_step > 0 else 0
@@ -531,16 +535,18 @@ def _fit_trees(jobs, x, y, fold_of, cfg: StackConfig) -> list:
     """For each (kind, fold) job: the model fit on all rows when fold is
     None, else the fold model's predictions on the fold's held-out rows."""
     out = []
-    for kind, fold in jobs:
-        rows = slice(None) if fold is None else fold_of != fold
-        if kind == "gbm":
-            model = fit_gbm(x[rows], y[rows], cfg.gbm_rounds, cfg.gbm_depth, cfg.gbm_shrinkage)
-            predict = predict_gbm
-        else:
-            model = fit_forest(x[rows], y[rows], cfg.forest_trees, cfg.forest_depth,
-                               cfg.feature_frac, cfg.seed, cfg.bootstrap)
-            predict = predict_forest
-        out.append(model if fold is None else predict(model, x[fold_of == fold]))
+    # a fit that diverges warns of nothing: fit_stacked raises one BadConfig for it
+    with np.errstate(all="ignore"):
+        for kind, fold in jobs:
+            rows = slice(None) if fold is None else fold_of != fold
+            if kind == "gbm":
+                model = fit_gbm(x[rows], y[rows], cfg.gbm_rounds, cfg.gbm_depth, cfg.gbm_shrinkage)
+                predict = predict_gbm
+            else:
+                model = fit_forest(x[rows], y[rows], cfg.forest_trees, cfg.forest_depth,
+                                   cfg.feature_frac, cfg.seed, cfg.bootstrap)
+                predict = predict_forest
+            out.append(model if fold is None else predict(model, x[fold_of == fold]))
     return out
 
 
@@ -554,6 +560,11 @@ def fit_stacked(x, y, folds: int = 5, cfg: StackConfig = StackConfig(), return_d
     process, after them: ridge runs on BLAS, whose threads in two
     processes spin against each other (a run that also fitted ridge in
     the workers was slower than a serial one).
+
+    A fit whose out-of-fold predictions, or whose model's predictions on
+    ``x``, are not finite, or whose ridge system is singular, raises one
+    BadConfig, and no numpy warning: its inputs are finite, so its config
+    is at fault (a huge ``gbm_shrinkage``, a ``ridge_lambda`` of 0).
     """
     if folds < 2:
         raise BadConfig("need at least 2 folds")
@@ -577,17 +588,24 @@ def fit_stacked(x, y, folds: int = 5, cfg: StackConfig = StackConfig(), return_d
     trees = dict(zip(jobs, run_shares(_fit_trees, jobs, x, y, fold_of, cfg)))
     oof = np.zeros((n, 3))
     fold_train_indices = []
-    for k in range(folds):
-        hold = np.flatnonzero(fold_of == k)
-        rest = np.flatnonzero(fold_of != k)
-        fold_train_indices.append(rest)
-        oof[hold, 0] = trees["gbm", k]
-        oof[hold, 1] = trees["forest", k]
-        oof[hold, 2] = predict_ridge(fit_ridge(x[rest], y[rest], cfg.ridge_lambda), x[hold])
-
-    weights = choose_combine_weights(oof, y, cfg.grid_step)
-    ridge = fit_ridge(x, y, cfg.ridge_lambda)
-    model = StackedModel(trees["gbm", None], trees["forest", None], ridge, weights, x.shape[1])
+    with np.errstate(all="ignore"):
+        try:
+            for k in range(folds):
+                hold = np.flatnonzero(fold_of == k)
+                rest = np.flatnonzero(fold_of != k)
+                fold_train_indices.append(rest)
+                oof[hold, 0] = trees["gbm", k]
+                oof[hold, 1] = trees["forest", k]
+                oof[hold, 2] = predict_ridge(fit_ridge(x[rest], y[rest], cfg.ridge_lambda), x[hold])
+            ridge = fit_ridge(x, y, cfg.ridge_lambda)
+        except SingularSystem as exc:  # only a ridge_lambda at or near 0 leaves it singular
+            raise BadConfig(f"ridge_lambda {cfg.ridge_lambda}: {exc.message}") from exc
+        if not np.isfinite(oof).all():
+            raise BadConfig("ensemble fit diverged: non-finite out-of-fold predictions")
+        weights = choose_combine_weights(oof, y, cfg.grid_step)
+        model = StackedModel(trees["gbm", None], trees["forest", None], ridge, weights, x.shape[1])
+        if not np.isfinite(predict_stacked(model, x)).all():
+            raise BadConfig("ensemble fit diverged: non-finite predictions on its own rows")
     if return_diagnostics:
         diag = {
             "fold_of": fold_of,
@@ -616,7 +634,7 @@ def predict_stacked(model: StackedModel, x) -> np.ndarray:
 
 
 def save_ensemble(path, model: StackedModel) -> None:
-    blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
     with atomic_write(path) as fh:
         write_blob(fh, ENSEMBLE_MAGIC, ENSEMBLE_VERSION, blob)
 

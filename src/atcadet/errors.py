@@ -156,8 +156,11 @@ class BadConfig(UsageError):
 
 
 def is_real(value) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite int or float, and one a float can hold; a bool is not a number here."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        return False
 
 
 def check_fields(fields: dict, ints=(), reals=(), flags=()) -> None:
@@ -200,6 +203,10 @@ class TooShort(DataError):
 
 class BadHeader(DataError):
     code = "BAD_HEADER"
+
+
+class WrongKind(DataError):
+    code = "WRONG_KIND"
 
 
 class ShapeMismatch(DataError):
@@ -276,13 +283,5 @@ class DimMismatch(DataError):
 
 
 # synth_corpus
-class WrongKind(DataError):
-    code = "WRONG_KIND"
-
-
-class InsufficientFamilies(DataError):
-    code = "INSUFFICIENT_FAMILIES"
-
-
 class BadProtocol(DataError):
     code = "BAD_PROTOCOL"

@@ -160,16 +160,12 @@ class _Interner:
     keeps most of its rows, the rows are unlikely to repeat: the table is
     made anew with room for the ``room`` rows still declared to come, as
     one buffer of every row would be.
-
-    With ``names``, the name of each block to come, a kept row that is not
-    finite is a NonFinite that names its block: a row equal to a kept row
-    is finite when that row is.
     """
 
-    def __init__(self, dims: int, dtype, room: int, names=None):
+    def __init__(self, dims: int, dtype, room: int):
         self.table = np.empty((0, dims), dtype)
         self.stage_rows = max(1, _STAGE_BYTES // (dims * self.table.itemsize))
-        self.room, self.held, self.staged, self.names = room, 0, 0, names
+        self.room, self.held, self.staged = room, 0, 0
         self.spread = False  # a stage kept most of its rows
         self.keys = np.empty(0, np.uint64)  # print << 32 | row of each held row, sorted
         self.stage_ids, self.blocks = [], []  # each block's stage, first row and rows
@@ -207,27 +203,10 @@ class _Interner:
         self.table.flags.writeable = False
         return self.table, [self.stage_ids[s][at : at + rows] for s, at, rows in self.blocks]
 
-    def check_staged(self) -> None:
-        """Raise NonFinite for the first staged block that holds a row that is
-        not finite, if one does."""
-        self._check(np.arange(self.staged))
-
     def _resize(self, rows: int) -> None:
         # in place; no view of the table outlives the method that makes it,
         # so the reference check, which a tracer's frames trip, is skipped
         self.table.resize((rows, self.table.shape[1]), refcheck=False)
-
-    def _check(self, places: np.ndarray) -> None:
-        """Raise NonFinite, naming its block, for the first row that is not
-        finite of the rows that follow the held rows, whose places among
-        the staged rows are ``places``."""
-        rows = self.table[self.held : self.held + len(places)]
-        step = max(1, _CHECK_VALUES // rows.shape[1])
-        for lo in range(0, len(rows), step):
-            if not np.isfinite(rows[lo : lo + step]).all():
-                place = places[lo + np.argmin(np.isfinite(rows[lo : lo + step]).all(axis=1))]
-                block = next(b for b in range(len(self.blocks) - 1, -1, -1) if self.blocks[b][1] <= place)
-                raise NonFinite(f"{self.names[block]}: embedding contains non-finite values")
 
     def _intern(self) -> None:
         """Keep the staged rows that repeat no row before them, in order, and
@@ -237,9 +216,7 @@ class _Interner:
             return
         prints = _prints(self.table[held : held + n])
         kept, ids = self._keep(prints)
-        self.staged = 0  # before the check, so that a failed one leaves no stage to check again
-        if self.names is not None:
-            self._check(kept)
+        self.staged = 0
         self.stage_ids.append(ids)
         self._hold(prints[kept])
         self.spread = self.spread or 2 * len(kept) > n
@@ -516,14 +493,26 @@ def _read_index(path) -> list:
     return list(entries.values())
 
 
+def _check_finite(table: np.ndarray, ids: list, entries) -> None:
+    """Raise NonFinite naming the first of ``entries`` whose ``ids`` reach a
+    row of ``table`` that is not finite: the entry that first reached the first such row."""
+    step = max(1, _CHECK_VALUES // table.shape[1])
+    for lo in range(0, len(table), step):
+        finite = np.isfinite(table[lo : lo + step]).all(axis=1)
+        if not finite.all():
+            row = lo + np.argmin(finite)
+            entry = next(e for e, block in zip(entries, ids) if (block == row).any())
+            raise NonFinite(f"{entry['utt_id']}: embedding contains non-finite values")
+
+
 def _read_blocks(path, entries) -> tuple:
     """The blocks of ``entries``, checked, each as wide as the first, and
-    added as they are read to an :class:`_Interner`, which checks the
-    finiteness of their distinct rows; and each entry's spans. A check
-    that fails on a block first lets the interner check the rows it has
-    not yet, so the first failing check in block order is the one raised.
-    The interner is returned unfinished, so that the last block read is
-    freed before its last stage is interned."""
+    added as they are read to an :class:`_Interner`; and each entry's
+    spans. A check that fails on a block first finishes the interner and
+    checks the finiteness of the rows read so far, so the first failing
+    check in block order is the one raised. The interner is returned
+    unfinished, so that the last block read is freed before its last stage
+    is interned."""
     interner, spans = None, []
     with open(path, "rb") as fh:
         for entry in entries:
@@ -536,7 +525,7 @@ def _read_blocks(path, entries) -> tuple:
                                         f"block is {values.shape[0]}x{values.shape[1]}")
                 if interner is None:  # the rows the index declares, never past what the payload holds
                     room = min(sum(e["L"] for e in entries), os.path.getsize(path) // (4 * dims))
-                    interner = _Interner(dims, values.dtype, room, [e["utt_id"] for e in entries])
+                    interner = _Interner(dims, values.dtype, room)
                 elif dims != interner.table.shape[1]:
                     raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, "
                                       f"not {interner.table.shape[1]}")
@@ -544,7 +533,7 @@ def _read_blocks(path, entries) -> tuple:
                 spans.append(_checked_spans(utt, entry["spans"], rows))
             except Exception:
                 if interner is not None:
-                    interner.check_staged()
+                    _check_finite(*interner.finish(), entries)
                 raise
     return interner, spans
 
@@ -554,7 +543,7 @@ def load_embeddings(path, utt_ids=None) -> list:
     checked; only the blocks of ``utt_ids`` are read and returned, or every
     block when ``utt_ids`` is None. The blocks read share one width (else
     DimMismatch) and one table of their distinct rows, kept as the blocks
-    are read (:func:`_read_blocks`)."""
+    are read (:func:`_read_blocks`) and then checked finite."""
     entries = _read_index(path)
     if utt_ids is not None:
         entries = [e for e in entries if e["utt_id"] in utt_ids]
@@ -562,5 +551,6 @@ def load_embeddings(path, utt_ids=None) -> list:
         return []
     interner, spans = _read_blocks(path, entries)
     table, ids = interner.finish()
+    _check_finite(table, ids, entries)
     return [TextEmbedding.from_rows(entry["utt_id"], table, entry_ids, entry_spans)
             for entry, entry_ids, entry_spans in zip(entries, ids, spans)]

@@ -116,7 +116,7 @@ def inverse_frequency_weights(entries) -> tuple:
     return (float(w[0]), float(w[1]))
 
 
-def _check_coverage(entries, features, embeddings):
+def check_coverage(entries, features, embeddings):
     """Every entry has features and an embedding."""
     for e in entries:
         if e.utt_id not in features:
@@ -207,7 +207,7 @@ def train(entries, features, embeddings, cfg: TrainConfig, model_cfg: md.AtcaCon
         raise EmptySplit("protocol has no train entries")
     if not dev_e:
         raise EmptySplit("protocol has no dev entries")
-    _check_coverage(train_e + dev_e, features, embeddings)
+    check_coverage(train_e + dev_e, features, embeddings)
 
     if cfg.auto_class_weights:
         model_cfg = dataclasses.replace(
@@ -284,7 +284,7 @@ def score_protocol(params, entries, features, embeddings):
     entries = list(entries)
     if not entries:
         return []
-    _check_coverage(entries, features, embeddings)
+    check_coverage(entries, features, embeddings)
     texts = [embeddings[e.utt_id] for e in entries]
     spec_mats = [md.as_matrix(features[e.utt_id], "spec features") for e in entries]
     md.check_inputs(spec_mats, texts, params)

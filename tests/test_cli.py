@@ -1,5 +1,6 @@
 """Subcommand pipeline, exit codes, and stderr formatting."""
 
+import dataclasses
 import filecmp
 import importlib
 import inspect
@@ -22,6 +23,7 @@ import atcadet.ensemble as es
 import atcadet.errors as errors
 import atcadet.model as md
 import atcadet.text as tx
+import atcadet.training as tr
 from atcadet.metrics import read_scores
 from atcadet.model import AtcaConfig, AtcaParams
 from atcadet.protocol import filter_split, read_protocol
@@ -364,6 +366,35 @@ class TestErrorMapping:
         assert capsys.readouterr().err.startswith("ERROR EMPTY_SPLIT:")
         assert not ckpt.exists()
 
+    # every row of the protocol moved to train: a command on another split
+    # exits 2 naming it, before it reads features, embeddings or scores
+    @pytest.mark.parametrize("command, split", [
+        ("score", "eval"), ("ensemble_fit", "dev"), ("ensemble_score", "eval"),
+    ], ids=["score", "ensemble_fit", "ensemble_score"])
+    def test_command_on_a_split_without_rows_exit_two_before_reading(self, pipeline, tmp_path, capsys,
+                                                                    monkeypatch, command, split):
+        def no_read(*args):
+            raise AssertionError("read an input before checking the split")
+
+        for name in ("_load_features", "_load_embedding_map", "_read_score_sets"):
+            monkeypatch.setattr(cli, name, no_read)
+        protocol, out = tmp_path / "all_train.tsv", tmp_path / "out"
+        lines = (pipeline["corpus"] / "protocol_track1.tsv").read_text().splitlines()
+        rows = [line.rsplit("\t", 1)[0] + "\ttrain" for line in lines]
+        protocol.write_text("\n".join(rows) + "\n")
+        if command == "score":
+            argv = _score_argv(pipeline, str(pipeline["emb"]), str(out))
+        elif command == "ensemble_fit":
+            argv = ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--split", "dev", "--folds", "3", "--out", str(out)]
+        else:
+            argv = _ensemble_score_argv(pipeline, pipeline["stack"], out)
+        argv[argv.index("--protocol") + 1] = str(protocol)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"ERROR EMPTY_SPLIT: {protocol}: protocol has no {split} entries\n"
+        assert not out.exists()
+
     def test_force_overwrites_scores(self, pipeline):
         argv = ["score", "--ckpt", str(pipeline["ckpt"]),
                 "--protocol", pipeline["protocol"],
@@ -607,13 +638,10 @@ class TestErrorMapping:
         assert not ckpt.exists() and not report.exists()
 
     @pytest.mark.parametrize("model", [
-        {"d_model": 100000, "d_k": 100000}, {"d_text": 10**6},
-        {"gru_layers": 200, "gru_hidden": 10}, {"gru_layers": 10**9},
-    ], ids=["wide_model", "wide_text", "deep_wavefront", "layers_1e9"])
+        {"d_model": 100000, "d_k": 100000}, {"gru_layers": 200, "gru_hidden": 10}, {"gru_layers": 10**9},
+    ], ids=["wide_model", "deep_wavefront", "layers_1e9"])
     def test_model_past_the_cost_bound_exit_one_before_allocating(self, pipeline, tmp_path, capsys,
                                                                    monkeypatch, model):
-        # the text width is the file's unless the config sets it: d_text 10**6
-        # is past the bound before it is found to differ from the file
         def no_init(*args, **kwargs):
             raise AssertionError("allocated a model past the cost bound")
 
@@ -626,6 +654,29 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR BAD_CONFIG: model widths ask for more than {md.MAX_MODEL_ENTRIES}")
         assert err.count("ERROR") == 1
+        assert not ckpt.exists()
+
+    # train takes d_spec from the features and d_text from the embeddings: a
+    # run config that sets either, whether it repeats the data or not, is refused
+    @pytest.mark.parametrize("model", [
+        {"d_text": 32}, {"d_text": 24}, {"d_text": 10**6}, {"d_spec": 16}, {"d_spec": 3},
+    ], ids=["file_d_text", "other_d_text", "wide_d_text", "feature_d_spec", "other_d_spec"])
+    def test_width_in_run_config_exit_one_before_any_read(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch, model):
+        def no_read(path):
+            raise AssertionError("read the protocol before checking the config")
+
+        monkeypatch.setattr(cli, "read_protocol", no_read)
+        config = json.loads(pipeline["config"].read_text())
+        config["model"].update(model)
+        path, ckpt = tmp_path / "run.json", tmp_path / "m.atck"
+        path.write_text(json.dumps(config))
+        assert run(["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1", "--config", str(path),
+                    "--out-ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR BAD_CONFIG: model.d_spec and model.d_text are taken from")
+        assert err.count("\n") == 1
         assert not ckpt.exists()
 
     def test_checkpoint_past_the_cost_bound_is_bad_json(self, tmp_path, capsys):
@@ -657,6 +708,43 @@ class TestErrorMapping:
         assert peak < 1 << 20, peak
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", [
+        {"gbm_rounds": 10**4 + 1}, {"forest_trees": 10**4 + 1}, {"gbm_rounds": 10**400},
+        {"forest_trees": 10**400},
+    ], ids=["gbm_rounds", "forest_trees", "gbm_rounds_1e400", "forest_trees_1e400"])
+    def test_tree_count_past_the_bound_exit_one_before_any_work(self, pipeline, tmp_path, capsys,
+                                                               monkeypatch, section):
+        def no_work(*args):
+            raise AssertionError("read the scores before checking the config")
+
+        monkeypatch.setattr(cli, "_meta_examples", no_work)
+        config, out = tmp_path / "run.json", tmp_path / "stack.aten"
+        config.write_text(json.dumps({"ensemble": section}))
+        assert run(["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR BAD_CONFIG: gbm_rounds and forest_trees must be <= {es.MAX_TREES}\n")
+        assert not out.exists()
+
+    # the stack's inputs are finite: a fit that diverges, or whose ridge system
+    # is singular, is the run config's fault
+    @pytest.mark.parametrize("section, message", [
+        ({"gbm_shrinkage": 1e308}, "ensemble fit diverged: non-finite out-of-fold predictions"),
+        ({"ridge_lambda": 0}, "ridge_lambda 0: collinear features with lambda=0"),
+    ], ids=["huge_shrinkage", "ridge_lambda_0"])
+    def test_failing_ensemble_fit_exit_one_and_nothing_written(self, pipeline, tmp_path, capsys,
+                                                              section, message):
+        config, out = tmp_path / "run.json", tmp_path / "stack.aten"
+        config.write_text(json.dumps({"ensemble": {"gbm_rounds": 3, "forest_trees": 2, **section}}))
+        # a numpy warning, here or in a tree-fit worker, would fail the call with exit 3
+        assert run(["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--folds", "3", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ERROR BAD_CONFIG: {message}") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("argv, config", [
         (["corpus", "synth"], {"corpus": {"n_clips": 8, "duration_s": 1e12}}),
         (["corpus", "synth"], {"corpus": {"n_clips": 8, "sample_rate": 10**400}}),
@@ -684,6 +772,7 @@ class TestErrorMapping:
         assert not out.exists()
 
     def test_corpus_and_embedding_bounds_are_inclusive(self):
+        assert es.StackConfig(gbm_rounds=es.MAX_TREES, forest_trees=es.MAX_TREES)
         samples = cp.MAX_CLIP_SAMPLES
         assert cp.CorpusConfig(n_clips=cp.MAX_CLIPS, duration_s=samples / 8000, sample_rate=8000)
         for fields in ({"n_clips": cp.MAX_CLIPS + 1}, {"duration_s": samples / 8000, "sample_rate": 8001}):
@@ -757,9 +846,22 @@ class TestErrorMapping:
             {"id": "b", "kind": "fake_blackbox"}]}}, []),
         ({"corpus": {"fake_generators": [{"id": "a"}, {"id": "b", "kind": "fake_blackbox"}]}}, []),
         ([{"corpus": {}}], []),
+        # a typo in an entry's keys would leave its params at their defaults
+        ({"corpus": {"fake_generators": [
+            {"id": "hum", "kind": "fake_hum_phase", "param": {"hum_amp": 0.2}},
+            {"id": "b", "kind": "fake_blackbox"}]}}, []),
+        ({"corpus": {"fake_generators": [
+            {"id": "v", "kind": "fake_vocoder"}, {"id": "b", "kind": "fake_blackbox"}]}}, []),
+        ({"corpus": {"fake_generators": [{"id": "b", "kind": "fake_blackbox"}]}}, []),
+        # 2 real clips and 2 fakes cannot cover the 4 stock families
+        ({"corpus": {"n_clips": 4}}, []),
+        ({"corpus": {"fake_generators": [
+            {"id": "hum", "kind": "fake_hum_phase", "params": {"hum_amp": 10**400}},
+            {"id": "b", "kind": "fake_blackbox"}]}}, []),
     ], ids=["fractional_n_clips", "bool_seed", "fractional_seed", "negative_seed_flag",
             "hints_as_str", "duration_as_str", "float_param_as_str", "fractional_int_param",
-            "generator_without_kind", "config_not_object"])
+            "generator_without_kind", "config_not_object", "generator_key_typo",
+            "unknown_generator_kind", "one_family", "too_few_clips", "float_param_past_every_float"])
     def test_bad_corpus_config_exit_one(self, tmp_path, capsys, config, flags):
         path, out = tmp_path / "run.json", tmp_path / "corpus"
         if isinstance(config, dict):
@@ -769,6 +871,14 @@ class TestErrorMapping:
         assert run(["corpus", "synth", "--config", str(path), "--out", str(out)] + flags) == 1
         assert capsys.readouterr().err.startswith("ERROR BAD_CONFIG:")
         assert not (out / "manifest.json").exists()
+
+    def test_generator_params_not_an_object_names_the_generator(self, tmp_path, capsys):
+        path, out = tmp_path / "run.json", tmp_path / "corpus"
+        gens = [{"id": "hum", "kind": "fake_hum_phase", "params": "x"}, {"id": "b", "kind": "fake_blackbox"}]
+        path.write_text(json.dumps({"corpus": {"n_clips": 12, "fake_generators": gens}}))
+        assert run(["corpus", "synth", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "ERROR BAD_CONFIG: generator 'hum': params must be an object, got 'x'\n"
+        assert not out.exists()
 
     # levels scale as 10 / strength, and the black box's draws as up to
     # 48 / strength: 1e-310 overflows both, 1e-307 only the black box's
@@ -1138,7 +1248,7 @@ class TestExitCodes:
 
     def test_codes_are_unique(self):
         codes = [cls.code for cls in _error_classes()]
-        assert len(codes) >= 30
+        assert len(codes) >= 29
         assert len(set(codes)) == len(codes)
 
     def test_exit_code_follows_the_family(self):
@@ -1216,26 +1326,95 @@ class TestSubsetReads:
                     "--out-ckpt", str(ckpt)]) == 0
         assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
 
-    @pytest.mark.parametrize("d_text", [None, 32, 24],
-                             ids=["width_from_file", "width_in_config", "other_width_in_config"])
-    def test_train_on_a_file_without_its_clips_exit_two(self, pipeline, tmp_path, capsys,
-                                                        d_text):
-        # the file holds only the eval clips, 32 wide; with none of the clips
-        # it reads, the file sets no width, so a config's d_text is not a mismatch
-        eval_ids = {e.utt_id for e in filter_split(read_protocol(pipeline["protocol"]), "eval")}
-        emb = tmp_path / "eval_only.bin"
+    @pytest.mark.parametrize("held", ["eval", "all_but_one"], ids=["width_from_file", "one_clip_missing"])
+    def test_train_on_a_file_without_its_clips_exit_two(self, pipeline, tmp_path, capsys, held):
+        # the widths are taken from the clips train reads, once each has its
+        # rows: a file that lacks one exits 2 before a width is taken
+        entries = read_protocol(pipeline["protocol"])
+        if held == "eval":  # the file holds only the eval clips: no width to take
+            kept = {e.utt_id for e in filter_split(entries, "eval")}
+        else:
+            kept = {e.utt_id for e in entries} - {filter_split(entries, "dev")[-1].utt_id}
+        emb = tmp_path / "some.bin"
         tx.write_embeddings(str(emb), [e for e in tx.load_embeddings(str(pipeline["emb"]))
-                                       if e.utt_id in eval_ids])
-        config = json.loads(pipeline["config"].read_text())
-        if d_text is not None:
-            config["model"]["d_text"] = d_text
-        path, ckpt = tmp_path / "run.json", tmp_path / "m.atck"
-        path.write_text(json.dumps(config))
+                                       if e.utt_id in kept])
+        ckpt = tmp_path / "m.atck"
         assert run(["train", "--corpus", str(pipeline["corpus"]),
                     "--features", str(pipeline["feats"]), "--embeddings", str(emb),
-                    "--track", "1", "--config", str(path), "--out-ckpt", str(ckpt)]) == 2
+                    "--track", "1", "--config", str(pipeline["config"]), "--out-ckpt", str(ckpt)]) == 2
         assert capsys.readouterr().err.startswith("ERROR MISSING_EMBEDDING:")
         assert not ckpt.exists()
+
+
+# zeros of both signs, a subnormal, the largest float's order, an integer
+# past every float, and each JSON value that is no number
+_SWEEP_VALUES = [0, -0.0, 1e-320, 1e308, 10**400, True, None, "x", [], {}]
+_SWEEP_SECTIONS = {"corpus": cp.CorpusConfig, "model": md.AtcaConfig, "train": tr.TrainConfig,
+                   "ensemble": es.StackConfig}
+# the BadConfig a run raises once its work has started; any other is raised before
+_RUN_FAULTS = ("diverged", "ridge_lambda")
+
+
+class TestRunConfigSweep:
+    """Every field of the four run-config sections, at each of _SWEEP_VALUES,
+    through the CLI: the command exits 0, or exits 1 with one BAD_CONFIG line,
+    prints nothing and writes nothing. A refused value starts no work."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The names of the calls that start a command's work, as they are made."""
+        calls = []
+        for owner, name in ((cp, "build_corpus"), (md.AtcaParams, "init"), (es, "fit_stacked")):
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                # a fit past the tree bound would run for hours: it fails at once instead
+                cfg = kwargs.get("cfg")
+                assert cfg is None or max(cfg.gbm_rounds, cfg.forest_trees) <= 10**4, "fit past the tree bound"
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def _run(self, pipeline, section, field, value, root):
+        """Exit code of the command that reads ``section`` with ``field`` at
+        ``value`` on small inputs; and the output it must not write on failure."""
+        model = json.loads(pipeline["config"].read_text())["model"]
+        config = {"corpus": {"corpus": {"n_clips": 12, "duration_s": 0.5, "sample_rate": 8000}},
+                  "model": {"model": model}, "train": {"model": model, "train": {}},
+                  "ensemble": {"ensemble": {"gbm_rounds": 3, "forest_trees": 2}}}[section]
+        config[section] = {**config[section], field: value}
+        path, out = root / "run.json", root / "out"
+        path.write_text(json.dumps(config))
+        if section == "corpus":
+            argv = ["corpus", "synth", "--out", str(out)]
+        elif section == "ensemble":
+            argv = ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                    "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                    "--folds", "3", "--out", str(out)]
+        else:
+            argv = ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                    "--embeddings", str(pipeline["emb"]), "--track", "1", "--epochs", "1",
+                    "--out-ckpt", str(out)]
+        return run([*argv, "--config", str(path)]), out
+
+    @pytest.mark.parametrize("section, field", [
+        (section, f.name) for section, cls in _SWEEP_SECTIONS.items() for f in dataclasses.fields(cls)
+    ], ids=lambda v: v)
+    def test_field_exits_zero_or_bad_config(self, pipeline, tmp_path, capsys, started, section, field):
+        for i, value in enumerate(_SWEEP_VALUES):
+            root = tmp_path / str(i)
+            root.mkdir()
+            started.clear()
+            code, out = self._run(pipeline, section, field, value, root)
+            captured = capsys.readouterr()
+            where = f"{section}.{field} = {value!r}"
+            if code == 0:
+                assert captured.err == "", where
+                continue
+            assert code == 1 and captured.err.startswith("ERROR BAD_CONFIG:"), (where, captured.err)
+            assert captured.err.count("\n") == 1 and captured.out == "", (where, captured)
+            assert not out.exists(), where
+            assert not started or any(fault in captured.err for fault in _RUN_FAULTS), (where, started)
 
 
 def _perfbench_tracing():

@@ -603,6 +603,14 @@ class TestForest:
         with pytest.raises(BadConfig):
             es.fit_forest(np.ones((4, 1)), np.ones(4), n_trees=0)
 
+    @pytest.mark.parametrize("feature_frac", [4.0, 1e308])
+    def test_feature_frac_past_one_is_every_feature(self, feature_frac):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(20, 5)), rng.normal(size=20)
+        every = es.fit_forest(x, y, n_trees=3, max_depth=3, feature_frac=1.0)
+        past = es.fit_forest(x, y, n_trees=3, max_depth=3, feature_frac=feature_frac)
+        assert [t.to_dict() for t in past.trees] == [t.to_dict() for t in every.trees]
+
 
 class TestStackConfig:
     @pytest.mark.parametrize("field,value", [
@@ -624,6 +632,12 @@ class TestStackConfig:
     ])
     def test_edge_values_stay_valid(self, field, value):
         assert getattr(es.StackConfig(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("field", ["gbm_rounds", "forest_trees"])
+    def test_tree_counts_are_bounded(self, field):
+        assert getattr(es.StackConfig(**{field: es.MAX_TREES}), field) == es.MAX_TREES
+        with pytest.raises(BadConfig):
+            es.StackConfig(**{field: es.MAX_TREES + 1})
 
 
 class TestCombineWeights:
@@ -788,6 +802,13 @@ class TestEnsembleFile:
             es.save_ensemble(path, self._model(seed=1))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.aten"]
+
+    def test_non_finite_model_is_never_written(self, tmp_path):
+        model = self._model()
+        model.ridge.weights[0] = np.nan
+        with pytest.raises(ValueError):
+            es.save_ensemble(tmp_path / "m.aten", model)
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         model = self._model(seed=2)

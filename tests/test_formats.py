@@ -116,7 +116,7 @@ def _run_config(path):
 def _load_run_config(path):
     """What the subcommands build from a run config: each section's config."""
     run = cli.load_run_config(path)
-    cp.CorpusConfig.from_dict(run.get("corpus", {}))
+    cli._section_config(cp.CorpusConfig, run.get("corpus", {}))
     cli._section_config(md.AtcaConfig, {"d_spec": 16, "d_text": 32, **run.get("model", {})})
     cli._section_config(tr.TrainConfig, run.get("train", {}))
     cli._section_config(es.StackConfig, run.get("ensemble", {}))
@@ -427,7 +427,7 @@ def _run_config_inputs(root, set_cpus):
     synth_out = root / "corpus"
     return config, [
         ("corpus_synth", ["corpus", "synth", "--config", str(config), "--out", str(synth_out), "--force"],
-         built("corpus", cp.CorpusConfig.from_dict)),
+         built("corpus", functools.partial(cli._section_config, cp.CorpusConfig))),
         ("train", train, functools.partial(_train_configs, config)),
         ("ensemble_fit", ensemble_fit, built("ensemble", functools.partial(cli._section_config, es.StackConfig))),
     ], [synth_out, root / "t" / "out.atck", fit]

@@ -57,6 +57,15 @@ class TestTrainConfig:
     def test_zero_lr_allowed(self):
         assert tr.TrainConfig(lr=0.0).lr == 0.0
 
+    @pytest.mark.parametrize("field", ["lr", "adam_beta1", "adam_beta2", "adam_eps", "grad_clip"])
+    def test_integer_past_every_float_rejected(self, field):
+        # math.isfinite cannot take it: an int beyond the float range is no finite number
+        with pytest.raises(BadConfig, match="finite number|positive number"):
+            tr.TrainConfig(**{field: 10**400})
+
+    def test_integer_within_the_floats_allowed(self):
+        assert tr.TrainConfig(lr=10**308).lr == 10**308
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(BadConfig):
             cli._section_config(tr.TrainConfig, {"epochs": 3, "momentum": 0.9})
