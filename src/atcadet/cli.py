@@ -210,8 +210,7 @@ def embed_import(src_dir, out_path, force):
         if embeddings and feat.values.shape[1] != embeddings[0].table.shape[1]:
             raise DimMismatch(
                 f"{name}: embedding width {feat.values.shape[1]} != {embeddings[0].table.shape[1]}")
-        # empty spans mark an externally produced, unsegmented matrix
-        embeddings.append(tx.TextEmbedding(name[: -len(".atfx")], feat.values, ()))
+        embeddings.append(tx.TextEmbedding(name[: -len(".atfx")], feat.values))
     _guard_output(out_path, force)
     tx.write_embeddings(out_path, embeddings)
     click.echo(f"imported {len(embeddings)} embeddings to {out_path}")

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import _INT16_SCALE, Waveform, _hann_periodic, _pcm16_grid, write_wav
-from .errors import BadConfig, BadJson, atomic_write, check_fields, is_real, read_json, temps_swept_on_error
+from .errors import BadConfig, BadJson, atomic_write, check_fields, is_real, quoted, read_json, temps_swept_on_error
 from .protocol import ProtocolEntry, write_protocol
 from .shares import run_shares
 from .text import CaptionSet, write_captions
@@ -104,11 +104,11 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
-            raise BadConfig(f"generator id must be a non-empty string, got {self.id!r}")
+            raise BadConfig(f"generator id must be a non-empty string, got {quoted(self.id)}")
         if self.kind not in GENERATOR_KINDS:
-            raise BadConfig(f"generator {self.id!r}: unknown kind {self.kind!r}")
+            raise BadConfig(f"generator {self.id!r}: unknown kind {quoted(self.kind)}")
         if not isinstance(self.params, dict):
-            raise BadConfig(f"generator {self.id!r}: params must be an object, got {self.params!r}")
+            raise BadConfig(f"generator {self.id!r}: params must be an object, got {quoted(self.params)}")
         _, table = _FAMILIES[self.kind]
         extra = set(self.params) - set(table)
         if extra:
@@ -119,10 +119,10 @@ class GeneratorSpec:
             number = numbers.Integral if isinstance(param.default, int) else numbers.Real
             if not (is_real(value) and isinstance(value, number)):
                 raise BadConfig(f"generator {self.id!r}: {name} must be of type "
-                                f"{type(param.default).__name__} within the float range, got {value!r}")
+                                f"{type(param.default).__name__} within the float range, got {quoted(value)}")
             value = type(param.default)(value)
             if not param.ok(value):
-                raise BadConfig(f"generator {self.id!r}: {name}={value} out of range")
+                raise BadConfig(f"generator {self.id!r}: {name}={quoted(value)} out of range")
             clean[name] = value
         object.__setattr__(self, "params", clean)
 
@@ -362,7 +362,7 @@ def apply_fake(wave: Waveform, gen: GeneratorSpec, seed) -> Waveform:
 def scaled_generator(gen: GeneratorSpec, strength: float, sample_rate: int) -> GeneratorSpec:
     """Interpolate a family toward the no-op limit; strength 1 keeps it."""
     if not 0.0 < strength <= 1.0:
-        raise BadConfig(f"artifact strength must be in (0, 1], got {strength}")
+        raise BadConfig(f"artifact strength must be in (0, 1], got {quoted(strength)}")
     if strength == 1.0:
         return gen
     _, table = _FAMILIES[gen.kind]
@@ -396,17 +396,17 @@ class CorpusConfig:
     fake_generators: tuple = DEFAULT_FAKE_GENERATORS
 
     def __post_init__(self):
-        check_fields(vars(self), ints=(("n_clips", 2), ("sample_rate", 8000), ("seed", 0)),
+        check_fields(vars(self), ints=(("n_clips", 2), ("sample_rate", 8000)),
                      reals=("duration_s", "bonafide_fraction", "blackbox_fraction",
                             "train_fraction", "dev_fraction", "artifact_strength"),
-                     flags=("caption_generator_hints",))
+                     flags=("caption_generator_hints",), seeds=("seed",))
         if self.duration_s < 0.5:
             raise BadConfig("clip duration must be >= 0.5 s")
         if self.n_clips > MAX_CLIPS:
-            raise BadConfig(f"n_clips must be <= {MAX_CLIPS}, got {self.n_clips}")
+            raise BadConfig(f"n_clips must be <= {MAX_CLIPS}, got {quoted(self.n_clips)}")
         # compared as a division: a huge integer sample_rate does not convert to float
         if self.sample_rate > MAX_CLIP_SAMPLES / self.duration_s:
-            raise BadConfig(f"a {self.duration_s} s clip at {self.sample_rate} Hz holds more than "
+            raise BadConfig(f"a {quoted(self.duration_s)} s clip at {quoted(self.sample_rate)} Hz holds more than "
                             f"{MAX_CLIP_SAMPLES} samples")
         if not 0.0 < self.bonafide_fraction < 1.0:
             raise BadConfig("bonafide fraction must be in (0, 1)")
@@ -442,7 +442,7 @@ class CorpusConfig:
                 if g.kind == "fake_blackbox":
                     levels.scale(_BLACKBOX_MAX_LEVELS, scaled.params["strength"], None)
             except (BadConfig, OverflowError) as exc:
-                raise BadConfig(f"artifact strength {self.artifact_strength} is too small "
+                raise BadConfig(f"artifact strength {quoted(self.artifact_strength)} is too small "
                                 f"for generator {g.id!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -462,48 +462,32 @@ class ClipRecord:
 @dataclass
 class CorpusManifest:
     clips: list
-    splits: dict
-    blackbox_fraction: float
     config: Optional[dict] = None
 
     def __post_init__(self):
-        all_ids = [c.utt_id for c in self.clips]
-        id_set = set(all_ids)
-        if len(id_set) != len(all_ids):
+        if len({c.utt_id for c in self.clips}) != len(self.clips):
             raise BadConfig("duplicate utt_id in manifest")
-        for track, by_split in self.splits.items():
-            seen = [u for ids in by_split.values() for u in ids]
-            if len(seen) != len(set(seen)):
-                raise BadConfig(f"{track}: an utterance appears in two splits")
-            if set(seen) != id_set:
-                raise BadConfig(f"{track}: splits do not partition the clip set")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict, path) -> "CorpusManifest":
-        """Parse the JSON of the manifest file ``path``. Any fault in it is
-        a data error naming the file, a split map that does not partition
-        the clips included."""
-        try:
-            clips = [ClipRecord(c["utt_id"], c["generator_id"], c["label"], tuple(c["tags"]),
-                                float(c["duration_s"]), tuple(c["seed"])) for c in d["clips"]]
-            return cls(clips, d["splits"], float(d["blackbox_fraction"]), d.get("config"))
-        except (KeyError, TypeError, ValueError, AttributeError, BadConfig) as exc:
-            raise BadJson(f"malformed manifest: {path}: {exc}") from exc
 
 
 def write_manifest(path, manifest: CorpusManifest) -> None:
     """Written last by :func:`build_corpus`, and atomically: a corpus
     directory holds a manifest only once everything else is on disk."""
     with atomic_write(path, "w") as fh:
-        json.dump(manifest.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(manifest), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_manifest(path) -> CorpusManifest:
-    return CorpusManifest.from_dict(read_json(path), path)
+    """The manifest file ``path``. Any fault in it is a data error naming
+    the file; a key past the clips and the config (the ``splits`` and
+    ``blackbox_fraction`` older writers added) is ignored."""
+    d = read_json(path)
+    try:
+        clips = [ClipRecord(c["utt_id"], c["generator_id"], c["label"], tuple(c["tags"]),
+                            float(c["duration_s"]), tuple(c["seed"])) for c in d["clips"]]
+        return CorpusManifest(clips, d.get("config"))
+    except (KeyError, TypeError, ValueError, AttributeError, BadConfig) as exc:
+        raise BadJson(f"malformed manifest: {path}: {exc}") from exc
 
 
 def _caption_events(tags) -> str:
@@ -647,6 +631,6 @@ def build_corpus(cfg: CorpusConfig, out_dir) -> CorpusManifest:
         entries.sort(key=lambda e: e.utt_id)
         write_protocol(os.path.join(out_dir, f"protocol_{track}.tsv"), entries)
 
-    manifest = CorpusManifest(clips, splits, cfg.blackbox_fraction, cfg.to_dict())
+    manifest = CorpusManifest(clips, cfg.to_dict())
     write_manifest(manifest_path, manifest)
     return manifest

@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedFormat,
     atomic_write,
     check_head,
+    quoted,
     read_exact,
     truncated,
 )
@@ -64,13 +65,13 @@ class StftConfig:
 
     def __post_init__(self):
         if self.n_fft <= 0 or (self.n_fft & (self.n_fft - 1)) != 0:
-            raise BadConfig(f"n_fft must be a positive power of two, got {self.n_fft}")
+            raise BadConfig(f"n_fft must be a positive power of two, got {quoted(self.n_fft)}")
         if not 0 < self.hop <= self.n_fft:
-            raise BadConfig(f"hop must be in [1, n_fft], got {self.hop}")
+            raise BadConfig(f"hop must be in [1, n_fft], got {quoted(self.hop)}")
         if not 1 <= self.n_mels <= self.n_fft // 2 + 1:
-            raise BadConfig(f"n_mels must be in [1, n_fft/2+1], got {self.n_mels}")
+            raise BadConfig(f"n_mels must be in [1, n_fft/2+1], got {quoted(self.n_mels)}")
         if not 0 <= self.fmin < self.fmax:
-            raise BadConfig(f"need 0 <= fmin < fmax, got {self.fmin}, {self.fmax}")
+            raise BadConfig(f"need 0 <= fmin < fmax, got {quoted(self.fmin)}, {quoted(self.fmax)}")
         if self.log_floor <= 0:
             raise BadConfig("log_floor must be positive")
 
@@ -226,11 +227,19 @@ def _hann_periodic(n: int) -> np.ndarray:
     return window
 
 
+# the most values the STFT frames, T x n_fft: 320 MB in float64, which
+# admits the longest clip corpus synth makes (10^7 samples) at 2048/512
+MAX_STFT_ENTRIES = 4 * 10**7
+
+
 def stft_power(wave: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Power spectrogram |STFT|^2, shape (T, n_fft//2 + 1). No centering."""
     n = len(wave.samples)
     if n < cfg.n_fft:
         raise TooShort(f"need at least {cfg.n_fft} samples, got {n}")
+    frames = 1 + (n - cfg.n_fft) // cfg.hop
+    if frames * cfg.n_fft > MAX_STFT_ENTRIES:
+        raise BadConfig(f"n_fft {cfg.n_fft} at hop {cfg.hop} frames {frames}x{cfg.n_fft} values, over {MAX_STFT_ENTRIES}")
     window = _hann_periodic(cfg.n_fft)
     # unnamed, the windowed frames are freed before |spectrum| is allocated
     spectrum = np.fft.rfft(sliding_window_view(wave.samples, cfg.n_fft)[:: cfg.hop] * window, axis=1)

@@ -29,6 +29,7 @@ from .errors import (
     atomic_write,
     check_fields,
     parse_json,
+    quoted,
     read_blob,
     write_blob,
 )
@@ -351,7 +352,6 @@ def predict_gbm(m: GbmModel, x_rows: np.ndarray) -> np.ndarray:
 @dataclass
 class ForestModel:
     trees: list
-    seeds: list
     feature_frac: float
 
 
@@ -373,14 +373,12 @@ def fit_forest(
     n_feats = max(1, math.ceil(min(feature_frac, 1.0) * d))  # any fraction past 1 is every feature
     cols = _Columns(x)
     trees = []
-    seeds = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
-        seeds.append(t)
         # a bootstrap sample is the root's row set, repeats and all
         idx = rng.integers(0, len(y), size=len(y)) if bootstrap else np.arange(len(y))
         trees.append(_grow(x, y, idx, max_depth, rng, n_feats, cols))
-    return ForestModel(trees, seeds, float(feature_frac))
+    return ForestModel(trees, float(feature_frac))
 
 
 def predict_forest(m: ForestModel, x_rows: np.ndarray) -> np.ndarray:
@@ -416,9 +414,9 @@ class StackConfig:
 
     def __post_init__(self):
         check_fields(vars(self), ints=(("gbm_rounds", 0), ("gbm_depth", 0), ("forest_trees", 1),
-                                       ("forest_depth", 0), ("seed", 0)),
+                                       ("forest_depth", 0)),
                      reals=("ridge_lambda", "gbm_shrinkage", "feature_frac", "grid_step"),
-                     flags=("bootstrap",))
+                     flags=("bootstrap",), seeds=("seed",))
         if self.ridge_lambda < 0:
             raise BadConfig("ridge lambda must be >= 0")
         if max(self.gbm_rounds, self.forest_trees) > MAX_TREES:
@@ -427,9 +425,9 @@ class StackConfig:
         # 1 / grid_step is capped first, since it overflows to inf for a subnormal step
         n = round(min(1.0 / self.grid_step, 1e9)) if self.grid_step > 0 else 0
         if n < 1:
-            raise BadConfig(f"grid_step must give at least one grid division, got {self.grid_step}")
+            raise BadConfig(f"grid_step must give at least one grid division, got {quoted(self.grid_step)}")
         if (n + 1) * (n + 2) // 2 + 1 > MAX_GRID_POINTS:
-            raise BadConfig(f"grid_step {self.grid_step} gives more than {MAX_GRID_POINTS} simplex grid points")
+            raise BadConfig(f"grid_step {quoted(self.grid_step)} gives more than {MAX_GRID_POINTS} simplex grid points")
 
 
 @dataclass
@@ -451,7 +449,6 @@ class StackedModel:
             },
             "forest": {
                 "feature_frac": float(self.forest.feature_frac),
-                "seeds": [int(s) for s in self.forest.seeds],
                 "trees": [t.to_dict() for t in self.forest.trees],
             },
             "ridge": {
@@ -472,7 +469,6 @@ class StackedModel:
             )
             forest = ForestModel(
                 [TreeNode.from_dict(t) for t in d["forest"]["trees"]],
-                [int(s) for s in d["forest"]["seeds"]],
                 float(d["forest"]["feature_frac"]),
             )
             ridge = RidgeModel(
@@ -599,7 +595,7 @@ def fit_stacked(x, y, folds: int = 5, cfg: StackConfig = StackConfig(), return_d
                 oof[hold, 2] = predict_ridge(fit_ridge(x[rest], y[rest], cfg.ridge_lambda), x[hold])
             ridge = fit_ridge(x, y, cfg.ridge_lambda)
         except SingularSystem as exc:  # only a ridge_lambda at or near 0 leaves it singular
-            raise BadConfig(f"ridge_lambda {cfg.ridge_lambda}: {exc.message}") from exc
+            raise BadConfig(f"ridge_lambda {quoted(cfg.ridge_lambda)}: {exc.message}") from exc
         if not np.isfinite(oof).all():
             raise BadConfig("ensemble fit diverged: non-finite out-of-fold predictions")
         weights = choose_combine_weights(oof, y, cfg.grid_step)

@@ -163,20 +163,34 @@ def is_real(value) -> bool:
         return False
 
 
-def check_fields(fields: dict, ints=(), reals=(), flags=()) -> None:
+SEED_LIMIT = 2**64  # one bound for every seed: the hashing embedder mixes its seed as 64 bits
+
+
+def quoted(value) -> str:
+    """``repr(value)`` in at most 40 characters, cut in the middle: a config
+    value as an error message shows it."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-17:]}"
+
+
+def check_fields(fields: dict, ints=(), reals=(), flags=(), seeds=()) -> None:
     """Raise BadConfig unless each named field holds its type: ``ints``
-    pairs a name with its least value, ``reals`` must be finite numbers
-    and ``flags`` bools."""
+    pairs a name with its least value, ``reals`` must be finite numbers,
+    ``flags`` bools and ``seeds`` integers in [0, SEED_LIMIT)."""
     for name, low in ints:
         value = fields[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise BadConfig(f"{name} must be an integer >= {low}, got {value!r}")
+            raise BadConfig(f"{name} must be an integer >= {low}, got {quoted(value)}")
+    for name in seeds:
+        value = fields[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < SEED_LIMIT:
+            raise BadConfig(f"{name} must be an integer in [0, 2**64), got {quoted(value)}")
     for name in reals:
         if not is_real(fields[name]):
-            raise BadConfig(f"{name} must be a finite number, got {fields[name]!r}")
+            raise BadConfig(f"{name} must be a finite number, got {quoted(fields[name])}")
     for name in flags:
         if not isinstance(fields[name], bool):
-            raise BadConfig(f"{name} must be true or false, got {fields[name]!r}")
+            raise BadConfig(f"{name} must be true or false, got {quoted(fields[name])}")
 
 
 class DataError(AtcadetError):

@@ -45,6 +45,7 @@ from .errors import (
     check_fields,
     is_real,
     parse_json,
+    quoted,
     read_blob,
     read_exact,
     write_blob,
@@ -72,11 +73,12 @@ class AtcaConfig:
         check_fields(vars(self), ints=[(name, 1) for name in (
             "d_spec", "d_model", "d_k", "n_heads", "gru_layers", "gru_hidden", "d_text")])
         if self.d_k * self.n_heads != self.d_model:
-            raise BadConfig(f"d_k*n_heads must equal d_model, got {self.d_k}*{self.n_heads} != {self.d_model}")
+            raise BadConfig(f"d_k*n_heads must equal d_model, got {quoted(self.d_k)}*{quoted(self.n_heads)} "
+                            f"!= {quoted(self.d_model)}")
         pair = self.class_weights
         if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
                 is_real(w) and w > 0 for w in pair):
-            raise BadConfig(f"class_weights must be a pair of positive reals, got {pair!r}")
+            raise BadConfig(f"class_weights must be a pair of positive reals, got {quoted(pair)}")
         object.__setattr__(self, "class_weights", tuple(float(w) for w in pair))
 
     def bounded(self) -> "AtcaConfig":

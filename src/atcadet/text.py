@@ -29,7 +29,9 @@ from .errors import (
     ShapeMismatch,
     UnknownStyle,
     atomic_write,
+    check_fields,
     parse_json,
+    quoted,
     read_text,
 )
 
@@ -60,34 +62,6 @@ class CaptionSet:
                 raise BadJson(f"{self.utt_id}: caption for {style!r} is not a string")
 
 
-def _checked_matrix(utt_id: str, matrix) -> np.ndarray:
-    matrix = held_values(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise ShapeMismatch(f"{utt_id}: embedding must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise NonFinite(f"{utt_id}: embedding contains non-finite values")
-    return matrix
-
-
-def _checked_spans(utt_id: str, style_spans, rows: int) -> tuple:
-    spans = tuple((str(s), int(a), int(b)) for s, a, b in style_spans)
-    cursor = 0
-    seen = set()
-    for style, start, end in spans:
-        if style not in STYLES:
-            raise UnknownStyle(f"{utt_id}: unknown style {style!r} in spans")
-        if style in seen:
-            raise ShapeMismatch(f"{utt_id}: style {style!r} appears twice in spans")
-        if start != cursor or end <= start:
-            raise ShapeMismatch(f"{utt_id}: spans must partition rows in order")
-        seen.add(style)
-        cursor = end
-    # empty spans mark an externally produced, unsegmented matrix
-    if spans and cursor != rows:
-        raise ShapeMismatch(f"{utt_id}: spans cover {cursor} rows, matrix has {rows}")
-    return spans
-
-
 class TextEmbedding:
     """One caption's token rows, held as ``ids`` into ``table``: the rows
     that the embeddings of one :func:`load_embeddings` call share, each
@@ -98,19 +72,21 @@ class TextEmbedding:
 
     _built = False  # from a matrix, which is then the table
 
-    def __init__(self, utt_id: str, matrix, style_spans):
-        matrix = _checked_matrix(utt_id, matrix)
-        self.style_spans = _checked_spans(utt_id, style_spans, matrix.shape[0])
+    def __init__(self, utt_id: str, matrix):
+        matrix = held_values(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] < 1:
+            raise ShapeMismatch(f"{utt_id}: embedding must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise NonFinite(f"{utt_id}: embedding contains non-finite values")
         matrix.flags.writeable = False
         self.utt_id, self.table, self.ids = utt_id, matrix, np.arange(matrix.shape[0])
         self._built = True
 
     @classmethod
-    def from_rows(cls, utt_id: str, table: np.ndarray, ids: np.ndarray,
-                  style_spans: tuple) -> "TextEmbedding":
-        """The embedding ``table[ids]``, over rows and spans already checked."""
+    def from_rows(cls, utt_id: str, table: np.ndarray, ids: np.ndarray) -> "TextEmbedding":
+        """The embedding ``table[ids]``, over rows already checked."""
         emb = cls.__new__(cls)
-        emb.utt_id, emb.table, emb.ids, emb.style_spans = utt_id, table, ids, style_spans
+        emb.utt_id, emb.table, emb.ids = utt_id, table, ids
         return emb
 
     @property
@@ -298,12 +274,9 @@ class ToyEmbedderConfig:
     vocab_hash_buckets: int = 1 << 20
 
     def __post_init__(self):
+        check_fields(vars(self), ints=(("vocab_hash_buckets", 1),), seeds=("seed",))
         if not 8 <= self.dim <= MAX_EMBED_DIM:
-            raise BadConfig(f"embedding dim must be in [8, {MAX_EMBED_DIM}], got {self.dim}")
-        if self.vocab_hash_buckets < 1:
-            raise BadConfig("vocab_hash_buckets must be positive")
-        if not 0 <= self.seed <= _MASK64:
-            raise BadConfig("seed must fit in 64 bits")
+            raise BadConfig(f"embedding dim must be in [8, {MAX_EMBED_DIM}], got {quoted(self.dim)}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +352,6 @@ def toy_embed(caption_set: CaptionSet, cfg: ToyEmbedderConfig = ToyEmbedderConfi
     """Deterministic embedding: one unit vector per token, styles stacked
     in the fixed order audioset, audiocaps, clotho."""
     rows = []
-    spans = []
-    cursor = 0
     for style in STYLES:
         if style not in caption_set.captions:
             continue
@@ -389,9 +360,7 @@ def toy_embed(caption_set: CaptionSet, cfg: ToyEmbedderConfig = ToyEmbedderConfi
             raise EmptyCaption(f"{caption_set.utt_id}: style {style!r} has no tokens")
         for token in tokens:
             rows.append(_token_vector(token_bucket(token, cfg.vocab_hash_buckets), cfg.dim, cfg.seed))
-        spans.append((style, cursor, cursor + len(tokens)))
-        cursor += len(tokens)
-    return TextEmbedding(caption_set.utt_id, np.stack(rows), tuple(spans))
+    return TextEmbedding(caption_set.utt_id, np.stack(rows))
 
 
 def pool_text_vector(embedding: TextEmbedding) -> np.ndarray:
@@ -416,8 +385,7 @@ def write_embedding_payload(path, embeddings) -> list:
     with atomic_write(path) as fh:
         for emb in embeddings:
             matrix = emb.matrix
-            lines.append({"utt_id": emb.utt_id, "offset": fh.tell(), "L": matrix.shape[0],
-                          "Dt": matrix.shape[1], "spans": [[s, a, b] for s, a, b in emb.style_spans]})
+            lines.append({"utt_id": emb.utt_id, "offset": fh.tell(), "L": matrix.shape[0], "Dt": matrix.shape[1]})
             write_block(fh, matrix)
     return lines
 
@@ -446,30 +414,22 @@ def write_embeddings(path, embeddings) -> None:
     write_embedding_index(index, write_embedding_payload(path, embeddings))
 
 
-# the types of a span's [style, start, end], as json.loads gives them
-_SPAN_TYPES = [str, int, int]
-
-
 def _is_index_entry(obj) -> bool:
-    """True when obj has a string utt_id, an integer offset >= 0, integer
-    L and Dt >= 1, as a block's shape is, and spans as a list of [style,
-    start, end] triples. Types are those ``json.loads`` builds, so each is
-    tested exactly (a bool is no int here)."""
+    """True when obj has a string utt_id, an integer offset >= 0, and
+    integer L and Dt >= 1, as a block's shape is; other keys are ignored.
+    Types are those ``json.loads`` builds, so each is tested exactly (a
+    bool is no int here)."""
     if type(obj) is not dict:
         return False
-    offset, rows, dims, spans = obj.get("offset"), obj.get("L"), obj.get("Dt"), obj.get("spans")
-    if not (type(obj.get("utt_id")) is str and type(offset) is int and type(rows) is int
-            and type(dims) is int and type(spans) is list and offset >= 0 and rows >= 1 and dims >= 1):
-        return False
-    for span in spans:
-        if type(span) is not list or list(map(type, span)) != _SPAN_TYPES:
-            return False
-    return True
+    offset, rows, dims = obj.get("offset"), obj.get("L"), obj.get("Dt")
+    return (type(obj.get("utt_id")) is str and type(offset) is int and type(rows) is int
+            and type(dims) is int and offset >= 0 and rows >= 1 and dims >= 1)
 
 
 def _read_index(path) -> list:
     """Index entries in file order, each line checked against the schema
-    write_embeddings produces and its offset against the payload size.
+    write_embeddings produces and its offset against the payload size; a
+    key past the schema (the ``spans`` older writers added) is ignored.
     Each line is parsed alone: a value may not run on past its line."""
     where = index_path_for(path)
     try:
@@ -483,7 +443,7 @@ def _read_index(path) -> list:
             continue
         obj = parse_json(line, where, lineno)
         if not _is_index_entry(obj):
-            raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L, Dt and spans fields")
+            raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L and Dt fields")
         if obj["offset"] >= payload_size:
             raise BadHeader(f"{where}:{lineno}: offset {obj['offset']} lies past the payload end")
         utt = obj["utt_id"]
@@ -505,15 +465,14 @@ def _check_finite(table: np.ndarray, ids: list, entries) -> None:
             raise NonFinite(f"{entry['utt_id']}: embedding contains non-finite values")
 
 
-def _read_blocks(path, entries) -> tuple:
+def _read_blocks(path, entries) -> _Interner:
     """The blocks of ``entries``, checked, each as wide as the first, and
-    added as they are read to an :class:`_Interner`; and each entry's
-    spans. A check that fails on a block first finishes the interner and
-    checks the finiteness of the rows read so far, so the first failing
-    check in block order is the one raised. The interner is returned
-    unfinished, so that the last block read is freed before its last stage
-    is interned."""
-    interner, spans = None, []
+    added as they are read to an :class:`_Interner`. A check that fails on
+    a block first finishes the interner and checks the finiteness of the
+    rows read so far, so the first failing check in block order is the one
+    raised. The interner is returned unfinished, so that the last block
+    read is freed before its last stage is interned."""
+    interner = None
     with open(path, "rb") as fh:
         for entry in entries:
             utt, rows, dims = entry["utt_id"], entry["L"], entry["Dt"]
@@ -530,12 +489,11 @@ def _read_blocks(path, entries) -> tuple:
                     raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, "
                                       f"not {interner.table.shape[1]}")
                 interner.add(values)
-                spans.append(_checked_spans(utt, entry["spans"], rows))
             except Exception:
                 if interner is not None:
                     _check_finite(*interner.finish(), entries)
                 raise
-    return interner, spans
+    return interner
 
 
 def load_embeddings(path, utt_ids=None) -> list:
@@ -549,8 +507,6 @@ def load_embeddings(path, utt_ids=None) -> list:
         entries = [e for e in entries if e["utt_id"] in utt_ids]
     if not entries:
         return []
-    interner, spans = _read_blocks(path, entries)
-    table, ids = interner.finish()
+    table, ids = _read_blocks(path, entries).finish()
     _check_finite(table, ids, entries)
-    return [TextEmbedding.from_rows(entry["utt_id"], table, entry_ids, entry_spans)
-            for entry, entry_ids, entry_spans in zip(entries, ids, spans)]
+    return [TextEmbedding.from_rows(entry["utt_id"], table, entry_ids) for entry, entry_ids in zip(entries, ids)]

@@ -29,6 +29,7 @@ from .errors import (
     atomic_write,
     check_fields,
     is_real,
+    quoted,
     read_json,
 )
 from .metrics import Trial, compute_eer
@@ -51,9 +52,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(vars(self),
-                     ints=(("epochs", 1), ("batch_size", 1), ("patience", 1), ("seed", 0)),
+                     ints=(("epochs", 1), ("batch_size", 1), ("patience", 1)),
                      reals=("lr", "adam_beta1", "adam_beta2", "adam_eps"),
-                     flags=("auto_class_weights",))
+                     flags=("auto_class_weights",), seeds=("seed",))
         if self.lr < 0:
             raise BadConfig("lr must be >= 0")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
@@ -61,9 +62,7 @@ class TrainConfig:
         if self.adam_eps <= 0:
             raise BadConfig("adam_eps must be positive")
         if self.grad_clip is not None and not (is_real(self.grad_clip) and self.grad_clip > 0):
-            raise BadConfig(f"grad_clip must be a positive number or None, got {self.grad_clip!r}")
-        if self.seed >= 2**64:
-            raise BadConfig("seed must fit in 64 bits")
+            raise BadConfig(f"grad_clip must be a positive number or None, got {quoted(self.grad_clip)}")
 
 
 @dataclass
@@ -308,5 +307,5 @@ def ablate_text(params, entries, features):
     """Score with captions replaced by one zero token (audio-only path).
     Every clip shares one TextEmbedding, so the front end projects the
     zero row once per piece and ``check_inputs`` has no caption to check."""
-    zero = TextEmbedding("ablated", np.zeros((1, params.config.d_text)), ())
+    zero = TextEmbedding("ablated", np.zeros((1, params.config.d_text)))
     return score_protocol(params, entries, features, {e.utt_id: zero for e in entries})

@@ -876,20 +876,13 @@ def load_external_features_f64_ref(path):
 
 
 def _is_index_entry_ref(obj) -> bool:
-    """True when obj has a string utt_id, an integer offset >= 0, integer
-    L and Dt >= 1, as a block's shape is, and spans as a list of [style,
-    start, end] triples."""
+    """True when obj has a string utt_id, an integer offset >= 0, and
+    integer L and Dt >= 1, as a block's shape is."""
     return (
         isinstance(obj, dict)
         and isinstance(obj.get("utt_id"), str)
         and all(type(obj.get(k)) is int and obj[k] >= least
                 for k, least in (("offset", 0), ("L", 1), ("Dt", 1)))
-        and isinstance(obj.get("spans"), list)
-        and all(
-            isinstance(sp, list) and len(sp) == 3 and isinstance(sp[0], str)
-            and type(sp[1]) is int and type(sp[2]) is int
-            for sp in obj["spans"]
-        )
     )
 
 
@@ -909,7 +902,7 @@ def read_index_ref(path) -> list:
             continue
         obj = parse_json(line, f"{where}:{lineno}")
         if not _is_index_entry_ref(obj):
-            raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L, Dt and spans fields")
+            raise BadJson(f"{where}:{lineno}: expected utt_id, offset, L and Dt fields")
         if obj["offset"] >= payload_size:
             raise BadHeader(f"{where}:{lineno}: offset {obj['offset']} lies past the payload end")
         utt = obj["utt_id"]
@@ -1042,7 +1035,7 @@ def intern_ref(rows: np.ndarray) -> tuple:
 def _read_blocks_ref(path, entries) -> tuple:
     """The blocks of ``entries``, checked, copied as they are read into one
     float32 buffer sized from the index, each as wide as the first: the
-    buffer's rows, and each entry's first row and spans."""
+    buffer's rows, and each entry's first row."""
     room = sum(entry["L"] for entry in entries)  # the rows the index declares
     payload_size = os.path.getsize(path)
     buf, count, read = None, 0, []
@@ -1058,8 +1051,7 @@ def _read_blocks_ref(path, entries) -> tuple:
                 buf = values[:0]
             elif dims != buf.shape[1]:
                 raise DimMismatch(f"{path}: block of {utt!r} is {dims} wide, not {buf.shape[1]}")
-            tx._checked_matrix(utt, values)
-            spans = tx._checked_spans(utt, entry["spans"], rows)
+            tx.TextEmbedding(utt, values)  # the finiteness check a built embedding makes
             if count + rows > len(buf):  # the first block, or lines that share blocks
                 # never past what the payload holds, whatever the index declares
                 grown = np.empty((max(count + rows, 2 * len(buf),
@@ -1067,7 +1059,7 @@ def _read_blocks_ref(path, entries) -> tuple:
                 grown[:count] = buf[:count]
                 buf = grown
             buf[count : count + rows] = values
-            read.append((count, spans))
+            read.append(count)
             count += rows
     return buf[:count], read
 
@@ -1084,8 +1076,8 @@ def load_embeddings_ref(path, utt_ids=None) -> list:
         return []
     rows, read = _read_blocks_ref(path, entries)
     table, ids = intern_ref(rows)
-    return [tx.TextEmbedding.from_rows(entry["utt_id"], table, ids[at : at + entry["L"]], spans)
-            for (at, spans), entry in zip(read, entries)]
+    return [tx.TextEmbedding.from_rows(entry["utt_id"], table, ids[at : at + entry["L"]])
+            for at, entry in zip(read, entries)]
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ class TestEmbedImport:
         assert run(["embed", "import", "--from", str(src), "--out", str(out)]) == 0
         loaded = tx.load_embeddings(str(out))
         assert [e.utt_id for e in loaded] == ["u0000", "u0001", "u0002"]
-        assert all(e.style_spans == () for e in loaded)
+        assert loaded[0].matrix.tobytes() == dsp.load_external_features(str(src / "u0000.atfx")).values.tobytes()
         assert loaded[2].matrix.shape == (4, 6)
 
     def test_import_rejects_mixed_widths(self, tmp_path, capsys):
@@ -558,7 +558,7 @@ class TestErrorMapping:
         lambda d: _first_split(d).update(feature=-1),
         lambda d: d["ridge"].update(weights=d["ridge"]["weights"][:-1]),
         lambda d: d["gbm"]["trees"].__setitem__(0, "DEEP"),
-        lambda d: d["forest"].update(trees=[], seeds=[]),
+        lambda d: d["forest"].update(trees=[]),
         # a loaded model's weights and lambda are input data, not a run config
         lambda d: d.update(combine_weights=[0.5, 0.5, 0.5]),
         lambda d: d["ridge"].update({"lambda": -1.0}),
@@ -781,6 +781,59 @@ class TestErrorMapping:
         assert tx.ToyEmbedderConfig(dim=tx.MAX_EMBED_DIM)
         with pytest.raises(errors.BadConfig):
             tx.ToyEmbedderConfig(dim=tx.MAX_EMBED_DIM + 1)
+
+    def _seeded_run(self, pipeline, root, command, flag, seed):
+        """Exit code of ``command`` on small inputs with ``seed`` in its --seed
+        flag or, without ``flag``, in its run-config section; and its output."""
+        out, path = root / "out", root / "run.json"
+        section, fields = {"corpus_synth": ("corpus", {"n_clips": 12, "duration_s": 0.5, "sample_rate": 8000}),
+                           "embed": (None, {}), "train": ("train", {}),
+                           "ensemble_fit": ("ensemble", {"gbm_rounds": 3, "forest_trees": 2})}[command]
+        config = {} if section is None else {section: fields if flag else {**fields, "seed": seed}}
+        if command == "train":
+            config["model"] = json.loads(pipeline["config"].read_text())["model"]
+        path.write_text(json.dumps(config))
+        argv = {"corpus_synth": ["corpus", "synth", "--config", str(path), "--out", str(out)],
+                "embed": ["embed", "--corpus", str(pipeline["corpus"]), "--dim", "8", "--out", str(out)],
+                "train": ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
+                          "--embeddings", str(pipeline["emb"]), "--track", "1", "--epochs", "1",
+                          "--config", str(path), "--out-ckpt", str(out)],
+                "ensemble_fit": ["ensemble", "fit", "--scores", f"{pipeline['dev']},{pipeline['dev_abl']}",
+                                 "--embeddings", str(pipeline["emb"]), "--protocol", pipeline["protocol"],
+                                 "--folds", "3", "--config", str(path), "--out", str(out)]}[command]
+        return run(argv + (["--seed", str(seed)] if flag else [])), out
+
+    # every seed, in a run config or a --seed flag, is an integer in [0, 2**64)
+    _SEEDS = [("corpus_synth", False), ("corpus_synth", True), ("embed", True), ("train", False),
+              ("train", True), ("ensemble_fit", False), ("ensemble_fit", True)]
+
+    @pytest.mark.parametrize("command, flag", _SEEDS, ids=lambda v: {True: "flag", False: "config"}.get(v, v))
+    def test_seed_past_64_bits_exit_one(self, pipeline, tmp_path, capsys, command, flag):
+        for seed in (2**64, 10**400):
+            root = tmp_path / str(len(str(seed)))
+            root.mkdir()
+            code, out = self._seeded_run(pipeline, root, command, flag, seed)
+            err = capsys.readouterr().err
+            assert code == 1 and err.startswith("ERROR BAD_CONFIG: seed must be an integer in [0, 2**64)"), err
+            assert err.count("\n") == 1 and len(err) <= 200, err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", _SEEDS, ids=lambda v: {True: "flag", False: "config"}.get(v, v))
+    def test_largest_seed_runs(self, pipeline, tmp_path, capsys, command, flag):
+        code, out = self._seeded_run(pipeline, tmp_path, command, flag, 2**64 - 1)
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
+    def test_long_config_numbers_are_cut_in_messages(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"corpus": {"sample_rate": 10**400}}))
+        assert run(["corpus", "synth", "--config", str(path), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("ERROR BAD_CONFIG: a 2.0 s clip at 10000000000000000000...00000000000000000 Hz "
+                       "holds more than 10000000 samples\n")
+        assert errors.quoted(10**400) == "10000000000000000000...00000000000000000"
+        assert errors.quoted("x" * 40) == repr("x" * 40)[:20] + "..." + repr("x" * 40)[-17:]
+        assert errors.quoted([1, 2.5]) == "[1, 2.5]"
 
     def _train_with_weights(self, pipeline, tmp_path, train):
         config = json.loads(pipeline["config"].read_text())
@@ -1047,17 +1100,12 @@ class TestHostileInput:
         assert str(bad) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fault", ["clip_in_two_splits", "splits_not_a_map"])
-    def test_manifest_that_breaks_validation_exit_two(self, pipeline, tmp_path, capsys, fault):
-        # the same faults in a manifest built in memory are a BadConfig
+    def test_manifest_that_breaks_validation_exit_two(self, pipeline, tmp_path, capsys):
+        # a clip listed twice; the same fault in a manifest built in memory is a BadConfig
         corpus, out = tmp_path / "corpus", tmp_path / "out"
         corpus.mkdir()
         d = json.loads((pipeline["corpus"] / "manifest.json").read_text())
-        track1 = d["splits"]["track1"]
-        if fault == "clip_in_two_splits":
-            track1["dev"].append(track1["train"][0])
-        else:
-            d["splits"] = [track1]
+        d["clips"].append(d["clips"][0])
         (corpus / "manifest.json").write_text(json.dumps(d))
         assert run(["featurize", "--corpus", str(corpus), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -1115,7 +1163,7 @@ class TestHostileInput:
         # declared shape must still be one a block can have
         emb, out = tmp_path / "emb.bin", tmp_path / "out"
         emb.write_bytes(pipeline["emb"].read_bytes())
-        line = {"utt_id": "nobody", "offset": 0, "L": 4, "Dt": 32, "spans": [], **dict.fromkeys(empty, 0)}
+        line = {"utt_id": "nobody", "offset": 0, "L": 4, "Dt": 32, **dict.fromkeys(empty, 0)}
         (tmp_path / "emb.bin.index.jsonl").write_text(json.dumps(line) + "\n")
         if command == "score":
             argv = _score_argv(pipeline, emb, out)
@@ -1132,7 +1180,7 @@ class TestHostileInput:
         # every other block cut to half its width: each call reads both widths
         emb, out = tmp_path / "emb.bin", tmp_path / "out"
         tx.write_embeddings(str(emb), [
-            tx.TextEmbedding(e.utt_id, e.matrix[:, :16] if i % 2 else e.matrix, e.style_spans)
+            tx.TextEmbedding(e.utt_id, e.matrix[:, :16] if i % 2 else e.matrix)
             for i, e in enumerate(tx.load_embeddings(str(pipeline["emb"])))])
         if command == "train":
             argv = ["train", "--corpus", str(pipeline["corpus"]), "--features", str(pipeline["feats"]),
@@ -1167,7 +1215,7 @@ class TestHostileInput:
         assert sum(len(e.ids) for e in embs if e.utt_id in used and e.utt_id != target) >= 64
         emb, out, report = tmp_path / "emb.bin", tmp_path / "out", tmp_path / "report.json"
         tx.write_embeddings(str(emb), [
-            tx.TextEmbedding(e.utt_id, e.matrix[:, :16], ()) if damage == "width" and e.utt_id == target
+            tx.TextEmbedding(e.utt_id, e.matrix[:, :16]) if damage == "width" and e.utt_id == target
             else e
             for e in embs])
         index = tmp_path / "emb.bin.index.jsonl"
@@ -1357,8 +1405,9 @@ _RUN_FAULTS = ("diverged", "ridge_lambda")
 
 class TestRunConfigSweep:
     """Every field of the four run-config sections, at each of _SWEEP_VALUES,
-    through the CLI: the command exits 0, or exits 1 with one BAD_CONFIG line,
-    prints nothing and writes nothing. A refused value starts no work."""
+    through the CLI: the command exits 0, or exits 1 with one BAD_CONFIG line
+    of at most 200 characters, prints nothing and writes nothing. A refused
+    value starts no work."""
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -1408,6 +1457,7 @@ class TestRunConfigSweep:
             code, out = self._run(pipeline, section, field, value, root)
             captured = capsys.readouterr()
             where = f"{section}.{field} = {value!r}"
+            assert all(len(line) <= 200 for line in captured.err.splitlines()), (where, captured.err)
             if code == 0:
                 assert captured.err == "", where
                 continue

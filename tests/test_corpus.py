@@ -291,7 +291,8 @@ class TestBuildCorpus:
         assert np.array_equal(back.samples, wave.samples)
 
     def test_protocols_match_manifest(self, built):
-        _, out, manifest = built
+        cfg, out, manifest = built
+        _, splits, _ = cp.plan_corpus(cfg)
         for track in ("track1", "track2"):
             entries = read_protocol(out / f"protocol_{track}.tsv")
             assert {e.utt_id for e in entries} == {c.utt_id for c in manifest.clips}
@@ -299,7 +300,7 @@ class TestBuildCorpus:
             for e in entries:
                 by_split.setdefault(e.split, set()).add(e.utt_id)
             for split, ids in by_split.items():
-                assert ids == set(manifest.splits[track][split])
+                assert ids == set(splits[track][split])
 
     def test_labels_match_generator_kind(self, built):
         _, out, _ = built
@@ -333,9 +334,8 @@ class TestBuildCorpus:
     def test_manifest_round_trip(self, built):
         _, out, manifest = built
         again = cp.load_manifest(out / "manifest.json")
-        assert [c.utt_id for c in again.clips] == [c.utt_id for c in manifest.clips]
-        assert again.splits == manifest.splits
-        assert again.blackbox_fraction == manifest.blackbox_fraction
+        assert again.clips == manifest.clips
+        assert again.config == json.loads(json.dumps(manifest.config))
 
     def test_byte_identical_rebuild(self, built, tmp_path):
         cfg, out, _ = built
@@ -478,31 +478,13 @@ class TestManifestValidation:
     def test_duplicate_utt_rejected(self):
         clip = cp.ClipRecord("u0", "real", "bonafide", ("dog",), 1.0, (0, 0))
         with pytest.raises(BadConfig):
-            cp.CorpusManifest([clip, clip], {"track1": {"train": ["u0"]}}, 0.01)
-
-    def test_split_overlap_rejected(self):
-        clips = [
-            cp.ClipRecord("u0", "real", "bonafide", ("dog",), 1.0, (0, 0)),
-            cp.ClipRecord("u1", "real", "bonafide", ("dog",), 1.0, (0, 1)),
-        ]
-        with pytest.raises(BadConfig):
-            cp.CorpusManifest(
-                clips, {"track1": {"train": ["u0", "u1"], "eval": ["u1"]}}, 0.01
-            )
-
-    def test_incomplete_split_rejected(self):
-        clips = [
-            cp.ClipRecord("u0", "real", "bonafide", ("dog",), 1.0, (0, 0)),
-            cp.ClipRecord("u1", "real", "bonafide", ("dog",), 1.0, (0, 1)),
-        ]
-        with pytest.raises(BadConfig):
-            cp.CorpusManifest(clips, {"track1": {"train": ["u0"]}}, 0.01)
+            cp.CorpusManifest([clip, clip])
 
     def test_malformed_manifest_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{"),
         with pytest.raises(BadJson):
             cp.load_manifest(path)
-        path.write_text(json.dumps({"clips": [{"utt_id": "u0"}], "splits": {}, "blackbox_fraction": 0.01}))
+        path.write_text(json.dumps({"clips": [{"utt_id": "u0"}]}))
         with pytest.raises(BadJson):
             cp.load_manifest(path)

@@ -1,5 +1,6 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from atcadet import corpus as cp
 from atcadet import dsp
 from atcadet.dsp import FeatureMatrix, StftConfig, Waveform
 from atcadet.errors import (
+    BadConfig,
     BadHeader,
     NonFinite,
     NotWav,
@@ -195,6 +197,42 @@ class TestStft:
         cfg = StftConfig(n_fft=256, hop=128, n_mels=24)
         out = dsp.stft_logmel(Waveform(samples, 44100), cfg)
         assert np.all(np.isfinite(out.values))
+
+
+class TestStftBound:
+    """frames x n_fft past MAX_STFT_ENTRIES is refused before the frames are
+    made: the clips here hold no samples (a zero-stride view) and are never
+    framed."""
+
+    class Framed(Exception):
+        pass
+
+    def _framed(self, monkeypatch, n, cfg=StftConfig()):
+        def frame(*args):
+            raise self.Framed
+
+        monkeypatch.setattr(dsp, "sliding_window_view", frame)
+        try:
+            dsp.stft_power(SimpleNamespace(samples=np.broadcast_to(0.0, (n,))), cfg)
+        except self.Framed:
+            return True
+        except BadConfig as exc:
+            assert str(exc).endswith(f"values, over {dsp.MAX_STFT_ENTRIES}")
+            return False
+        raise AssertionError("neither framed nor refused")
+
+    def test_longest_synth_clip_at_the_default_hop_is_framed(self, monkeypatch):
+        assert dsp.MAX_STFT_ENTRIES == 4 * 10**7
+        assert (1 + (cp.MAX_CLIP_SAMPLES - 2048) // 512) * 2048 == 39_993_344
+        assert self._framed(monkeypatch, cp.MAX_CLIP_SAMPLES)
+        # 19531 and 19532 frames of 2048
+        assert self._framed(monkeypatch, 2048 + 19530 * 512 + 511)
+        assert not self._framed(monkeypatch, 2048 + 19531 * 512)
+
+    def test_hop_one_on_a_stock_clip_is_refused(self, monkeypatch):
+        # a stock 2 s clip frames 86153 x 2048 values at hop 1; hop 5 is the least admitted
+        for hop, framed in ((1, False), (4, False), (5, True)):
+            assert self._framed(monkeypatch, 88200, StftConfig(hop=hop)) == framed, hop
 
 
 # |difference of ln mel| is the relative difference of the mel values

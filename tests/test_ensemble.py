@@ -35,7 +35,7 @@ from _oracles import ridge_gd_oracle, simplex_bruteforce_oracle
 
 def _embedding(utt_id, vec):
     row = np.asarray(vec, dtype=np.float64).reshape(1, -1)
-    return TextEmbedding(utt_id, row, (("audioset", 0, 1),))
+    return TextEmbedding(utt_id, row)
 
 
 def _entries(labels):
@@ -68,7 +68,7 @@ class TestMetaExamples:
             _embedding("u1", [np.inf])
         # a pooled text vector that overflows stops the fit
         with np.errstate(over="ignore"):
-            huge = {"u0": TextEmbedding("u0", np.full((2, 1), 1e308), ()), "u1": embs["u1"]}
+            huge = {"u0": TextEmbedding("u0", np.full((2, 1), 1e308)), "u1": embs["u1"]}
             x, y = es.build_meta_examples([[Trial("u0", 0.0), Trial("u1", 1.0)]], huge, entries)
         with pytest.raises(NonFinite):
             es.fit_stacked(np.vstack([x] * 2), np.tile(y, 2), folds=2, cfg=SMALL_CFG)
@@ -616,7 +616,7 @@ class TestStackConfig:
     @pytest.mark.parametrize("field,value", [
         ("grid_step", 0), ("grid_step", 2), ("grid_step", -0.1), ("grid_step", float("nan")),
         ("grid_step", "0.1"), ("gbm_rounds", 2.5), ("gbm_rounds", -1), ("gbm_depth", -1),
-        ("gbm_depth", 1.5), ("forest_depth", -1), ("forest_trees", 0), ("seed", -1),
+        ("gbm_depth", 1.5), ("forest_depth", -1), ("forest_trees", 0), ("seed", -1), ("seed", 2**64),
         ("ridge_lambda", -1.0), ("gbm_shrinkage", float("inf")), ("feature_frac", None),
         ("bootstrap", "yes"),
     ])
@@ -627,7 +627,7 @@ class TestStackConfig:
     @pytest.mark.parametrize("field,value", [
         ("grid_step", 1.5), ("grid_step", 1), ("grid_step", 0.3), ("gbm_rounds", 0),
         ("gbm_depth", 0), ("forest_depth", np.int64(2)), ("feature_frac", 1e-9),
-        ("feature_frac", 0.0), ("feature_frac", 4.0), ("ridge_lambda", 0), ("seed", 2**70),
+        ("feature_frac", 0.0), ("feature_frac", 4.0), ("ridge_lambda", 0), ("seed", 2**64 - 1),
         ("gbm_shrinkage", -0.1),
     ])
     def test_edge_values_stay_valid(self, field, value):
@@ -875,7 +875,7 @@ class TestEnsembleFile:
         good = tmp_path / "good.aten"
         es.save_ensemble(good, self._model())
         d = json.loads(good.read_bytes()[12:].decode())
-        d["forest"].update(trees=[], seeds=[])
+        d["forest"].update(trees=[])
         with pytest.raises(BadJson, match="forest holds no trees"):
             es.StackedModel.from_dict(d)
         blob = json.dumps(d, sort_keys=True, separators=(",", ":")).encode()

@@ -6,10 +6,11 @@ import multiprocessing
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from atcadet import corpus as cp
-from atcadet import errors
+from atcadet import dsp, errors
 from atcadet.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore:processing 8000 Hz")
@@ -97,4 +98,21 @@ def test_worker_killed_mid_write_leaves_no_temp_file(corpus, tmp_path, set_cpus,
     assert capsys.readouterr().err.startswith("ERROR INTERNAL:")
     assert multiprocessing.active_children() == []
     # nor the feature files the run finished
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stft_past_the_bound_exit_one_and_nothing_left(corpus, tmp_path, set_cpus, monkeypatch, capsys, cpus):
+    # at hop 300 a 4000-sample clip frames 7 x 2048 values, the bound patched
+    # in here, and a 5000-sample one 10 x 2048: that clip alone is refused
+    set_cpus(cpus)
+    monkeypatch.setattr(dsp, "MAX_STFT_ENTRIES", 7 * 2048)
+    assert _featurize(corpus, tmp_path / "at_the_bound") == 0
+    src = _copy(corpus, tmp_path / "corpus")
+    dsp.write_wav(src / "wav" / "u0005.wav", dsp.Waveform(np.full(5000, 0.25), 8000))
+    out = tmp_path / "feats"
+    assert _featurize(src, out) == 1
+    assert capsys.readouterr().err == "ERROR BAD_CONFIG: n_fft 2048 at hop 300 frames 10x2048 values, over 14336\n"
+    assert multiprocessing.active_children() == []
+    # the feature files of the clips before it are removed too
     assert list(out.iterdir()) == []

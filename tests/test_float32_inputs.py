@@ -142,8 +142,8 @@ class TestWidenedWhereRead:
     @given(_spec_sets(max_mats=1))
     @settings(max_examples=60, deadline=None)
     def test_pool_text_vector(self, mats):
-        _assert_same(tx.pool_text_vector(TextEmbedding("u", mats[0], ())),
-                     tx.pool_text_vector(TextEmbedding("u", _wide(mats[0]), ())))
+        _assert_same(tx.pool_text_vector(TextEmbedding("u", mats[0])),
+                     tx.pool_text_vector(TextEmbedding("u", _wide(mats[0]))))
 
     @given(_batches())
     @settings(max_examples=40, deadline=None)
@@ -155,7 +155,7 @@ class TestWidenedWhereRead:
         def step(specs, texts):
             with ad.Tape() as tape:
                 logits = md.forward_batch([FeatureMatrix(s) for s in specs], [None] * len(specs),
-                                          [TextEmbedding(f"u{i}", t, ()) for i, t in enumerate(texts)],
+                                          [TextEmbedding(f"u{i}", t) for i, t in enumerate(texts)],
                                           params)
                 loss = ad.weighted_ce_logits(logits, labels, np.array([1.0, 2.0]))
             grads = ad.backward(tape, loss)
@@ -177,7 +177,7 @@ class TestWidenedWhereRead:
 
         def run(specs, texts):
             feats = {e.utt_id: FeatureMatrix(s) for e, s in zip(entries, specs)}
-            embs = {e.utt_id: TextEmbedding(e.utt_id, t, ()) for e, t in zip(entries, texts)}
+            embs = {e.utt_id: TextEmbedding(e.utt_id, t) for e, t in zip(entries, texts)}
             trials = tr.score_protocol(params, entries, feats, embs)
             bases = [Trial(t.utt_id, t.score) for t in trials]
             x, _ = es.build_meta_examples([bases], embs, entries)
@@ -260,7 +260,7 @@ def test_pipeline_bytes_match_float64_loading(tmp_path, monkeypatch):
 
 def _embeddings(n, rows, dims, seed=0):
     rng = np.random.default_rng(seed)
-    return [TextEmbedding(f"u{i:03d}", rng.normal(size=(rows + i % 3, dims)).astype(np.float32), ())
+    return [TextEmbedding(f"u{i:03d}", rng.normal(size=(rows + i % 3, dims)).astype(np.float32))
             for i in range(n)]
 
 
@@ -283,7 +283,7 @@ def test_load_embeddings_holds_its_distinct_rows_and_one_stage(tmp_path):
     rng = np.random.default_rng(4)
     pool = rng.normal(size=(30, 768)).astype(np.float32)
     path = str(tmp_path / "emb.bin")
-    tx.write_embeddings(path, (TextEmbedding(f"u{i:03d}", pool[rng.integers(0, 30, 24)], ())
+    tx.write_embeddings(path, (TextEmbedding(f"u{i:03d}", pool[rng.integers(0, 30, 24)])
                                for i in range(400)))
     payload = 4 * 400 * 24 * 768
     loaded, peak = traced_peak(lambda: tx.load_embeddings(path))

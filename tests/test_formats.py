@@ -29,7 +29,7 @@ from atcadet import ensemble as es
 from atcadet import model as md
 from atcadet import text as tx
 from atcadet import training as tr
-from atcadet.errors import AtcadetError, BadConfig, BadJson, DataError, UsageError
+from atcadet.errors import ENSEMBLE_MAGIC, AtcadetError, BadConfig, BadJson, DataError, UsageError, write_blob
 from atcadet.metrics import Trial, read_scores, write_scores
 from atcadet.protocol import ProtocolEntry, read_protocol, write_protocol
 
@@ -60,8 +60,8 @@ def _ensemble(path):
 def _embeddings(path):
     rng = np.random.default_rng(3)
     tx.write_embeddings(path, [
-        tx.TextEmbedding("u0", rng.normal(size=(2, 3)), (("audioset", 0, 1), ("clotho", 1, 2))),
-        tx.TextEmbedding("u1", rng.normal(size=(1, 3)), ()),
+        tx.TextEmbedding("u0", rng.normal(size=(2, 3))),
+        tx.TextEmbedding("u1", rng.normal(size=(1, 3))),
     ])
 
 
@@ -84,11 +84,11 @@ def _captions(path):
 
 def _manifest(path):
     cfg = cp.CorpusConfig(n_clips=16, seed=0)
-    plan, splits, _ = cp.plan_corpus(cfg)
+    plan, _, _ = cp.plan_corpus(cfg)
     clips = [cp.ClipRecord(utt, gen.id, "bonafide" if gen.kind == "real" else "spoof",
                            ("dog", "rain"), cfg.duration_s, (cfg.seed, i))
              for i, (utt, gen) in enumerate(plan)]
-    cp.write_manifest(path, cp.CorpusManifest(clips, splits, cfg.blackbox_fraction, cfg.to_dict()))
+    cp.write_manifest(path, cp.CorpusManifest(clips, cfg.to_dict()))
 
 
 def _report(path):
@@ -189,10 +189,10 @@ def _cli_inputs(root):
     for e in entries:
         dsp.write_features(root / "feats" / f"{e.utt_id}.atfx", dsp.FeatureMatrix(rng.normal(size=(2, 3))))
     tx.write_embeddings(root / "emb.bin", [
-        tx.TextEmbedding("u0", rng.normal(size=(2, 2)), (("audioset", 0, 1), ("clotho", 1, 2))),
-        tx.TextEmbedding("u1", rng.normal(size=(1, 2)), ()),
-        tx.TextEmbedding("u2", rng.normal(size=(1, 2)), (("audiocaps", 0, 1),)),
-        tx.TextEmbedding("u3", rng.normal(size=(2, 2)), ()),
+        tx.TextEmbedding("u0", rng.normal(size=(2, 2))),
+        tx.TextEmbedding("u1", rng.normal(size=(1, 2))),
+        tx.TextEmbedding("u2", rng.normal(size=(1, 2))),
+        tx.TextEmbedding("u3", rng.normal(size=(2, 2))),
     ])
     model = {"d_model": 2, "d_k": 2, "n_heads": 1, "gru_layers": 1, "gru_hidden": 2}
     (root / "run.json").write_text(json.dumps({"model": model}))
@@ -320,7 +320,7 @@ def _score_file_inputs(root):
                for i in range(8)]
     protocol, scores = root / "protocol.tsv", root / "a.tsv"
     write_protocol(protocol, entries)
-    tx.write_embeddings(root / "emb.bin", [tx.TextEmbedding(e.utt_id, rng.normal(size=(1, 2)), ())
+    tx.write_embeddings(root / "emb.bin", [tx.TextEmbedding(e.utt_id, rng.normal(size=(1, 2)))
                                            for e in entries])
     for path in (scores, root / "b.tsv"):
         write_scores(path, [Trial(e.utt_id, float(rng.normal())) for e in entries])
@@ -356,7 +356,7 @@ def _manifest_inputs(root):
     rng = np.random.default_rng(7)
     clips = [cp.ClipRecord(f"u{i}", "g", "bonafide", ("dog",), 0.05, (0, i)) for i in range(2)]
     manifest = root / "manifest.json"
-    cp.write_manifest(manifest, cp.CorpusManifest(clips, {"track1": {"train": ["u0"], "dev": ["u1"]}}, 0.0))
+    cp.write_manifest(manifest, cp.CorpusManifest(clips))
     (root / "wav").mkdir()
     for clip in clips:
         dsp.write_wav(root / "wav" / f"{clip.utt_id}.wav", dsp.Waveform(rng.uniform(-0.5, 0.5, 2205), 44100))
@@ -384,8 +384,7 @@ def _wav_inputs(root, set_cpus):
     set_cpus(1)
     rng = np.random.default_rng(8)
     clips = [cp.ClipRecord(f"u{i}", "g", "bonafide", ("dog",), 0.01, (0, i)) for i in range(2)]
-    cp.write_manifest(root / "manifest.json",
-                      cp.CorpusManifest(clips, {"track1": {"train": ["u0"], "dev": ["u1"]}}, 0.0))
+    cp.write_manifest(root / "manifest.json", cp.CorpusManifest(clips))
     (root / "wav").mkdir()
     for clip in clips:
         dsp.write_wav(root / "wav" / f"{clip.utt_id}.wav", dsp.Waveform(rng.uniform(-0.5, 0.5, 441), 44100))
@@ -450,7 +449,7 @@ def _index_of_joined_and_split_lines(path):
     _embeddings(path)
     lines = tx.index_path_for(path)
     first, second = (json.dumps(entry) for entry in tx._read_index(path))
-    split_at = second.index('"spans"')
+    split_at = second.index('"Dt"')
     Path(lines).write_text(f"{first}\n{first}{second}\n{second[:split_at]}\n{second[split_at:]}\n")
 
 
@@ -542,3 +541,70 @@ def test_json_parse_and_magics_are_named_in_errors_only():
     kinds = [kind for kind, _ in uses["errors.py"]]
     assert sorted(kind for kind in kinds if not kind.startswith("json.")) == ["ATCK", "ATEN", "ATFX"]
     assert "json.loads" in kinds
+
+
+def _older_files(root):
+    """The embeddings, manifest and ensemble of ``_embeddings``, ``_manifest``
+    and ``_ensemble`` under ``root / "new"``, and under ``root / "old"`` as
+    older writers wrote them: each index line with its caption's style
+    spans, the manifest with both tracks' split lists and the black-box
+    fraction, and the forest with its list of tree indices."""
+    new, old = root / "new", root / "old"
+    for d in (new, old):
+        d.mkdir()
+    _embeddings(new / "emb.bin")
+    _manifest(new / "manifest.json")
+    _ensemble(new / "stack.aten")
+    shutil.copy(new / "emb.bin", old / "emb.bin")
+    lines = [json.loads(line) for line in Path(tx.index_path_for(new / "emb.bin")).read_text().splitlines()]
+    spans = [[["audioset", 0, 1], ["clotho", 1, 2]], []]
+    Path(tx.index_path_for(old / "emb.bin")).write_text(
+        "".join(json.dumps({**line, "spans": s}) + "\n" for line, s in zip(lines, spans)))
+    cfg = cp.CorpusConfig(n_clips=16, seed=0)
+    manifest = json.loads((new / "manifest.json").read_text())
+    with open(old / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump({**manifest, "splits": cp.plan_corpus(cfg)[1], "blackbox_fraction": cfg.blackbox_fraction},
+                  fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    stack = json.loads((new / "stack.aten").read_bytes()[12:])
+    stack["forest"]["seeds"] = list(range(len(stack["forest"]["trees"])))
+    with open(old / "stack.aten", "wb") as fh:
+        write_blob(fh, ENSEMBLE_MAGIC, es.ENSEMBLE_VERSION,
+                   json.dumps(stack, sort_keys=True, separators=(",", ":")).encode())
+    return new, old
+
+
+def test_older_files_load_as_the_current_ones(tmp_path):
+    # and, written again, are the current files
+    new, old = _older_files(tmp_path)
+    got, want = (tx.load_embeddings(d / "emb.bin") for d in (old, new))
+    assert [e.utt_id for e in got] == [e.utt_id for e in want]
+    assert got[0].table.tobytes() == want[0].table.tobytes()
+    assert all(g.ids.tobytes() == w.ids.tobytes() for g, w in zip(got, want))
+    assert cp.load_manifest(old / "manifest.json") == cp.load_manifest(new / "manifest.json")
+    rows = np.random.default_rng(9).normal(size=(16, 4))
+    models = [es.load_ensemble(d / "stack.aten") for d in (old, new)]
+    assert es.predict_stacked(models[0], rows).tobytes() == es.predict_stacked(models[1], rows).tobytes()
+    again = tmp_path / "again"
+    again.mkdir()
+    tx.write_embeddings(again / "emb.bin", got)
+    cp.write_manifest(again / "manifest.json", cp.load_manifest(old / "manifest.json"))
+    es.save_ensemble(again / "stack.aten", models[0])
+    for name in ("emb.bin", "emb.bin.index.jsonl", "manifest.json", "stack.aten"):
+        assert (again / name).read_bytes() == (new / name).read_bytes(), name
+    for name in ("emb.bin.index.jsonl", "manifest.json", "stack.aten"):  # each older file holds its key
+        assert (old / name).read_bytes() != (new / name).read_bytes(), name
+
+
+def test_writers_emit_only_the_keys_readers_use(tmp_path):
+    # no caption style spans, no split lists or black-box fraction beside
+    # the manifest's config, no list of forest tree indices
+    tx.write_embeddings(tmp_path / "emb.bin", [tx.toy_embed(cp.make_captions("u0", ("dog", "rain")),
+                                                            tx.ToyEmbedderConfig(dim=8))])
+    cp.build_corpus(cp.CorpusConfig(n_clips=12, duration_s=0.5, sample_rate=8000), tmp_path / "corpus")
+    _ensemble(tmp_path / "stack.aten")
+    (line,) = Path(tx.index_path_for(tmp_path / "emb.bin")).read_text().splitlines()
+    assert sorted(json.loads(line)) == ["Dt", "L", "offset", "utt_id"]
+    assert sorted(json.loads((tmp_path / "corpus" / "manifest.json").read_text())) == ["clips", "config"]
+    forest = json.loads((tmp_path / "stack.aten").read_bytes()[12:])["forest"]
+    assert sorted(forest) == ["feature_frac", "trees"]

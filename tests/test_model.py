@@ -639,7 +639,7 @@ class TestFusedFront:
         params = _perturbed_params(self._cfg(2), seed=41)
         rng = np.random.default_rng(42)
         specs = [FeatureMatrix(rng.normal(size=(9, 6)).astype(np.float32)) for _ in range(5)]
-        texts = [TextEmbedding(f"u{i}", rng.normal(size=(n, 7)).astype(np.float32), ())
+        texts = [TextEmbedding(f"u{i}", rng.normal(size=(n, 7)).astype(np.float32))
                  for i, n in enumerate((3, 1, 6, 2, 4))]
         with no_grad():
             fused = _fused_forward_batch(specs, texts, params)
@@ -716,7 +716,7 @@ def _captions(rng, lengths, d_text, style, form):
     if form == "plain":
         return [table[i] for i in ids]
     table = table.astype(np.float32)
-    return [TextEmbedding.from_rows(f"u{b}", table, i, ()) for b, i in enumerate(ids)]
+    return [TextEmbedding.from_rows(f"u{b}", table, i) for b, i in enumerate(ids)]
 
 
 def _front_forward_batch(front):
@@ -808,8 +808,8 @@ class TestDistinctRowFront:
         # order they first occur, whatever else its piece holds
         cfg = self._cfg(1)
         table = np.arange(5 * 7, dtype=np.float32).reshape(5, 7)
-        caps = [TextEmbedding.from_rows("a", table, np.array([3, 1, 3, 3, 0]), ()),
-                TextEmbedding.from_rows("b", table, np.array([4]), ())]
+        caps = [TextEmbedding.from_rows("a", table, np.array([3, 1, 3, 3, 0])),
+                TextEmbedding.from_rows("b", table, np.array([4]))]
         rows, distinct, gather, bias = md._caption_keys(caps, cfg)
         assert rows is table
         np.testing.assert_array_equal(distinct, [0, 1, 3, 4])

@@ -339,7 +339,7 @@ class TestScoreProtocol:
             utt = f"u{i:03d}"
             entries.append(ProtocolEntry(utt, f"{utt}.wav", ("bonafide", "spoof")[i % 2], "g", "eval"))
             features[utt] = FeatureMatrix(rng.normal(size=(43, 64)).astype(np.float32))
-            embeddings[utt] = TextEmbedding(utt, rng.normal(size=(4 + i % 5, 768)).astype(np.float32), ())
+            embeddings[utt] = TextEmbedding(utt, rng.normal(size=(4 + i % 5, 768)).astype(np.float32))
         widths, forward = [], md.forward_batch
 
         def spy(specs, *args):
@@ -507,7 +507,7 @@ class TestHeldMemory:
             entries.append(ProtocolEntry(utt, f"{utt}.wav", ("bonafide", "spoof")[i % 2], "g", "eval"))
             features[utt] = FeatureMatrix(rng.normal(size=(20, 16)).astype(np.float32))
             embeddings[utt] = TextEmbedding(
-                utt, rng.normal(size=(20 + i % 9, 768)).astype(np.float32), ())
+                utt, rng.normal(size=(20 + i % 9, 768)).astype(np.float32))
         wide = 8 * sum(e.matrix.size for e in embeddings.values())
         trials, peak = traced_peak(lambda: tr.score_protocol(params, entries, features, embeddings))
         assert len(trials) == 64

@@ -51,7 +51,7 @@ def _captions(seed):
 
 def _manifest(seed):
     clips = [cp.ClipRecord(f"u{i}", "real", "bonafide", ("dog",), 1.0 + seed, (seed, i)) for i in range(3)]
-    return cp.CorpusManifest(clips, {"track1": {"train": ["u0", "u1"], "eval": ["u2"]}}, 0.25)
+    return cp.CorpusManifest(clips, {"n_clips": 3 + seed})
 
 
 def _wav(seed):
@@ -64,13 +64,12 @@ def _features(seed):
 
 def _embeddings(seed):
     rng = np.random.default_rng(seed)
-    return [tx.TextEmbedding(f"u{i}", rng.normal(size=(2 + i, 3)), (("audioset", 0, 1), ("clotho", 1, 2 + i)))
+    return [tx.TextEmbedding(f"u{i}", rng.normal(size=(2 + i, 3)))
             for i in range(3)]
 
 
 def _index_lines(seed):
-    return [{"utt_id": f"u{i}", "offset": 28 * i, "L": 2 + seed, "Dt": 3,
-             "spans": [["audioset", 0, 1], ["clotho", 1, 2 + seed]]} for i in range(3)]
+    return [{"utt_id": f"u{i}", "offset": 28 * i, "L": 2 + seed, "Dt": 3} for i in range(3)]
 
 
 WRITERS = {
@@ -164,8 +163,7 @@ def _single_pass_embeddings(path, embeddings):
             values = emb.matrix.astype("<f4")
             fh.write(dsp.FEATURE_MAGIC + struct.pack("<III", dsp.FEATURE_VERSION, *values.shape))
             fh.write(values.tobytes(order="C"))
-            lines.append({"utt_id": emb.utt_id, "offset": offset, "L": values.shape[0],
-                          "Dt": values.shape[1], "spans": [list(s) for s in emb.style_spans]})
+            lines.append({"utt_id": emb.utt_id, "offset": offset, "L": values.shape[0], "Dt": values.shape[1]})
     with open(tx.index_path_for(path), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(line) + "\n" for line in lines)
 
